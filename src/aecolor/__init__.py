@@ -26,7 +26,6 @@ from .colorer import (
 )
 from .coloring import (
     BichromaticPath,
-    ColorMultiset,
     CycleWitness,
     PartialEdgeColoring,
     ValidationReport,
@@ -34,7 +33,6 @@ from .coloring import (
     find_bichromatic_cycle,
     forbidden_from,
     maximal_bichromatic_path,
-    multiset_join,
     seen_colors,
     validate_acyclic,
 )
@@ -52,12 +50,10 @@ from .discharge import (
 from .embedding import (
     FaceSet,
     RotationSystem,
-    TriangulationWitness,
     generate_apollonian,
     parse_rotation,
     format_rotation,
     trace_faces,
-    triangulation_witness,
 )
 from .errors import (
     AecolorError,
@@ -70,16 +66,7 @@ from .errors import (
     NonPlanarEmbeddingError,
     NotPlanarEvidence,
 )
-from .graphs import (
-    DeletionResult,
-    Graph,
-    degree,
-    degree_class_neighbors,
-    delete_two_vertices,
-    format_edge_list,
-    parse_edge_list,
-    remove_edge,
-)
+from .graphs import Graph, format_edge_list, parse_edge_list
 from .oracle import (
     EXHAUSTED,
     Exhausted,
@@ -90,23 +77,16 @@ from .oracle import (
     is_acyclically_k_colorable,
     search_acyclic_coloring,
 )
-from .scanner import (
-    Configuration,
-    cheap_planarity_guard,
-    classify_vertex,
-    find_configuration,
-)
+from .scanner import Configuration, classify_vertex, find_configuration
 
 __all__ = [
     "AecolorError",
     "AuditReport",
     "BichromaticPath",
     "ChargeLedger",
-    "ColorMultiset",
     "Configuration",
     "ConfigurationPresentError",
     "CycleWitness",
-    "DeletionResult",
     "EXHAUSTED",
     "EdgeListParseError",
     "Exhausted",
@@ -126,19 +106,14 @@ __all__ = [
     "SearchBudget",
     "TraceStep",
     "Transfer",
-    "TriangulationWitness",
     "ValidationReport",
     "acolor",
     "apply_discharging",
     "audit_triangulation",
     "bichromatic_cycle_exists_brute",
-    "cheap_planarity_guard",
     "choose_reduction_edge",
     "classify_rule",
     "classify_vertex",
-    "degree",
-    "degree_class_neighbors",
-    "delete_two_vertices",
     "enumerate_cycles",
     "exact_chi_a",
     "exists_critical_path",
@@ -154,15 +129,12 @@ __all__ = [
     "maximal_bichromatic_path",
     "move_recolor_neighbor",
     "move_swap_pair",
-    "multiset_join",
     "parse_edge_list",
     "parse_rotation",
-    "remove_edge",
     "replay_trace",
     "search_acyclic_coloring",
     "seen_colors",
     "trace_faces",
-    "triangulation_witness",
     "try_free_color",
     "validate_acyclic",
     "vertex_transfers",

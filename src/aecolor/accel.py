@@ -1,46 +1,3 @@
-"""Optional numba acceleration, selected once at import time.
+"""There are no compiled code paths; the benchmark still records this flag."""
 
-Set AECOLOR_NO_NUMBA=1 to force the pure-Python code paths even when numba
-is installed.  Everything works without numba; the compiled kernels only
-change speed, never results, and the test suite checks both paths agree.
-"""
-
-from __future__ import annotations
-
-import os
-
-_FLAG = os.environ.get("AECOLOR_NO_NUMBA", "").strip().lower()
-_DISABLED = _FLAG in {"1", "true", "yes", "on"}
-
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit as _njit  # type: ignore
-
-    HAS_NUMBA = True
-except ImportError:
-    _njit = None
-    HAS_NUMBA = False
-
-NUMBA_ENABLED = HAS_NUMBA and not _DISABLED
-
-if NUMBA_ENABLED:
-    # On-disk caching fails on read-only installs; probe once and degrade.
-    try:
-        @_njit(cache=True)
-        def _probe(x):
-            return x + 1
-
-        _probe(1)
-        _CACHE = True
-    except (RuntimeError, OSError):
-        _CACHE = False
-else:
-    _CACHE = False
-
-
-def jit_kernel(fn):
-    """Compile fn with numba when enabled, else return it unchanged."""
-    if NUMBA_ENABLED:
-        return _njit(cache=_CACHE)(fn)
-    return fn
+NUMBA_ENABLED = False

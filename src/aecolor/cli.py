@@ -100,7 +100,7 @@ def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
             n = max(n, u + 1, v + 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"malformed coloring document: {exc}") from exc
-    g = Graph.from_edges(n, [(u, v) for u, v, _ in triples])
+    g = Graph(n, [(u, v) for u, v, _ in triples])
     phi = PartialEdgeColoring.from_pairs(g, k, triples, strict=False)
     return g, phi
 

@@ -20,11 +20,11 @@ which refutes the caller's planarity assertion.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .coloring import (
-    ColorMultiset,
     PartialEdgeColoring,
     bits,
     exists_critical_path,
@@ -94,11 +94,12 @@ class ExtensionContext:
         out.sort(key=lambda w: (self.graph.degree(w), w))
         return out
 
-    def neighbor_multiset(self) -> ColorMultiset:
-        """Join of the forbidden sets of every colored spoke at v except uv."""
-        s = ColorMultiset()
+    def neighbor_multiset(self) -> Counter:
+        """Color multiplicities over the forbidden sets of every colored
+        spoke at v except uv."""
+        s: Counter = Counter()
         for w in self.colored_neighbors():
-            s = s.join(ColorMultiset(forbidden_from(self.phi, self.v, w)))
+            s.update(forbidden_from(self.phi, self.v, w))
         return s
 
 
@@ -287,7 +288,7 @@ def _tier2(ctx: ExtensionContext) -> bool:
         old = phi.color_of(ctx.v, w)
         blocked = forbidden_from(phi, ctx.v, w)
         for alpha in ctx.free_palette():
-            if s.mult(alpha) > 1 or alpha in blocked:
+            if s[alpha] > 1 or alpha in blocked:
                 continue
             try:
                 move_recolor_neighbor(ctx, (ctx.v, w), alpha)
@@ -398,7 +399,7 @@ def _tier3(ctx: ExtensionContext, budget: int) -> bool:
 
 def _tier4(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> PartialEdgeColoring:
     colored = [(u, v) for (u, v), _ in ctx.phi.items()]
-    sub = Graph.from_edges(ctx.graph.n, colored + [(ctx.u, ctx.v)])
+    sub = Graph(ctx.graph.n, colored + [(ctx.u, ctx.v)])
     found = search_acyclic_coloring(sub, ctx.k, budget or SearchBudget())
     if found is EXHAUSTED:
         raise ExtensionFailed(

@@ -2,23 +2,19 @@
 
 A coloring lives on the full graph; uncolored edges are first-class (the
 whole extension procedure reasons about colorings of G minus one edge).
-State is kept three ways at once, each serving a different access pattern:
+State is kept three ways at once, each serving a different access pattern,
+and all of it takes O(n + m) memory whatever the palette size:
 
- * a (vertex, color) -> neighbor table for O(1) alternating-walk steps,
+ * a per-vertex color -> neighbor dict for O(1) alternating-walk steps,
  * per-vertex color bitmasks (plain ints) for O(1) palette set algebra,
  * a canonical edge -> color dict for iteration and serialization.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-import numpy as np
-
-from . import kernels
-from .accel import NUMBA_ENABLED
 from .errors import ImproperColoringError
 from .graphs import Graph, _canon
 
@@ -52,7 +48,7 @@ class PartialEdgeColoring:
             raise ValueError(f"palette size must be nonnegative, got {k}")
         self.graph = graph
         self.k = k
-        self._nbr = np.full((graph.n, k + 1), -1, dtype=np.int32)
+        self._nbr: list[dict[int, int]] = [{} for _ in range(graph.n)]
         self._mask = [0] * graph.n
         self._colors: dict[tuple[int, int], int] = {}
         self.violations: list[tuple[int, int, int]] = []
@@ -85,12 +81,12 @@ class PartialEdgeColoring:
         e = _canon(u, v)
         if e in self._colors:
             raise ValueError(f"edge {e} already colored; unassign first")
-        if self._nbr[u, c] >= 0:
+        if c in self._nbr[u]:
             raise ImproperColoringError(f"color {c} already at vertex {u}")
-        if self._nbr[v, c] >= 0:
+        if c in self._nbr[v]:
             raise ImproperColoringError(f"color {c} already at vertex {v}")
-        self._nbr[u, c] = v
-        self._nbr[v, c] = u
+        self._nbr[u][c] = v
+        self._nbr[v][c] = u
         bit = 1 << c
         self._mask[u] |= bit
         self._mask[v] |= bit
@@ -101,8 +97,8 @@ class PartialEdgeColoring:
         c = self._colors.pop(e, None)
         if c is None:
             raise ValueError(f"edge {e} is not colored")
-        self._nbr[u, c] = -1
-        self._nbr[v, c] = -1
+        del self._nbr[u][c]
+        del self._nbr[v][c]
         bit = ~(1 << c)
         self._mask[u] &= bit
         self._mask[v] &= bit
@@ -122,8 +118,7 @@ class PartialEdgeColoring:
         return self._colors.get(_canon(u, v))
 
     def colored_neighbor(self, v: int, c: Color) -> Optional[int]:
-        w = self._nbr[v, c]
-        return int(w) if w >= 0 else None
+        return self._nbr[v].get(c)
 
     def seen_mask(self, v: int) -> int:
         return self._mask[v]
@@ -134,13 +129,13 @@ class PartialEdgeColoring:
 
         Returns (end vertex, color of the last edge taken, closed), where
         closed means the walk returned to `start` and the two-colored
-        component through it is a cycle.
+        component through it is a cycle.  When `start` has no `first`-colored
+        edge the walk is empty and the last color is -1.
         """
-        if NUMBA_ENABLED:
-            end, last, closed = kernels.walk_end(self._nbr, start, first, second)
-        else:
-            end, last, closed = kernels.walk_end_py(self._nbr, start, first, second)
-        return int(end), int(last), bool(closed)
+        seq, closed = alternating_walk(self._nbr, start, first, second)
+        steps = len(seq) if closed else len(seq) - 1
+        last = -1 if steps == 0 else first if steps % 2 else second
+        return (start if closed else seq[-1]), last, closed
 
     def is_complete(self) -> bool:
         return len(self._colors) == self.graph.m
@@ -153,19 +148,6 @@ class PartialEdgeColoring:
 
     def max_color_used(self) -> int:
         return max(self._colors.values(), default=0)
-
-    def distinct_colors_used(self) -> int:
-        return len(set(self._colors.values()))
-
-    def copy(self) -> "PartialEdgeColoring":
-        dup = object.__new__(PartialEdgeColoring)
-        dup.graph = self.graph
-        dup.k = self.k
-        dup._nbr = self._nbr.copy()
-        dup._mask = list(self._mask)
-        dup._colors = dict(self._colors)
-        dup.violations = list(self.violations)
-        return dup
 
     def __eq__(self, other) -> bool:
         return (
@@ -180,44 +162,6 @@ class PartialEdgeColoring:
             f"PartialEdgeColoring(k={self.k}, colored={len(self._colors)}"
             f"/{self.graph.m})"
         )
-
-
-class ColorMultiset:
-    """Multiset of colors with join and multiplicity queries."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, colors: Iterable[Color] = ()):
-        self._counts = Counter(colors)
-
-    @classmethod
-    def _wrap(cls, counts: Counter) -> "ColorMultiset":
-        ms = cls()
-        ms._counts = counts
-        return ms
-
-    def mult(self, c: Color) -> int:
-        return self._counts[c]
-
-    def cardinality(self) -> int:
-        return sum(self._counts.values())
-
-    def colors(self) -> set[Color]:
-        return set(self._counts)
-
-    def join(self, other: "ColorMultiset") -> "ColorMultiset":
-        return ColorMultiset._wrap(self._counts + other._counts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ColorMultiset) and self._counts == other._counts
-
-    def __repr__(self) -> str:
-        return f"ColorMultiset({dict(sorted(self._counts.items()))})"
-
-
-def multiset_join(a: ColorMultiset, b: ColorMultiset) -> ColorMultiset:
-    """Union adding multiplicities; cardinality is additive."""
-    return a.join(b)
 
 
 class CycleWitness(NamedTuple):
@@ -274,21 +218,28 @@ def _check_pair(phi: PartialEdgeColoring, alpha: Color, beta: Color) -> None:
             raise ValueError(f"color {c} outside palette [1..{phi.k}]")
 
 
-def _walk_seq(phi, start, first, second):
-    """Vertex/color sequence of the alternating walk from start via `first`."""
+def alternating_walk(
+    nbr: list[dict[Color, int]], start: int, first: Color, second: Color
+) -> tuple[list[int], bool]:
+    """Vertices of the maximal walk from `start` taking a `first`-colored
+    edge, then `second`, then `first`, and so on; and whether it closed.
+
+    `nbr[v]` maps each color at v to the neighbor across that edge.  On a
+    proper table the walk can only revisit `start`, so it stops there
+    (closed: `start` lies on a two-colored cycle) or where the next color
+    is missing.  The closing edge back to `start` is not repeated in the
+    returned vertices.
+    """
     seq = [start]
-    cols: list[int] = []
-    v, want = start, first
-    while True:
-        w = phi.colored_neighbor(v, want)
-        if w is None:
-            return seq, cols, False
-        cols.append(want)
+    want, other = first, second
+    w = nbr[start].get(want)
+    while w is not None:
         if w == start:
-            return seq, cols, True
+            return seq, True
         seq.append(w)
-        v = w
-        want = second if want == first else first
+        want, other = other, want
+        w = nbr[w].get(want)
+    return seq, False
 
 
 def maximal_bichromatic_path(
@@ -302,17 +253,18 @@ def maximal_bichromatic_path(
     """
     _check_pair(phi, alpha, beta)
     g._check(v)
-    fwd_seq, fwd_cols, closed = _walk_seq(phi, v, alpha, beta)
+    fwd, closed = alternating_walk(phi._nbr, v, alpha, beta)
     if closed:
-        return BichromaticPath(tuple(fwd_seq), (alpha, beta), tuple(fwd_cols), True)
-    back_seq, back_cols, closed = _walk_seq(phi, v, beta, alpha)
-    if closed:
-        return BichromaticPath(tuple(back_seq), (alpha, beta), tuple(back_cols), True)
-    if len(fwd_seq) == 1 and len(back_seq) == 1:
-        return None
-    vertices = back_seq[::-1] + fwd_seq[1:]
-    edge_colors = back_cols[::-1] + fwd_cols
-    return BichromaticPath(tuple(vertices), (alpha, beta), tuple(edge_colors), False)
+        ends = fwd[1:] + fwd[:1]
+    else:
+        # v is on no cycle, so walking the other way cannot close either
+        back, _ = alternating_walk(phi._nbr, v, beta, alpha)
+        if len(fwd) == 1 and len(back) == 1:
+            return None
+        fwd = back[::-1] + fwd[1:]
+        ends = fwd[1:]
+    edge_colors = tuple(phi.color_of(x, y) for x, y in zip(fwd, ends))
+    return BichromaticPath(tuple(fwd), (alpha, beta), edge_colors, closed)
 
 
 def exists_critical_path(
@@ -345,21 +297,8 @@ def find_bichromatic_cycle(
         raise ImproperColoringError(
             f"coloring has {len(phi.violations)} properness violations"
         )
-    if NUMBA_ENABLED:
-        out = np.empty(g.n + 1, dtype=np.int64)
-        a, b, length = kernels.first_cycle(phi._nbr, out)
-        if a < 0:
-            return None
-        return CycleWitness(tuple(int(x) for x in out[:length]), (int(a), int(b)))
-    return _find_cycle_py(g, phi)
-
-
-def _find_cycle_py(g: Graph, phi: PartialEdgeColoring) -> Optional[CycleWitness]:
-    """Pure-Python cycle scan; same witness order as the compiled kernel.
-
-    Iterates only vertices that actually carry each color pair, so it stays
-    near O(k·m) instead of the kernel's brute O(k²·n) table sweep.
-    """
+    # only vertices that carry each color pair are tried, so the scan stays
+    # near O(k·m) rather than sweeping every (pair, vertex) combination
     by_color: dict[int, list[int]] = {}
     for (u, v), c in phi.items():
         by_color.setdefault(c, []).append(u)
@@ -374,7 +313,7 @@ def _find_cycle_py(g: Graph, phi: PartialEdgeColoring) -> Optional[CycleWitness]
             for s in by_color[a]:
                 if s in visited or not phi.seen_mask(s) & bbit:
                     continue
-                seq, _cols, closed = _walk_seq(phi, s, a, b)
+                seq, closed = alternating_walk(phi._nbr, s, a, b)
                 visited.update(seq)
                 if closed:
                     return CycleWitness(tuple(seq), (a, b))

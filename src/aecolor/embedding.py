@@ -73,12 +73,6 @@ class FaceSet:
         return all(len(f) == 3 for f in self.faces)
 
 
-@dataclass(frozen=True)
-class TriangulationWitness:
-    is_triangulation: bool
-    faces: FaceSet
-
-
 def _validate_rotation(g: Graph, rot: RotationSystem) -> None:
     if rot.n != g.n:
         raise InvalidRotationError(f"rotation covers {rot.n} vertices, graph has {g.n}")
@@ -130,10 +124,6 @@ def trace_faces(g: Graph, rot: RotationSystem) -> FaceSet:
             f"Euler count n-m+f = {g.n}-{g.m}+{len(fs)} = {euler}, expected 2"
         )
     return fs
-
-
-def triangulation_witness(faces: FaceSet) -> TriangulationWitness:
-    return TriangulationWitness(faces.all_triangles(), faces)
 
 
 class _Stacker:

@@ -7,11 +7,10 @@ cheap structural sharing is less important than not aliasing state.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import EdgeListParseError
 
-VertexId = int
 Edge = tuple[int, int]
 
 
@@ -43,10 +42,6 @@ class Graph:
         self._n = n
         self._edges = frozenset(canon)
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(n, edges)
 
     @property
     def n(self) -> int:
@@ -80,9 +75,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self._adj), default=0)
 
-    def min_degree(self) -> int:
-        return min((len(a) for a in self._adj), default=0)
-
     def remove_edge(self, u: int, v: int) -> "Graph":
         e = _canon(u, v)
         if e not in self._edges:
@@ -97,14 +89,6 @@ class Graph:
         adj[v] = tuple(x for x in adj[v] if x != u)
         g._adj = tuple(adj)
         return g
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        e = _canon(u, v)
-        if e in self._edges:
-            raise ValueError(f"edge ({u},{v}) already in graph")
-        return Graph(self._n, self._edges | {e})
 
     def connected_components(self) -> list[list[int]]:
         seen = [False] * self._n
@@ -132,7 +116,7 @@ class Graph:
             raise ValueError(f"vertex {v} out of range for n={self._n}")
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Graph)
             and self._n == other._n
             and self._edges == other._edges
@@ -143,43 +127,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
-
-
-class DeletionResult(NamedTuple):
-    graph: Graph
-    original_ids: tuple[int, ...]  # original_ids[new_id] = id in the input graph
-
-
-def degree(g: Graph, v: VertexId) -> int:
-    return g.degree(v)
-
-
-def degree_class_neighbors(g: Graph, v: VertexId, k: int) -> tuple[set[int], int]:
-    """Neighbors of v whose degree is exactly k, with their count."""
-    if k < 0:
-        raise ValueError(f"degree class must be nonnegative, got {k}")
-    nk = {x for x in g.neighbors(v) if g.degree(x) == k}
-    return nk, len(nk)
-
-
-def delete_two_vertices(g: Graph) -> DeletionResult:
-    """Remove every vertex of degree exactly 2, in a single simultaneous pass.
-
-    Not iterated: the result may itself contain 2-vertices.  Survivors are
-    renumbered densely; the mapping back to input ids is returned alongside.
-    """
-    keep = [v for v in g.vertices() if g.degree(v) != 2]
-    new_id = {old: i for i, old in enumerate(keep)}
-    edges = [
-        (new_id[u], new_id[v])
-        for u, v in g.edges()
-        if u in new_id and v in new_id
-    ]
-    return DeletionResult(Graph(len(keep), edges), tuple(keep))
-
-
-def remove_edge(g: Graph, u: VertexId, v: VertexId) -> Graph:
-    return g.remove_edge(u, v)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -7,7 +7,7 @@ that the search budget turns results into the explicit EXHAUSTED outcome,
 never a silent wrong answer.
 
 The module also houses the independent brute-force cycle enumerator the
-test suite compares the traversal kernel against.
+test suite compares the bichromatic-cycle scan against.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
+from .coloring import alternating_walk
 from .graphs import Graph
 
 
@@ -77,7 +78,9 @@ class _Searcher:
         self.g = g
         self.k = k
         self.edges = _ordered_edges(g, order)
-        self.nbr = [[-1] * (k + 1) for _ in range(g.n)]
+        # same color -> neighbor table format as PartialEdgeColoring, kept
+        # here so the hot loop skips its edge and palette checks
+        self.nbr: list[dict[int, int]] = [{} for _ in range(g.n)]
         self.mask = [0] * g.n
         self.assigned: list[int] = []
         self.nodes = 0
@@ -90,24 +93,14 @@ class _Searcher:
 
     def _closes_cycle(self, u: int, v: int, c: int) -> bool:
         # A new {c,d}-cycle through uv needs d at both ends and an
-        # alternating d,c,...,d path from u to v.
+        # alternating d,c,...,d path from u to v.  c is free at both ends,
+        # so that path is the whole walk from u and must end at v.
         both = self.mask[u] & self.mask[v]
-        nbr = self.nbr
         while both:
             low = both & -both
-            d = low.bit_length() - 1
             both ^= low
-            x, want = u, d
-            while True:
-                nxt = nbr[x][want]
-                if nxt < 0:
-                    break
-                if nxt == v:
-                    if want == d:
-                        return True
-                    break
-                x = nxt
-                want = c if want == d else d
+            if alternating_walk(self.nbr, u, low.bit_length() - 1, c)[0][-1] == v:
+                return True
         return False
 
     def run(self, idx: int, used: int) -> int:
@@ -137,8 +130,8 @@ class _Searcher:
             if res != _NO:
                 return res
             self.assigned.pop()
-            self.nbr[u][c] = -1
-            self.nbr[v][c] = -1
+            del self.nbr[u][c]
+            del self.nbr[v][c]
             self.mask[u] &= ~bit
             self.mask[v] &= ~bit
         return _NO

@@ -33,9 +33,6 @@ class Configuration:
     vertex: int
     neighbors: tuple[tuple[int, int], ...]  # (vertex, degree), by (degree, id)
 
-    def neighbor_ids(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.neighbors)
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -85,9 +82,3 @@ def find_configuration(g: Graph) -> Configuration:
         "a planar graph always contains one"
     )
 
-
-def cheap_planarity_guard(g: Graph) -> bool:
-    """Necessary edge-count condition m <= 3n - 6; false certifies non-planarity."""
-    if g.n < 3:
-        return True
-    return g.m <= 3 * g.n - 6

@@ -16,17 +16,3 @@ def corpus():
 def embedded():
     return embedded_corpus()
 
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # First call into a jitted kernel pays compilation cost; do it here so
-    # timed acceptance criteria measure the algorithm, not the compiler.
-    from aecolor import kernels
-    from aecolor.coloring import PartialEdgeColoring, find_bichromatic_cycle
-    from aecolor.families import cycle_graph
-
-    g = cycle_graph(4)
-    phi = PartialEdgeColoring.from_pairs(g, 3, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)])
-    find_bichromatic_cycle(g, phi)
-    phi.walk_end(0, 1, 2)
-    del kernels

@@ -55,7 +55,7 @@ def wheel_patch(ring_degrees: tuple[int, ...]) -> tuple[Graph, RotationSystem]:
             edges.append((j, p))
             order[p] = [j]
         order[j] = [0, prev] + pendants + [nxt]
-    g = Graph.from_edges(next_id, edges)
+    g = Graph(next_id, edges)
     rot = RotationSystem([order[v] for v in range(next_id)])
     return g, rot
 
@@ -101,7 +101,7 @@ def all_trees(max_n: int) -> list[Graph]:
     out = [Graph(1, [])]
     for n in range(2, max_n + 1):
         for t in nx.nonisomorphic_trees(n):
-            out.append(Graph.from_edges(n, list(t.edges())))
+            out.append(Graph(n, list(t.edges())))
     return out
 
 
@@ -135,7 +135,7 @@ def small_graphs(draw, max_n: int = 8, max_m: int | None = None) -> Graph:
         st.lists(st.sampled_from(possible), unique=True, min_size=0,
                  max_size=len(possible) if max_m is None else min(max_m, len(possible)))
     ) if possible else []
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def embedded_corpus() -> list[tuple[str, Graph, RotationSystem]]:

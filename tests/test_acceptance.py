@@ -216,13 +216,16 @@ def test_6_cycle_kernel_agreement(corpus, report):
         for name, g in corpus
         if 1 <= g.m <= 20 and g.max_degree() <= 5
     ]
+    cycles_of: dict[str, list] = {}  # the brute enumeration, once per pool graph
     randomized = 0
     while randomized < 10_000:
         name, g = pool[rng.randrange(len(pool))]
         phi = random_proper_coloring(g, rng.randint(max(2, g.max_degree()), 5), rng)
         if phi is None:
             continue
-        want = bichromatic_cycle_exists_brute(g, dict(phi.items()))
+        if name not in cycles_of:
+            cycles_of[name] = enumerate_cycles(g)
+        want = bichromatic_cycle_exists_brute(g, dict(phi.items()), cycles_of[name])
         got = find_bichromatic_cycle(g, phi) is not None
         if want != got:
             disagreements.append(name)

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aecolor
 from aecolor.cli import main
 from aecolor.families import complete_graph, cycle_graph
 from aecolor.graphs import format_edge_list
@@ -202,6 +207,13 @@ class TestVerify:
         code, _, err = self.verify(capsys, monkeypatch, json.dumps({"edges": []}))
         assert code == 1 and "malformed" in err
 
+    def test_huge_palette_claim(self, capsys, monkeypatch):
+        # memory follows the edges, not the palette size the document claims
+        doc = coloring_doc(10_000_000_000, [(0, 1, 1), (1, 2, 2)])
+        code, out, err = self.verify(capsys, monkeypatch, doc)
+        assert code == 0 and json.loads(out)["status"] == "acyclic"
+        assert "Traceback" not in err
+
 
 class TestChiA:
     def test_exact_value_k4(self, capsys, tmp_path):
@@ -288,6 +300,15 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["color", "--in", "/nonexistent/file.txt"])
         assert code == 1
+
+    def test_import_loads_no_numeric_stack(self):
+        # every CLI call pays the package import, so it stays stdlib-only
+        probe = "import sys, aecolor; print(sorted({'numpy', 'numba'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(Path(aecolor.__file__).resolve().parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert res.stdout == "[]\n"
 
     def test_version_banner(self, capsys):
         with pytest.raises(SystemExit) as exc:

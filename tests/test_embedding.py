@@ -7,7 +7,6 @@ from aecolor.embedding import (
     generate_apollonian,
     parse_rotation,
     trace_faces,
-    triangulation_witness,
 )
 from aecolor.errors import InvalidRotationError, NonPlanarEmbeddingError
 from aecolor.families import (
@@ -80,11 +79,11 @@ class TestTraceFaces:
 class TestTriangulationWitness:
     def test_true_on_tetrahedron(self):
         g, rot = tetrahedron()
-        assert triangulation_witness(trace_faces(g, rot)).is_triangulation
+        assert trace_faces(g, rot).all_triangles()
 
     def test_false_on_cube(self):
         g, rot = cube()
-        assert not triangulation_witness(trace_faces(g, rot)).is_triangulation
+        assert not trace_faces(g, rot).all_triangles()
 
 
 class TestGenerateApollonian:

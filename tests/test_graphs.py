@@ -3,14 +3,7 @@ from hypothesis import given
 
 from aecolor.errors import EdgeListParseError
 from aecolor.families import complete_graph, cycle_graph, path_graph, star_graph
-from aecolor.graphs import (
-    Graph,
-    degree,
-    degree_class_neighbors,
-    delete_two_vertices,
-    format_edge_list,
-    parse_edge_list,
-)
+from aecolor.graphs import Graph, format_edge_list, parse_edge_list
 
 from support import small_graphs
 
@@ -54,71 +47,20 @@ class TestConstruction:
 class TestDegree:
     def test_cycle_is_two_regular(self):
         g = cycle_graph(3)
-        assert all(degree(g, v) == 2 for v in g.vertices())
+        assert all(g.degree(v) == 2 for v in g.vertices())
 
     def test_k4_is_three_regular(self):
         g = complete_graph(4)
-        assert all(degree(g, v) == 3 for v in g.vertices())
+        assert all(g.degree(v) == 3 for v in g.vertices())
 
     def test_star_center(self):
-        assert degree(star_graph(6), 0) == 6
+        assert star_graph(6).degree(0) == 6
 
     def test_invalid_vertex(self):
         with pytest.raises(ValueError, match="out of range"):
-            degree(cycle_graph(3), 3)
+            cycle_graph(3).degree(3)
         with pytest.raises(ValueError, match="out of range"):
-            degree(cycle_graph(3), -1)
-
-
-class TestDegreeClassNeighbors:
-    def test_star_leaves(self):
-        g = star_graph(6)
-        nk, count = degree_class_neighbors(g, 0, 1)
-        assert nk == set(range(1, 7)) and count == 6
-
-    def test_k4_full_class(self):
-        g = complete_graph(4)
-        nk, count = degree_class_neighbors(g, 0, 3)
-        assert nk == {1, 2, 3} and count == 3
-
-    def test_k4_empty_class(self):
-        g = complete_graph(4)
-        assert degree_class_neighbors(g, 0, 2) == (set(), 0)
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            degree_class_neighbors(complete_graph(4), 0, -1)
-
-
-class TestDeleteTwoVertices:
-    def test_c4_collapses_to_empty(self):
-        res = delete_two_vertices(cycle_graph(4))
-        assert res.graph.n == 0 and res.graph.m == 0
-        assert res.original_ids == ()
-
-    def test_subdivided_k4(self):
-        # K4 on 0..3 with edge (0,1) replaced by the path 0-4-1
-        g = Graph(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)])
-        res = delete_two_vertices(g)
-        back = res.original_ids
-        assert set(back) == {0, 1, 2, 3}
-        got = {(back[u], back[v]) for u, v in res.graph.edges()}
-        assert got == {(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
-
-    def test_p3_keeps_endpoints(self):
-        res = delete_two_vertices(path_graph(3))
-        assert res.graph.n == 2 and res.graph.m == 0
-        assert res.original_ids == (0, 2)
-
-    def test_single_pass_not_iterated(self):
-        # P5: all three middle vertices go in one simultaneous pass.
-        res = delete_two_vertices(path_graph(5))
-        assert res.graph.n == 2 and res.graph.m == 0
-        # Subdivided K4: removing the subdivision vertex leaves two fresh
-        # 2-vertices, which a single pass must NOT delete.
-        g = Graph(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)])
-        res = delete_two_vertices(g)
-        assert res.graph.min_degree() == 2
+            cycle_graph(3).degree(-1)
 
 
 class TestRemoveEdge:
@@ -142,7 +84,8 @@ class TestRemoveEdge:
     @given(small_graphs())
     def test_remove_then_add_round_trips(self, g):
         for u, v in g.edges():
-            assert g.remove_edge(u, v).add_edge(u, v) == g
+            h = g.remove_edge(u, v)
+            assert Graph(h.n, h.edges() + [(u, v)]) == g
 
     @given(small_graphs())
     def test_remove_leaves_other_adjacency_untouched(self, g):

@@ -13,7 +13,6 @@ from aecolor.families import (
 from aecolor.graphs import Graph
 from aecolor.scanner import (
     Configuration,
-    cheap_planarity_guard,
     classify_vertex,
     find_configuration,
 )
@@ -109,17 +108,3 @@ class TestFindConfiguration:
         assert d["kind"] == "A2" and d["v"] == 0
         assert d["neighbors"][0] == {"v": 1, "d": 3}
 
-
-class TestCheapPlanarityGuard:
-    def test_k5_fails_edge_bound(self):
-        assert cheap_planarity_guard(complete_graph(5)) is False
-
-    def test_k4_passes(self):
-        assert cheap_planarity_guard(complete_graph(4)) is True
-
-    def test_trees_pass(self):
-        assert cheap_planarity_guard(star_graph(9)) is True
-
-    def test_tiny_graphs_pass(self):
-        assert cheap_planarity_guard(Graph(2, [(0, 1)])) is True
-        assert cheap_planarity_guard(Graph(0, [])) is True
