@@ -48,7 +48,7 @@ class PartialEdgeColoring:
             raise ValueError(f"palette size must be nonnegative, got {k}")
         self.graph = graph
         self.k = k
-        self._nbr: list[dict[int, int]] = [{} for _ in range(graph.n)]
+        self._nbr: list[dict[Color, int]] = [{} for _ in range(graph.n)]
         self._mask = [0] * graph.n
         self._colors: dict[tuple[int, int], int] = {}
         self.violations: list[tuple[int, int, int]] = []
@@ -253,18 +253,18 @@ def maximal_bichromatic_path(
     """
     _check_pair(phi, alpha, beta)
     g._check(v)
-    fwd, closed = alternating_walk(phi._nbr, v, alpha, beta)
+    path, closed = alternating_walk(phi._nbr, v, alpha, beta)
     if closed:
-        ends = fwd[1:] + fwd[:1]
+        ends = path[1:] + path[:1]
     else:
         # v is on no cycle, so walking the other way cannot close either
         back, _ = alternating_walk(phi._nbr, v, beta, alpha)
-        if len(fwd) == 1 and len(back) == 1:
+        if len(path) == 1 and len(back) == 1:
             return None
-        fwd = back[::-1] + fwd[1:]
-        ends = fwd[1:]
-    edge_colors = tuple(phi.color_of(x, y) for x, y in zip(fwd, ends))
-    return BichromaticPath(tuple(fwd), (alpha, beta), edge_colors, closed)
+        path = back[::-1] + path[1:]
+        ends = path[1:]
+    edge_colors = tuple(phi.color_of(x, y) for x, y in zip(path, ends))
+    return BichromaticPath(tuple(path), (alpha, beta), edge_colors, closed)
 
 
 def exists_critical_path(

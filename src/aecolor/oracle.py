@@ -201,7 +201,7 @@ def enumerate_cycles(g: Graph) -> list[frozenset[tuple[int, int]]]:
     """Every simple cycle, as an edge set, by brute force over edge subsets.
 
     Exponential in m by design: this is the independent oracle the
-    traversal kernel is validated against, so it shares no code with it.
+    bichromatic-cycle scan is validated against, so it shares no code with it.
     """
     edges = g.edges()
     if len(edges) > 20:
