@@ -2,12 +2,15 @@
 
 A coloring lives on the full graph; uncolored edges are first-class (the
 whole extension procedure reasons about colorings of G minus one edge).
-State is kept three ways at once, each serving a different access pattern,
-and all of it takes O(n + m) memory whatever the palette size:
+State is kept three ways at once, each serving a different access pattern:
 
  * a per-vertex color -> neighbor dict for O(1) alternating-walk steps,
  * per-vertex color bitmasks (plain ints) for O(1) palette set algebra,
  * a canonical edge -> color dict for iteration and serialization.
+
+The dicts take O(n + m) memory whatever the palette size.  A vertex's
+bitmask takes one bit per color up to the largest color at that vertex,
+so it grows with the color values actually used, not with k.
 """
 
 from __future__ import annotations
@@ -255,15 +258,18 @@ def maximal_bichromatic_path(
     g._check(v)
     path, closed = alternating_walk(phi._nbr, v, alpha, beta)
     if closed:
-        ends = path[1:] + path[:1]
+        first, n_edges = alpha, len(path)
     else:
         # v is on no cycle, so walking the other way cannot close either
         back, _ = alternating_walk(phi._nbr, v, beta, alpha)
         if len(path) == 1 and len(back) == 1:
             return None
+        # the back walk's edges run beta, alpha, ...; its last one opens the path
+        first = alpha if len(back) % 2 else beta
         path = back[::-1] + path[1:]
-        ends = path[1:]
-    edge_colors = tuple(phi.color_of(x, y) for x, y in zip(path, ends))
+        n_edges = len(path) - 1
+    pair = (first, beta if first == alpha else alpha)
+    edge_colors = tuple(pair[i % 2] for i in range(n_edges))
     return BichromaticPath(tuple(path), (alpha, beta), edge_colors, closed)
 
 

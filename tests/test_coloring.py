@@ -199,6 +199,7 @@ class TestFindBichromaticCycle:
         phi = colored(g, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)])
         w = find_bichromatic_cycle(g, phi)
         assert w is not None and w.colors == (1, 2)
+        assert w.vertices == (0, 1, 2, 3)
 
     def test_three_colors_no_cycle(self):
         g = cycle_graph(4)
