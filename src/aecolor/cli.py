@@ -85,20 +85,30 @@ def coloring_to_json(phi: PartialEdgeColoring) -> dict:
     return {"schema": SCHEMA, "k": phi.k, "edges": edges}
 
 
+def _json_int(x, key: str) -> int:
+    # bool is an int subclass, and a float such as 2.7 or 1e400 is no id
+    if type(x) is not int:
+        raise _UsageError(
+            f"malformed coloring document: {key} must be an integer, "
+            f"got {type(x).__name__}"
+        )
+    return x
+
+
 def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
     """Rebuild graph and coloring; properness violations are collected,
     not raised, so the verifier can classify them."""
     try:
-        k = int(doc["k"])
+        k = _json_int(doc["k"], "k")
         rows = doc["edges"]
         triples = []
         n = 0
         for row in rows:
-            u, v = int(row["u"]), int(row["v"])
+            u, v = _json_int(row["u"], "u"), _json_int(row["v"], "v")
             c = row["color"]
-            triples.append((u, v, None if c is None else int(c)))
+            triples.append((u, v, None if c is None else _json_int(c, "color")))
             n = max(n, u + 1, v + 1)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise _UsageError(f"malformed coloring document: {exc}") from exc
     g = Graph(n, [(u, v) for u, v, _ in triples])
     phi = PartialEdgeColoring.from_pairs(g, k, triples, strict=False)

@@ -26,8 +26,7 @@ from typing import Iterator, Optional
 
 from .coloring import (
     PartialEdgeColoring,
-    bits,
-    exists_critical_path,
+    closes_cycle,
     forbidden_from,
     validate_acyclic,
 )
@@ -51,9 +50,9 @@ class ExtensionContext:
     v is the configuration vertex whose removal produced the edge; u is the
     neighbor it was removed toward.  The coloring must be proper, and every
     edge of the current subgraph except uv is expected to be colored.
-    Derived sets (colors at the ends, the shared colors, the free palette)
-    are recomputed from the coloring on every access rather than cached, so
-    they stay honest across moves.
+    Derived sets (the free palette, the neighbor multiset) are recomputed
+    from the coloring on every access rather than cached, so they stay
+    honest across moves.
     """
 
     __slots__ = ("graph", "phi", "u", "v", "k")
@@ -73,16 +72,9 @@ class ExtensionContext:
         self.v = v
         self.k = phi.k
 
-    def colors_at(self, w: int) -> set[int]:
-        return set(bits(self.phi.seen_mask(w)))
-
-    def shared(self) -> set[int]:
-        return set(bits(self.phi.seen_mask(self.u) & self.phi.seen_mask(self.v)))
-
     def free_palette(self) -> list[int]:
         """Ascending colors unused at both ends; size recomputed, not bounded on faith."""
-        used = self.phi.seen_mask(self.u) | self.phi.seen_mask(self.v)
-        return [c for c in range(1, self.k + 1) if not used >> c & 1]
+        return self.phi.free_colors(self.u, self.v)
 
     def colored_neighbors(self) -> list[int]:
         """Neighbors of v over colored edges, excluding u, by (degree, id)."""
@@ -176,28 +168,13 @@ def try_free_color(ctx: ExtensionContext) -> Optional[int]:
     Coloring uv with such a color is proper outright; a bichromatic cycle
     through uv in colors {c, d} would need d at both ends plus an
     alternating path between them ending in d at each side, which is
-    exactly the critical-path test.
+    exactly the critical-path test, and `closes_cycle` runs it for every d.
     """
-    shared = sorted(ctx.shared())
+    nbr = ctx.phi._nbr
     for c in ctx.free_palette():
-        if all(
-            not exists_critical_path(ctx.graph, ctx.phi, d, c, ctx.u, ctx.v)
-            for d in shared
-        ):
+        if not closes_cycle(nbr, ctx.u, ctx.v, c):
             return c
     return None
-
-
-def _edge_on_cycle(phi: PartialEdgeColoring, x: int, y: int, c: int) -> bool:
-    # xy is colored c; it lies on a {c,d}-cycle iff the walk leaving x
-    # along xy closes, for some d present at both ends
-    both = phi.seen_mask(x) & phi.seen_mask(y)
-    for d in bits(both):
-        if d == c:
-            continue
-        if phi.walk_end(x, c, d)[2]:
-            return True
-    return False
 
 
 def _swap_raw(phi: PartialEdgeColoring, e1, e2, c1, c2) -> None:
@@ -238,7 +215,8 @@ def move_swap_pair(
         _swap_raw(ctx.phi, e1, e2, c1, c2)
     except ImproperColoringError as exc:
         raise MoveRejected(f"swap of {e1} and {e2} breaks properness: {exc}") from exc
-    if _edge_on_cycle(ctx.phi, *e1, c2) or _edge_on_cycle(ctx.phi, *e2, c1):
+    nbr = ctx.phi._nbr
+    if closes_cycle(nbr, *e1, c2) or closes_cycle(nbr, *e2, c1):
         _swap_raw(ctx.phi, e1, e2, c2, c1)
         raise MoveRejected(f"swap of {e1} and {e2} closes a bichromatic cycle")
     return ctx.phi
@@ -266,7 +244,7 @@ def move_recolor_neighbor(
     if alpha in forbidden_from(ctx.phi, ctx.v, w):
         raise ValueError(f"color {alpha} is already present around {w}")
     ctx.phi.recolor(edge[0], edge[1], alpha)
-    if _edge_on_cycle(ctx.phi, edge[0], edge[1], alpha):
+    if closes_cycle(ctx.phi._nbr, edge[0], edge[1], alpha):
         ctx.phi.recolor(edge[0], edge[1], old)
         raise MoveRejected(f"recoloring {edge} to {alpha} closes a bichromatic cycle")
     return ctx.phi
@@ -344,23 +322,18 @@ def _tier3(ctx: ExtensionContext, budget: int) -> bool:
     FOUND, DEAD, STOP = 0, 1, 2
     used = 0
 
-    def recolor_candidates(e):
-        x, y = e
-        free = ~(phi.seen_mask(x) | phi.seen_mask(y))
-        return [a for a in range(1, ctx.k + 1) if free >> a & 1]
-
     def dfs(depth: int) -> int:
         nonlocal used
         if depth == T3_DEPTH:
             return DEAD
         for e in zone:
             old = phi.color_of(*e)
-            for a in recolor_candidates(e):
+            for a in phi.free_colors(*e):
                 if used >= budget:
                     return STOP
                 used += 1
                 phi.recolor(e[0], e[1], a)
-                if _edge_on_cycle(phi, e[0], e[1], a):
+                if closes_cycle(phi._nbr, e[0], e[1], a):
                     phi.recolor(e[0], e[1], old)
                     continue
                 if _finish(ctx) is not None:

@@ -2,15 +2,13 @@
 
 A coloring lives on the full graph; uncolored edges are first-class (the
 whole extension procedure reasons about colorings of G minus one edge).
-State is kept three ways at once, each serving a different access pattern:
+State is kept two ways at once, each serving a different access pattern:
 
- * a per-vertex color -> neighbor dict for O(1) alternating-walk steps,
- * per-vertex color bitmasks (plain ints) for O(1) palette set algebra,
+ * a per-vertex color -> neighbor dict, the only per-vertex state, which
+   answers membership and alternating-walk steps in O(1),
  * a canonical edge -> color dict for iteration and serialization.
 
-The dicts take O(n + m) memory whatever the palette size.  A vertex's
-bitmask takes one bit per color up to the largest color at that vertex,
-so it grows with the color values actually used, not with k.
+Both take O(n + m) memory whatever the palette size and color values.
 """
 
 from __future__ import annotations
@@ -24,16 +22,6 @@ from .graphs import Graph, _canon
 Color = int
 
 
-def bits(mask: int) -> list[int]:
-    """Set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class PartialEdgeColoring:
     """Proper partial edge coloring over palette [1..k].
 
@@ -44,7 +32,7 @@ class PartialEdgeColoring:
     report them, everything else refuses to run via them.
     """
 
-    __slots__ = ("graph", "k", "_nbr", "_mask", "_colors", "violations")
+    __slots__ = ("graph", "k", "_nbr", "_colors", "violations")
 
     def __init__(self, graph: Graph, k: int):
         if k < 0:
@@ -52,7 +40,6 @@ class PartialEdgeColoring:
         self.graph = graph
         self.k = k
         self._nbr: list[dict[Color, int]] = [{} for _ in range(graph.n)]
-        self._mask = [0] * graph.n
         self._colors: dict[tuple[int, int], int] = {}
         self.violations: list[tuple[int, int, int]] = []
 
@@ -90,9 +77,6 @@ class PartialEdgeColoring:
             raise ImproperColoringError(f"color {c} already at vertex {v}")
         self._nbr[u][c] = v
         self._nbr[v][c] = u
-        bit = 1 << c
-        self._mask[u] |= bit
-        self._mask[v] |= bit
         self._colors[e] = c
 
     def unassign(self, u: int, v: int) -> Color:
@@ -102,9 +86,6 @@ class PartialEdgeColoring:
             raise ValueError(f"edge {e} is not colored")
         del self._nbr[u][c]
         del self._nbr[v][c]
-        bit = ~(1 << c)
-        self._mask[u] &= bit
-        self._mask[v] &= bit
         return c
 
     def recolor(self, u: int, v: int, c: Color) -> Color:
@@ -123,8 +104,10 @@ class PartialEdgeColoring:
     def colored_neighbor(self, v: int, c: Color) -> Optional[int]:
         return self._nbr[v].get(c)
 
-    def seen_mask(self, v: int) -> int:
-        return self._mask[v]
+    def free_colors(self, x: int, y: int) -> list[Color]:
+        """Ascending colors in 1..k absent at both x and y."""
+        nx, ny = self._nbr[x], self._nbr[y]
+        return [c for c in range(1, self.k + 1) if c not in nx and c not in ny]
 
     def walk_end(self, start: int, first: Color, second: Color) -> tuple[int, Color, bool]:
         """Follow the maximal alternating walk from `start`, taking a
@@ -194,7 +177,7 @@ class ValidationReport:
 
 def seen_colors(phi: PartialEdgeColoring, v: int) -> set[Color]:
     """C(v): the colors on colored edges at v."""
-    return set(bits(phi.seen_mask(v)))
+    return set(phi._nbr[v])
 
 
 def forbidden_from(phi: PartialEdgeColoring, u: int, v: int) -> set[Color]:
@@ -243,6 +226,21 @@ def alternating_walk(
         want, other = other, want
         w = nbr[w].get(want)
     return seq, False
+
+
+def closes_cycle(nbr: list[dict[Color, int]], u: int, v: int, c: Color) -> bool:
+    """Whether the edge uv in color c lies on a {c, d}-cycle for some d.
+
+    Such a cycle needs d at both ends and a d, c, ..., d walk from u that
+    reaches v.  With uv uncolored and c free at both ends, that walk is the
+    whole alternating walk from u and must end at v.  With uv already
+    colored c, the walk ends at v exactly when it closes back through uv.
+    """
+    nv = nbr[v]
+    for d in nbr[u]:
+        if d != c and d in nv and alternating_walk(nbr, u, d, c)[0][-1] == v:
+            return True
+    return False
 
 
 def maximal_bichromatic_path(
@@ -314,10 +312,9 @@ def find_bichromatic_cycle(
         by_color[c] = sorted(set(by_color[c]))
     for i, a in enumerate(present):
         for b in present[i + 1:]:
-            bbit = 1 << b
             visited: set[int] = set()
             for s in by_color[a]:
-                if s in visited or not phi.seen_mask(s) & bbit:
+                if s in visited or b not in phi._nbr[s]:
                     continue
                 seq, closed = alternating_walk(phi._nbr, s, a, b)
                 visited.update(seq)

@@ -21,7 +21,12 @@ from typing import NamedTuple, Optional
 from .embedding import FaceSet, RotationSystem, trace_faces
 from .errors import ConfigurationPresentError, NotPlanarEvidence
 from .graphs import Graph
-from .scanner import Configuration, find_configuration
+from .scanner import (
+    Configuration,
+    _sorted_neighbors,
+    classify_vertex,
+    find_configuration,
+)
 
 RULE_IDS = ("R1", "R2a", "R2b", "R3.1", "R3.2", "R3.3-adjacent", "R3.3-split", "none")
 
@@ -99,57 +104,51 @@ def _corners(faces: FaceSet, n: int) -> list[list[_Corner]]:
     return corners
 
 
-def _small_neighbors(g: Graph, v: int) -> list[tuple[int, int]]:
-    """(degree, id) pairs for v's neighbors, ascending."""
-    return sorted((g.degree(u), u) for u in g.neighbors(v))
-
-
 def classify_rule(
     g: Graph, v: int, faces: Optional[FaceSet] = None
 ) -> RuleApplicability:
     """Which transfer rule applies at v, or a violation flag.
 
     The violation flag marks exactly the degree patterns the rules'
-    implicit preconditions exclude: a 4-vertex with sorted neighbor degrees
-    <= (7, 9), or a 5-vertex with <= (6, 7, 8).  Distinguishing the two
-    5-vertex sub-rules of the final branch needs the embedding; without
-    `faces` the generic id "R3.3" is returned.
+    implicit preconditions exclude: a 4- or 5-vertex the scanner classifies
+    as configuration A3 or A4.  Distinguishing the two 5-vertex sub-rules
+    of the final branch needs the embedding; without `faces` the generic
+    id "R3.3" is returned.
     """
     d = g.degree(v)
     if d <= 3:
         return RuleApplicability("none", False)
     if d >= 6:
         return RuleApplicability("R1", False)
-    nd = _small_neighbors(g, v)
+    if classify_vertex(g, v) is not None:
+        return RuleApplicability("none", True)  # the A3 or A4 pattern is present
+    # (id, degree) pairs by (degree, id).  With A3 absent a 4-vertex has
+    # d(v1) >= 8 or d(v2) >= 10; with A4 absent a 5-vertex that fails the
+    # first two tests has d(v3) >= 9
+    nd = _sorted_neighbors(g, v)
     if d == 4:
-        if nd[0][0] >= 8:
-            return RuleApplicability("R2a", False)
-        if nd[1][0] >= 10:
-            return RuleApplicability("R2b", False)
-        return RuleApplicability("none", True)  # the A3 pattern is present
+        return RuleApplicability("R2a" if nd[0][1] >= 8 else "R2b", False)
     # d == 5
-    if nd[0][0] >= 7:
+    if nd[0][1] >= 7:
         return RuleApplicability("R3.1", False)
-    if nd[1][0] >= 8:
+    if nd[1][1] >= 8:
         return RuleApplicability("R3.2", False)
-    if nd[2][0] >= 9:
-        if faces is None:
-            return RuleApplicability("R3.3", False)
-        v1, v2 = nd[0][1], nd[1][1]
-        adjacent = any(
-            {c.prev, c.next} == {v1, v2} for c in _corners(faces, g.n)[v]
-        )
-        return RuleApplicability(
-            "R3.3-adjacent" if adjacent else "R3.3-split", False
-        )
-    return RuleApplicability("none", True)  # the A4 pattern is present
+    if faces is None:
+        return RuleApplicability("R3.3", False)
+    v1, v2 = nd[0][0], nd[1][0]
+    adjacent = any(
+        {c.prev, c.next} == {v1, v2} for c in _corners(faces, g.n)[v]
+    )
+    return RuleApplicability(
+        "R3.3-adjacent" if adjacent else "R3.3-split", False
+    )
 
 
 def _transfers_at(
     g: Graph, v: int, corners: list[_Corner], rule: str
 ) -> list[Transfer]:
     d = g.degree(v)
-    nd = _small_neighbors(g, v)
+    nd = _sorted_neighbors(g, v)
     out = []
     if rule == "R1":
         share = Fraction(2 * d - 6, d)
@@ -157,7 +156,7 @@ def _transfers_at(
     elif rule == "R2a":
         out = [Transfer(v, c.face, HALF, rule) for c in corners]
     elif rule == "R2b":
-        v1 = nd[0][1]
+        v1 = nd[0][0]
         out = [
             Transfer(v, c.face, FOUR_FIFTHS if v1 in (c.prev, c.next) else FIFTH, rule)
             for c in corners
@@ -165,19 +164,19 @@ def _transfers_at(
     elif rule == "R3.1":
         out = [Transfer(v, c.face, FOUR_FIFTHS, rule) for c in corners]
     elif rule == "R3.2":
-        v1 = nd[0][1]
+        v1 = nd[0][0]
         out = [
             Transfer(v, c.face, FIVE_QUARTERS if v1 in (c.prev, c.next) else HALF, rule)
             for c in corners
         ]
     elif rule == "R3.3-adjacent":
-        v1, v2 = nd[0][1], nd[1][1]
+        v1, v2 = nd[0][0], nd[1][0]
         for c in corners:
             hits = len({v1, v2} & {c.prev, c.next})
             amount = (Fraction(1), FIVE_SIXTHS, TWO_THIRDS)[2 - hits]
             out.append(Transfer(v, c.face, amount, rule))
     elif rule == "R3.3-split":
-        v1, v2 = nd[0][1], nd[1][1]
+        v1, v2 = nd[0][0], nd[1][0]
         for c in corners:
             touched = v1 in (c.prev, c.next) or v2 in (c.prev, c.next)
             out.append(

@@ -1,8 +1,9 @@
 """Simple undirected graphs with dense integer vertex ids.
 
 Graphs are immutable values: mutating operations return new graphs.  The
-reduce/extend colorer keeps a stack of (graph, removed edge) frames, so
-cheap structural sharing is less important than not aliasing state.
+reduce/extend colorer peels one edge per step with `remove_edge`, keeping
+only the current graph and the list of removed edges, so no step can alias
+the state of another.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
-from .coloring import alternating_walk
+from .coloring import closes_cycle
 from .graphs import Graph
 
 
@@ -81,7 +81,6 @@ class _Searcher:
         # same color -> neighbor table format as PartialEdgeColoring, kept
         # here so the hot loop skips its edge and palette checks
         self.nbr: list[dict[int, int]] = [{} for _ in range(g.n)]
-        self.mask = [0] * g.n
         self.assigned: list[int] = []
         self.nodes = 0
         self.max_nodes = budget.max_nodes
@@ -91,50 +90,47 @@ class _Searcher:
             else None
         )
 
-    def _closes_cycle(self, u: int, v: int, c: int) -> bool:
-        # A new {c,d}-cycle through uv needs d at both ends and an
-        # alternating d,c,...,d path from u to v.  c is free at both ends,
-        # so that path is the whole walk from u and must end at v.
-        both = self.mask[u] & self.mask[v]
-        while both:
-            low = both & -both
-            both ^= low
-            if alternating_walk(self.nbr, u, low.bit_length() - 1, c)[0][-1] == v:
-                return True
-        return False
-
-    def run(self, idx: int, used: int) -> int:
-        if idx == len(self.edges):
-            return _FOUND
-        u, v = self.edges[idx]
-        free = ~(self.mask[u] | self.mask[v])
-        cap = min(self.k, used + 1)
-        for c in range(1, cap + 1):
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
-                return _OUT
-            if self.deadline is not None and not self.nodes & 2047:
-                if time.monotonic() > self.deadline:
+    def run(self) -> int:
+        # Depth-first over edges in order, colors ascending, with an
+        # explicit stack: `assigned` holds the colors on the path so far and
+        # used[i] is the largest color among the first i edges.  Every color
+        # tried counts one node, free or not.
+        edges, nbr, assigned = self.edges, self.nbr, self.assigned
+        used = [0]
+        c = 1
+        while True:
+            idx = len(assigned)
+            if idx == len(edges):
+                return _FOUND
+            u, v = edges[idx]
+            nu, nv = nbr[u], nbr[v]
+            cap = min(self.k, used[idx] + 1)
+            while c <= cap:
+                self.nodes += 1
+                if self.nodes > self.max_nodes:
                     return _OUT
-            if not free & (1 << c):
+                if self.deadline is not None and not self.nodes & 2047:
+                    if time.monotonic() > self.deadline:
+                        return _OUT
+                if c not in nu and c not in nv and not closes_cycle(nbr, u, v, c):
+                    break
+                c += 1
+            if c <= cap:
+                nu[c] = v
+                nv[c] = u
+                assigned.append(c)
+                used.append(max(used[idx], c))
+                c = 1
                 continue
-            if self._closes_cycle(u, v, c):
-                continue
-            self.nbr[u][c] = v
-            self.nbr[v][c] = u
-            bit = 1 << c
-            self.mask[u] |= bit
-            self.mask[v] |= bit
-            self.assigned.append(c)
-            res = self.run(idx + 1, max(used, c))
-            if res != _NO:
-                return res
-            self.assigned.pop()
-            del self.nbr[u][c]
-            del self.nbr[v][c]
-            self.mask[u] &= ~bit
-            self.mask[v] &= ~bit
-        return _NO
+            # every color failed here: undo the previous edge, try its next
+            if idx == 0:
+                return _NO
+            used.pop()
+            c = assigned.pop()
+            u, v = edges[idx - 1]
+            del nbr[u][c]
+            del nbr[v][c]
+            c += 1
 
 
 def search_acyclic_coloring(
@@ -155,7 +151,7 @@ def search_acyclic_coloring(
     if k == 0:
         return None
     s = _Searcher(g, k, budget or SearchBudget(), order)
-    res = s.run(0, 0)
+    res = s.run()
     if res == _FOUND:
         return dict(zip(s.edges, s.assigned))
     if res == _OUT:

@@ -73,8 +73,7 @@ def random_proper_coloring(
     edges = g.edges()
     rng.shuffle(edges)
     for u, v in edges:
-        used = phi.seen_mask(u) | phi.seen_mask(v)
-        free = [c for c in range(1, k + 1) if not used >> c & 1]
+        free = phi.free_colors(u, v)
         if not free:
             return None
         phi.assign(u, v, rng.choice(free))
@@ -88,7 +87,7 @@ def all_proper_colorings(g: Graph, k: int):
         phi = PartialEdgeColoring(g, k)
         ok = True
         for (u, v), c in zip(edges, combo):
-            if (phi.seen_mask(u) | phi.seen_mask(v)) >> c & 1:
+            if c in phi._nbr[u] or c in phi._nbr[v]:
                 ok = False
                 break
             phi.assign(u, v, c)

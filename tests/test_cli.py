@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import aecolor
 from aecolor.cli import main
+from aecolor.embedding import generate_apollonian
 from aecolor.families import complete_graph, cycle_graph
 from aecolor.graphs import format_edge_list
 
@@ -207,19 +209,56 @@ class TestVerify:
         code, _, err = self.verify(capsys, monkeypatch, json.dumps({"edges": []}))
         assert code == 1 and "malformed" in err
 
-    def test_huge_palette_claim(self, capsys, monkeypatch):
-        # memory follows the edges, not the palette size the document claims
-        doc = coloring_doc(10_000_000_000, [(0, 1, 1), (1, 2, 2)])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # a bool and a float that int() would read as the edge (1, 2)
+            '{"k": 3, "edges": [{"u": true, "v": 2.7, "color": 1}]}',
+            # int(inf) raises OverflowError
+            '{"k": 1e400, "edges": [{"u": 0, "v": 1, "color": 1}]}',
+            '{"k": 3, "edges": [{"u": 0, "v": 1, "color": "1"}]}',
+        ],
+        ids=["bool-and-float-ids", "float-k", "string-color"],
+    )
+    def test_non_integer_field_is_usage_error(self, capsys, monkeypatch, doc):
         code, out, err = self.verify(capsys, monkeypatch, doc)
-        assert code == 0 and json.loads(out)["status"] == "acyclic"
+        assert code == 1 and out == ""
+        assert "malformed" in err and "Traceback" not in err
+
+    def test_huge_palette_claim(self, capsys, monkeypatch):
+        # memory follows the edges, not the palette size the document
+        # claims nor the size of the color values it uses
+        doc = coloring_doc(
+            10_000_000_000, [(0, 1, 1), (1, 2, 2), (2, 3, 9_999_999_999)]
+        )
+        tracemalloc.start()
+        try:
+            code, out, err = self.verify(capsys, monkeypatch, doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads(out)
+        assert code == 0 and report["status"] == "acyclic"
+        assert report["max_color"] == 9_999_999_999
         assert "Traceback" not in err
+        assert peak < 20 * 2**20
 
 
 class TestChiA:
-    def test_exact_value_k4(self, capsys, tmp_path):
-        path = write_graph(tmp_path, complete_graph(4))
-        code, out, _ = run(capsys, ["chi-a", "--in", path])
-        assert code == 0 and out == "5\n"
+    @pytest.mark.parametrize(
+        "graph, extra, expected",
+        [
+            (lambda: complete_graph(4), [], "5\n"),
+            # m = 1194: one search level per edge, far past the recursion limit
+            (lambda: generate_apollonian(400, seed=1)[0], ["--budget", "50000"], "52\n"),
+        ],
+        ids=["k4", "apollonian400"],
+    )
+    def test_exact_value_k4(self, capsys, tmp_path, graph, extra, expected):
+        path = write_graph(tmp_path, graph())
+        code, out, err = run(capsys, ["chi-a", "--in", path, *extra])
+        assert code == 0 and out == expected
+        assert "Traceback" not in err
 
     def test_decision_false(self, capsys, tmp_path):
         path = write_graph(tmp_path, complete_graph(4))

@@ -76,8 +76,6 @@ class TestExtensionContext:
         g = cycle_graph(4)
         phi = colored(g, 12, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
         ctx = ExtensionContext(g, phi, 0, 3)
-        assert ctx.shared() == {1}
-        assert ctx.colors_at(0) == {1} and ctx.colors_at(3) == {1}
         assert ctx.free_palette() == list(range(2, 13))
 
     def test_colored_neighbors_sorted_and_excludes_u(self):

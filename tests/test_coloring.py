@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from aecolor.coloring import (
     PartialEdgeColoring,
-    bits,
+    closes_cycle,
     exists_critical_path,
     find_bichromatic_cycle,
     forbidden_from,
@@ -17,6 +17,7 @@ from aecolor.coloring import (
 from aecolor.errors import ImproperColoringError
 from aecolor.families import complete_graph, cycle_graph, path_graph, star_graph
 from aecolor.graphs import Graph
+from aecolor.oracle import enumerate_cycles
 
 from support import random_proper_coloring, small_graphs
 
@@ -193,6 +194,37 @@ class TestExistsCriticalPath:
             )
 
 
+class TestClosesCycle:
+    @given(small_graphs(max_n=7, max_m=12), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_cycle_enumeration(self, g, seed):
+        # for a colored edge, and for an uncolored edge before and after it
+        # takes each free color, the answer is whether some two-colored
+        # cycle runs through the edge
+        rng = random.Random(seed)
+        phi = random_proper_coloring(g, 5, rng)
+        if phi is None or g.m == 0:
+            return
+        cycles = enumerate_cycles(g)
+
+        def on_cycle(e):
+            for cyc in cycles:
+                colors = {phi.color_of(*f) for f in cyc}
+                if e in cyc and None not in colors and len(colors) == 2:
+                    return True
+            return False
+
+        for (x, y), c in phi.items():
+            assert closes_cycle(phi._nbr, x, y, c) == on_cycle((x, y))
+        x, y = rng.choice(g.edges())
+        phi.unassign(x, y)
+        for c in phi.free_colors(x, y):
+            before = closes_cycle(phi._nbr, x, y, c)
+            phi.assign(x, y, c)
+            assert before == on_cycle((x, y)) == closes_cycle(phi._nbr, y, x, c)
+            phi.unassign(x, y)
+
+
 class TestFindBichromaticCycle:
     def test_alternating_c4_found(self):
         g = cycle_graph(4)
@@ -274,9 +306,3 @@ class TestValidateAcyclic:
         assert rep.ok == (
             rep.all_edges_colored and rep.is_proper and rep.cycle is None
         )
-
-
-class TestBits:
-    def test_bits_round_trip(self):
-        assert bits(0) == []
-        assert bits(0b1010) == [1, 3]
