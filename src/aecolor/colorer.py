@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterator, Optional
 
 from .coloring import (
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .graphs import Graph, _canon
 from .oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
-from .scanner import Configuration, classify_vertex
+from .scanner import _CAPS, Configuration, classify_vertex
 
 T3_STATE_BUDGET = 100_000
 T3_DEPTH = 3
@@ -138,7 +139,9 @@ def choose_reduction_edge(g: Graph) -> tuple[tuple[int, int], Configuration]:
     smallest neighbor).  Otherwise the scan runs on the graph with all
     2-vertices deleted, mapped back, and returns the edge from the
     configuration vertex to its minimum-(degree, id) neighbor.  Vertices
-    isolated at the current stage are skipped: they admit no edge.
+    isolated at the current stage are skipped: they admit no edge.  This
+    is the reference rule; `acolor` peels with `_Reducer`, which yields
+    the same sequence incrementally.
     """
     if g.m == 0:
         raise ValueError("graph has no edges to reduce")
@@ -162,6 +165,75 @@ def choose_reduction_edge(g: Graph) -> tuple[tuple[int, int], Configuration]:
     )
 
 
+class _Reducer:
+    """The `choose_reduction_edge` + `remove_edge` loop, run incrementally.
+
+    Iterating yields the same (edge, configuration) sequence as that loop
+    and mutates the reducer's own adjacency sets, never the graph.  Two
+    min-heaps of vertex ids replace the rescan from vertex 0 (the
+    smallest-last bookkeeping of Matula & Beck, J. ACM 30, 1983): `low`
+    holds every vertex of degree 1-2 and `cand` every vertex of degree
+    3-5 that may classify.  Entries go stale as degrees fall and are
+    checked again when popped.  The reducer exposes `degree` and
+    `neighbors`, so `classify_vertex` runs on it unchanged.
+    """
+
+    __slots__ = ("n", "m", "_adj")
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.m = g.m
+        self._adj = [set(g.neighbors(v)) for v in g.vertices()]
+
+    def degree(self, v: int) -> int:
+        return len(self._adj[v])
+
+    def neighbors(self, v: int) -> set[int]:
+        return self._adj[v]
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], Configuration]]:
+        adj = self._adj
+        # ascending lists are already heaps
+        low = [v for v in range(self.n) if 1 <= len(adj[v]) <= 2]
+        cand = [v for v in range(self.n) if 3 <= len(adj[v]) <= 5]
+        # a class depends only on d(v) and its neighbors' degrees, and a
+        # degree that stays above every cap cannot change a cap test
+        reach = max(max(caps) for caps in _CAPS.values())
+        while self.m:
+            while low and not 1 <= len(adj[low[0]]) <= 2:
+                heappop(low)
+            if low:
+                v = heappop(low)
+                cfg = classify_vertex(self, v)
+                u = min(adj[v])
+            else:
+                cfg = None
+                while cand and cfg is None:
+                    v = heappop(cand)
+                    if 3 <= len(adj[v]) <= 5:
+                        cfg = classify_vertex(self, v)
+                if cfg is None:
+                    raise NotPlanarEvidence(
+                        f"no reducible configuration in a graph with n={self.n}, "
+                        f"m={self.m}; a planar graph always has one"
+                    )
+                u = cfg.neighbors[0][0]
+            yield _canon(v, u), cfg
+            adj[v].remove(u)
+            adj[u].remove(v)
+            self.m -= 1
+            for x in (v, u):
+                d = len(adj[x])
+                if 1 <= d <= 2:
+                    heappush(low, x)
+                elif 3 <= d <= 5:
+                    heappush(cand, x)
+                if d <= reach:
+                    for w in adj[x]:
+                        if 3 <= len(adj[w]) <= 5:
+                            heappush(cand, w)
+
+
 def try_free_color(ctx: ExtensionContext) -> Optional[int]:
     """Smallest color unused at both ends of uv that closes no cycle.
 
@@ -171,8 +243,11 @@ def try_free_color(ctx: ExtensionContext) -> Optional[int]:
     exactly the critical-path test, and `closes_cycle` runs it for every d.
     """
     nbr = ctx.phi._nbr
-    for c in ctx.free_palette():
-        if not closes_cycle(nbr, ctx.u, ctx.v, c):
+    nu, nv = nbr[ctx.u], nbr[ctx.v]
+    # T1 nearly always takes the first free color, so scan 1..k lazily
+    # rather than listing the whole free palette first
+    for c in range(1, ctx.k + 1):
+        if c not in nu and c not in nv and not closes_cycle(nbr, ctx.u, ctx.v, c):
             return c
     return None
 
@@ -427,18 +502,15 @@ def acolor(
     """Acyclic edge coloring of a planar graph with at most Δ+10 colors.
 
     Peels configuration edges until none remain, then re-inserts them in
-    reverse, extending the coloring across each.  The result is validated
-    before it is returned.  On inputs that are not actually planar this
-    either still succeeds (the bound is one-sided) or raises
-    NotPlanarEvidence.
+    reverse, extending the coloring across each.  The peeling runs
+    incrementally, in near-linear time, and removes the same edges in the
+    same order as calling `choose_reduction_edge` and `Graph.remove_edge`
+    in a loop.  The result is validated before it is returned.  On inputs
+    that are not actually planar this either still succeeds (the bound is
+    one-sided) or raises NotPlanarEvidence.
     """
     k = g.max_degree() + 10
-    removals: list[tuple[tuple[int, int], Configuration]] = []
-    cur = g
-    while cur.m > 0:
-        edge, cfg = choose_reduction_edge(cur)
-        removals.append((edge, cfg))
-        cur = cur.remove_edge(*edge)
+    removals = list(_Reducer(g))
     phi = PartialEdgeColoring(g, k)
     tiers: list[str] = [""] * len(removals)
     for i in range(len(removals) - 1, -1, -1):
@@ -474,13 +546,14 @@ def replay_trace(
     graph (or was produced with different settings) and a ValueError is
     raised.  Returns the reproduced coloring.
     """
-    cur = g
+    remaining = set(g.edge_set())
     for step in trace:
-        if not cur.has_edge(*step.edge):
+        e = _canon(*step.edge)
+        if e not in remaining:
             raise ValueError(f"trace replays removal of missing edge {step.edge}")
-        cur = cur.remove_edge(*step.edge)
-    if cur.m != 0:
-        raise ValueError(f"trace leaves {cur.m} edges unremoved")
+        remaining.remove(e)
+    if remaining:
+        raise ValueError(f"trace leaves {len(remaining)} edges unremoved")
     k = g.max_degree() + 10
     phi = PartialEdgeColoring(g, k)
     for step in reversed(trace.steps):

@@ -301,12 +301,27 @@ def find_bichromatic_cycle(
         raise ImproperColoringError(
             f"coloring has {len(phi.violations)} properness violations"
         )
-    # only vertices that carry each color pair are tried, so the scan stays
-    # near O(k·m) rather than sweeping every (pair, vertex) combination
+    # every two-colored cycle lies in the 2-core of the colored edges, so
+    # peel vertices of degree <= 1 first (Batagelj & Zaversnik, 2003); a
+    # walk from a peeled start never closes, so the witness is unchanged
+    nbr = phi._nbr
+    deg = [len(d) for d in nbr]
+    in_core = [d >= 2 for d in deg]
+    stack = [v for v, d in enumerate(deg) if d == 1]
+    while stack:
+        for w in nbr[stack.pop()].values():
+            if in_core[w]:
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    in_core[w] = False
+                    stack.append(w)
+    # only core vertices that carry each color pair are tried, so the scan
+    # stays near O(k·m) rather than sweeping every (pair, vertex) combination
     by_color: dict[int, list[int]] = {}
     for (u, v), c in phi.items():
-        by_color.setdefault(c, []).append(u)
-        by_color.setdefault(c, []).append(v)
+        if in_core[u] and in_core[v]:
+            by_color.setdefault(c, []).append(u)
+            by_color.setdefault(c, []).append(v)
     present = sorted(by_color)
     for c in present:
         by_color[c] = sorted(set(by_color[c]))
@@ -314,9 +329,9 @@ def find_bichromatic_cycle(
         for b in present[i + 1:]:
             visited: set[int] = set()
             for s in by_color[a]:
-                if s in visited or b not in phi._nbr[s]:
+                if s in visited or b not in nbr[s]:
                     continue
-                seq, closed = alternating_walk(phi._nbr, s, a, b)
+                seq, closed = alternating_walk(nbr, s, a, b)
                 visited.update(seq)
                 if closed:
                     return CycleWitness(tuple(seq), (a, b))

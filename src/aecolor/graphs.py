@@ -1,9 +1,10 @@
 """Simple undirected graphs with dense integer vertex ids.
 
-Graphs are immutable values: mutating operations return new graphs.  The
-reduce/extend colorer peels one edge per step with `remove_edge`, keeping
-only the current graph and the list of removed edges, so no step can alias
-the state of another.
+Graphs are immutable values: mutating operations return new graphs.
+`remove_edge` copies the adjacency rows and the edge set, so the reference
+reduction loop (`choose_reduction_edge` then `remove_edge`) costs O(n + m)
+per step; the colorer peels on its own mutable adjacency sets instead and
+never changes a `Graph`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from aecolor.colorer import (
     ExtensionContext,
     ReductionTrace,
     TraceStep,
+    _Reducer,
     acolor,
     choose_reduction_edge,
     extend_at_edge,
@@ -29,6 +32,7 @@ from aecolor.families import (
     octahedron,
     path_graph,
     star_graph,
+    wheel_graph,
 )
 from aecolor.graphs import Graph
 from aecolor.oracle import SearchBudget, search_acyclic_coloring
@@ -122,6 +126,51 @@ class TestChooseReductionEdge:
     def test_k7_refuted(self):
         with pytest.raises(NotPlanarEvidence):
             choose_reduction_edge(complete_graph(7))
+
+
+def reference_reduction(g, out):
+    """The choose + remove loop the reducer must reproduce; appends to out."""
+    cur = g
+    while cur.m > 0:
+        edge, cfg = choose_reduction_edge(cur)
+        out.append((edge, cfg))
+        cur = cur.remove_edge(*edge)
+    return out
+
+
+def reduction_cases():
+    for n in (60, 300, 1000):
+        for seed in range(3):
+            g, _ = generate_apollonian(n, seed=seed)
+            yield f"apollonian-{n}-s{seed}", g
+            # dropping edges creates degree 1-2 vertices in mid-run
+            rng = random.Random(seed)
+            kept = [e for e in g.edges() if rng.random() < 0.6]
+            yield f"subgraph-{n}-s{seed}", Graph(g.n, kept)
+    yield "star-300", star_graph(300)
+    yield "wheel-200", wheel_graph(200)
+    yield "grid-12x12", grid_graph(12, 12)
+
+
+class TestReducer:
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in reduction_cases()])
+    def test_matches_reference_loop(self, g):
+        assert list(_Reducer(g)) == reference_reduction(g, [])
+
+    def test_refutes_at_the_same_step(self):
+        # the path is peeled away first; then only K7 is left, with no
+        # configuration, and both raise with the same n and m
+        k7 = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+        g = Graph(12, k7 + [(7, 8), (8, 9), (9, 10), (10, 11)])
+        ref: list = []
+        with pytest.raises(NotPlanarEvidence) as want:
+            reference_reduction(g, ref)
+        got: list = []
+        with pytest.raises(NotPlanarEvidence) as have:
+            got.extend(_Reducer(g))
+        assert len(got) == 4 and got == ref
+        assert str(have.value) == str(want.value)
+        assert "n=12, m=21" in str(have.value)
 
 
 class TestTryFreeColor:
@@ -391,6 +440,13 @@ class TestTrace:
         short = ReductionTrace(trace.steps[:-1])
         with pytest.raises(ValueError, match="unremoved"):
             replay_trace(g, short)
+
+    def test_replay_rejects_duplicate_removal(self):
+        g = complete_graph(4)
+        _, trace = acolor(g)
+        twice = ReductionTrace(trace.steps[:-1] + trace.steps[:1])
+        with pytest.raises(ValueError, match="missing edge"):
+            replay_trace(g, twice)
 
     def test_replay_rejects_tampered_tier(self):
         g, _ = generate_apollonian(12, seed=1)

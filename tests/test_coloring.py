@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aecolor.coloring import (
+    CycleWitness,
     PartialEdgeColoring,
     closes_cycle,
     exists_critical_path,
@@ -232,6 +233,18 @@ class TestFindBichromaticCycle:
         w = find_bichromatic_cycle(g, phi)
         assert w is not None and w.colors == (1, 2)
         assert w.vertices == (0, 1, 2, 3)
+
+    def test_pendant_trees_leave_the_witness_alone(self):
+        # alternating C4 3-5-6-8 with {1, 2}-colored trees hung on 3 and 6;
+        # the trees hold smaller ids and are peeled before the scan
+        g = Graph(11, [(3, 5), (5, 6), (6, 8), (3, 8), (0, 1), (1, 2), (2, 3),
+                       (4, 6), (4, 7), (4, 9), (7, 10)])
+        phi = colored(
+            g, 3,
+            [(3, 5, 1), (5, 6, 2), (6, 8, 1), (3, 8, 2), (0, 1, 1), (1, 2, 2),
+             (2, 3, 3), (4, 6, 3), (4, 7, 1), (4, 9, 2), (7, 10, 2)],
+        )
+        assert find_bichromatic_cycle(g, phi) == CycleWitness((3, 5, 6, 8), (1, 2))
 
     def test_three_colors_no_cycle(self):
         g = cycle_graph(4)
