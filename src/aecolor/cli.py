@@ -95,24 +95,55 @@ def _json_int(x, key: str) -> int:
     return x
 
 
-def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
-    """Rebuild graph and coloring; properness violations are collected,
-    not raised, so the verifier can classify them."""
+def _coloring_rows(doc: dict) -> tuple[int, list[tuple[int, int, Optional[int]]]]:
+    """The palette size and the (u, v, color) rows of a coloring document."""
     try:
         k = _json_int(doc["k"], "k")
-        rows = doc["edges"]
         triples = []
-        n = 0
-        for row in rows:
+        for row in doc["edges"]:
             u, v = _json_int(row["u"], "u"), _json_int(row["v"], "v")
             c = row["color"]
             triples.append((u, v, None if c is None else _json_int(c, "color")))
-            n = max(n, u + 1, v + 1)
     except (KeyError, TypeError) as exc:
         raise _UsageError(f"malformed coloring document: {exc}") from exc
+    return k, triples
+
+
+def _build(n: int, k: int, triples) -> tuple[Graph, PartialEdgeColoring]:
     g = Graph(n, [(u, v) for u, v, _ in triples])
-    phi = PartialEdgeColoring.from_pairs(g, k, triples, strict=False)
-    return g, phi
+    return g, PartialEdgeColoring.from_pairs(g, k, triples, strict=False)
+
+
+def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
+    """Rebuild graph and coloring on the document's own ids, 0..max id;
+    properness violations are collected, not raised, so the verifier can
+    classify them."""
+    k, triples = _coloring_rows(doc)
+    n = max((max(u, v) + 1 for u, v, _ in triples), default=0)
+    return _build(n, k, triples)
+
+
+def _ranked(triples) -> tuple[list[int], list[tuple[int, int, Optional[int]]]]:
+    """The document's vertex ids ascending, and the rows on their ranks.
+
+    Ranks keep the order of the ids, so the cycle witness rule picks the
+    same cycle, and a graph on ranks takes memory by the number of edges
+    rather than by the largest id.  Rows that no graph accepts are refused
+    here, in the document's own ids.
+    """
+    seen: set[tuple[int, int]] = set()
+    for u, v, _ in triples:
+        if u < 0 or v < 0:
+            raise ValueError(f"edge ({u},{v}) has a negative vertex id")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        seen.add(e)
+    ids = sorted({x for e in seen for x in e})
+    rank = {x: i for i, x in enumerate(ids)}
+    return ids, [(rank[u], rank[v], c) for u, v, c in triples]
 
 
 def _dot(phi: PartialEdgeColoring) -> str:
@@ -162,11 +193,15 @@ def cmd_verify(args) -> int:
         doc = json.loads(_read(getattr(args, "in")))
     except json.JSONDecodeError as exc:
         raise _UsageError(f"input is not JSON: {exc}") from exc
-    g, phi = coloring_from_json(doc)
+    k, triples = _coloring_rows(doc)
+    ids, ranked = _ranked(triples)
+    g, phi = _build(len(ids), k, ranked)
     if phi.violations:
         status, code = "improper", EXIT_IMPROPER
         detail: dict = {
-            "violations": [{"u": u, "v": v, "color": c} for u, v, c in phi.violations]
+            "violations": [
+                {"u": ids[u], "v": ids[v], "color": c} for u, v, c in phi.violations
+            ]
         }
     else:
         report = validate_acyclic(g, phi)
@@ -174,7 +209,7 @@ def cmd_verify(args) -> int:
             status, code = "cycle", EXIT_CYCLE
             detail = {
                 "cycle": {
-                    "vertices": list(report.cycle.vertices),
+                    "vertices": [ids[x] for x in report.cycle.vertices],
                     "colors": list(report.cycle.colors),
                 }
             }

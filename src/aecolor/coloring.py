@@ -291,51 +291,93 @@ def exists_critical_path(
 def find_bichromatic_cycle(
     g: Graph, phi: PartialEdgeColoring
 ) -> Optional[CycleWitness]:
-    """First cycle whose edges use exactly two colors, or None.
+    """A cycle whose edges use exactly two colors, or None.
 
-    Scan order is deterministic: color pairs lexicographically, start
-    vertices ascending; the witness walk starts at the cycle's smallest-id
-    vertex via its lower-color edge.
+    The witness is fixed by a rule, not by the search: among all
+    two-colored cycles take the smallest color pair (a, b), a < b, then the
+    lowest vertex on any {a, b}-cycle, and walk the cycle from that vertex
+    via its a-edge.
+
+    The search removes the vertices of the colored edges one by one and
+    calls a vertex's edges to vertices still present its forward edges.
+    The first vertex of a cycle to be removed has both of its cycle edges
+    forward, so walking from each vertex only the color pairs on its
+    forward edges meets every two-colored cycle, in any removal order.  The
+    order is a degeneracy order (Matula & Beck, J. ACM 30, 1983), made by
+    a peel with a rising threshold (Batagelj & Zaversnik, 2003): a vertex
+    with at most t neighbors left may go, and t rises to the least degree
+    left only when none may.  t never exceeds the degeneracy, so a planar
+    graph has at most 5 forward edges per vertex, hence at most 10 pairs,
+    and any graph at most degeneracy * m / 2 pairs in all.
     """
     if phi.violations:
         raise ImproperColoringError(
             f"coloring has {len(phi.violations)} properness violations"
         )
-    # every two-colored cycle lies in the 2-core of the colored edges, so
-    # peel vertices of degree <= 1 first (Batagelj & Zaversnik, 2003); a
-    # walk from a peeled start never closes, so the witness is unchanged
     nbr = phi._nbr
     deg = [len(d) for d in nbr]
-    in_core = [d >= 2 for d in deg]
-    stack = [v for v, d in enumerate(deg) if d == 1]
-    while stack:
-        for w in nbr[stack.pop()].values():
-            if in_core[w]:
-                deg[w] -= 1
-                if deg[w] <= 1:
-                    in_core[w] = False
-                    stack.append(w)
-    # only core vertices that carry each color pair are tried, so the scan
-    # stays near O(k·m) rather than sweeping every (pair, vertex) combination
-    by_color: dict[int, list[int]] = {}
-    for (u, v), c in phi.items():
-        if in_core[u] and in_core[v]:
-            by_color.setdefault(c, []).append(u)
-            by_color.setdefault(c, []).append(v)
-    present = sorted(by_color)
-    for c in present:
-        by_color[c] = sorted(set(by_color[c]))
-    for i, a in enumerate(present):
-        for b in present[i + 1:]:
-            visited: set[int] = set()
-            for s in by_color[a]:
-                if s in visited or b not in nbr[s]:
-                    continue
-                seq, closed = alternating_walk(nbr, s, a, b)
-                visited.update(seq)
-                if closed:
-                    return CycleWitness(tuple(seq), (a, b))
-    return None
+    removed = [False] * len(nbr)
+    rest = [v for v, d in enumerate(deg) if d]
+    t = 1
+    stack = [v for v in rest if deg[v] == 1]
+    best: Optional[tuple[Color, Color]] = None
+    # for each pair (a, b), vertices that an open {a, b}-walk has passed:
+    # their two-colored component is a path, so no walk from them closes
+    covered: dict[tuple[Color, Color], set[int]] = {}
+    # deg[v] counts v's neighbors not yet removed; v is stacked when it
+    # falls to the threshold t, so it leaves with at most t forward edges
+    while True:
+        while stack:
+            v = stack.pop()
+            removed[v] = True
+            if deg[v] < 2:  # at most one forward edge: no pair to walk
+                for w in nbr[v].values():
+                    if not removed[w]:
+                        deg[w] -= 1
+                        if deg[w] == t:
+                            stack.append(w)
+                continue
+            fwd = []
+            for c, w in nbr[v].items():
+                if not removed[w]:
+                    fwd.append(c)
+                    deg[w] -= 1
+                    if deg[w] == t:
+                        stack.append(w)
+            fwd.sort()
+            for i, a in enumerate(fwd):
+                for b in fwd[i + 1:]:
+                    if best is not None and (a, b) >= best:
+                        break
+                    if v in covered.get((a, b), ()):
+                        continue
+                    seq, closed = alternating_walk(nbr, v, a, b)
+                    if closed:
+                        best = (a, b)
+                        break
+                    # seq[0] is v, gone; seq[1]'s a-edge leads to v; seq[-1]
+                    # misses a or b: none of them can start an {a, b}-walk
+                    # later, so they are not kept
+                    if len(seq) > 3:
+                        covered.setdefault((a, b), set()).update(seq[2:-1])
+        rest = [v for v in rest if not removed[v]]
+        if not rest:
+            break
+        t = min(deg[v] for v in rest)
+        stack = [v for v in rest if deg[v] == t]
+    if best is None:
+        return None
+    # the witness rule: the lowest vertex on an {a, b}-cycle, via its a-edge
+    a, b = best
+    visited: set[int] = set()
+    for s in range(len(nbr)):
+        if s in visited or a not in nbr[s] or b not in nbr[s]:
+            continue
+        seq, closed = alternating_walk(nbr, s, a, b)
+        if closed:
+            return CycleWitness(tuple(seq), best)
+        visited.update(seq)
+    raise AssertionError(f"no {best}-cycle on the second pass")
 
 
 def validate_acyclic(g: Graph, phi: PartialEdgeColoring) -> ValidationReport:

@@ -17,7 +17,7 @@ import random
 import networkx as nx
 from hypothesis import strategies as st
 
-from aecolor.coloring import PartialEdgeColoring
+from aecolor.coloring import CycleWitness, PartialEdgeColoring, alternating_walk
 from aecolor.embedding import RotationSystem
 from aecolor.families import (
     cycle_graph,
@@ -78,6 +78,47 @@ def random_proper_coloring(
             return None
         phi.assign(u, v, rng.choice(free))
     return phi
+
+
+def all_pairs_bichromatic_cycle(phi: PartialEdgeColoring) -> CycleWitness | None:
+    """Reference cycle scan: every pair of colors present, lexicographically.
+
+    For each pair (a, b), a < b, it walks from each vertex with both colors
+    in ascending order, via its a-edge, and returns the first walk that
+    closes.  Only the 2-core of the colored edges is scanned.  Its O(k * m)
+    walks are what `find_bichromatic_cycle` avoids; its first witness is
+    what that function must return.
+    """
+    nbr = phi._nbr
+    deg = [len(d) for d in nbr]
+    in_core = [d >= 2 for d in deg]
+    stack = [v for v, d in enumerate(deg) if d == 1]
+    while stack:
+        for w in nbr[stack.pop()].values():
+            if in_core[w]:
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    in_core[w] = False
+                    stack.append(w)
+    by_color: dict[int, list[int]] = {}
+    for (u, v), c in phi.items():
+        if in_core[u] and in_core[v]:
+            by_color.setdefault(c, []).append(u)
+            by_color.setdefault(c, []).append(v)
+    present = sorted(by_color)
+    for c in present:
+        by_color[c] = sorted(set(by_color[c]))
+    for i, a in enumerate(present):
+        for b in present[i + 1:]:
+            visited: set[int] = set()
+            for s in by_color[a]:
+                if s in visited or b not in nbr[s]:
+                    continue
+                seq, closed = alternating_walk(nbr, s, a, b)
+                visited.update(seq)
+                if closed:
+                    return CycleWitness(tuple(seq), (a, b))
+    return None
 
 
 def all_proper_colorings(g: Graph, k: int):

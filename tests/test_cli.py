@@ -243,6 +243,51 @@ class TestVerify:
         assert "Traceback" not in err
         assert peak < 20 * 2**20
 
+    def test_huge_vertex_id(self, capsys, monkeypatch):
+        # memory follows the edges, not the largest vertex id either
+        doc = coloring_doc(1, [(0, 10**9, 1)])
+        tracemalloc.start()
+        try:
+            code, out, err = self.verify(capsys, monkeypatch, doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["status"] == "acyclic"
+        assert "Traceback" not in err
+        assert peak < 20 * 2**20
+
+    def test_sparse_ids_reported_as_given(self, capsys, monkeypatch):
+        # the alternating square and its pendant edge on ids x 1000: the
+        # witness is the one of the dense document, in the document's ids
+        rows = [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2), (2, 4, 3)]
+        _, dense, _ = self.verify(capsys, monkeypatch, coloring_doc(3, rows))
+        sparse_doc = coloring_doc(3, [(1000 * u, 1000 * v, c) for u, v, c in rows])
+        code, out, _ = self.verify(capsys, monkeypatch, sparse_doc)
+        cycle = json.loads(out)["cycle"]
+        assert code == 3
+        assert cycle["vertices"] == [1000 * x for x in json.loads(dense)["cycle"]["vertices"]]
+        assert cycle["vertices"] == [0, 1000, 2000, 3000] and cycle["colors"] == [1, 2]
+
+    def test_sparse_ids_in_violations(self, capsys, monkeypatch):
+        doc = coloring_doc(3, [(5000, 7, 1), (7, 90, 1)])
+        code, out, _ = self.verify(capsys, monkeypatch, doc)
+        assert code == 2
+        assert json.loads(out)["violations"] == [{"u": 7, "v": 90, "color": 1}]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(-1, 2, 1)], "negative vertex id"),
+            ([(500, 500, 1)], "self-loop at vertex 500"),
+            ([(0, 900, 1), (900, 0, 2)], "duplicate edge (900,0)"),
+        ],
+        ids=["negative", "self-loop", "duplicate"],
+    )
+    def test_unbuildable_edge_is_usage_error(self, capsys, monkeypatch, rows, message):
+        code, out, err = self.verify(capsys, monkeypatch, coloring_doc(3, rows))
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
+
 
 class TestChiA:
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aecolor import coloring
 from aecolor.coloring import (
     CycleWitness,
     PartialEdgeColoring,
@@ -15,12 +16,21 @@ from aecolor.coloring import (
     seen_colors,
     validate_acyclic,
 )
+from aecolor.colorer import acolor
+from aecolor.embedding import generate_apollonian
 from aecolor.errors import ImproperColoringError
-from aecolor.families import complete_graph, cycle_graph, path_graph, star_graph
+from aecolor.families import (
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+    wheel_graph,
+)
 from aecolor.graphs import Graph
 from aecolor.oracle import enumerate_cycles
 
-from support import random_proper_coloring, small_graphs
+from support import all_pairs_bichromatic_cycle, random_proper_coloring, small_graphs
 
 
 def colored(g, k, triples, strict=True):
@@ -279,6 +289,60 @@ class TestFindBichromaticCycle:
         g = cycle_graph(5)
         phi = colored(g, 3, [(0, 1, 1), (1, 2, 2)])
         assert find_bichromatic_cycle(g, phi) is None
+
+    @given(
+        st.sampled_from(["apollonian", "grid", "wheel", "complete"]),
+        st.integers(0, 10**6),
+        st.integers(0, 12),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_witness_as_all_pairs_scan(self, family, seed, trees, partial):
+        # the reference walks every color pair in the 2-core; the witness
+        # rule makes the two scans agree, not just on whether a cycle exists
+        rng = random.Random(seed)
+        if family == "apollonian":
+            g = generate_apollonian(rng.randint(4, 60), rng.randrange(100))[0]
+        elif family == "grid":
+            g = grid_graph(rng.randint(2, 7), rng.randint(2, 7))
+        elif family == "wheel":
+            g = wheel_graph(rng.randint(3, 30))
+        else:
+            g = complete_graph(rng.randint(4, 8))
+        # pendant trees hung on random vertices, on new, higher ids
+        edges = g.edges()
+        for x in range(g.n, g.n + trees):
+            edges.append((rng.randrange(x), x))
+        g = Graph(g.n + trees, edges)
+        phi = random_proper_coloring(g, g.max_degree() + rng.randint(0, 2), rng)
+        if phi is None:
+            return
+        if partial:
+            for (u, v), _ in phi.items():
+                if rng.random() < 0.15:
+                    phi.unassign(u, v)
+        assert find_bichromatic_cycle(g, phi) == all_pairs_bichromatic_cycle(phi)
+
+    @pytest.mark.parametrize(
+        "g",
+        [wheel_graph(800), generate_apollonian(1000, 0)[0]],
+        ids=["wheel800", "apollonian1000"],
+    )
+    def test_walks_stay_linear_in_n(self, g, monkeypatch):
+        # a planar graph has at most 10 forward color pairs per vertex; the
+        # all-pairs scan made about 330k pair checks on this wheel
+        phi, _ = acolor(g)
+        walks = 0
+        walk = coloring.alternating_walk
+
+        def counting(*args):
+            nonlocal walks
+            walks += 1
+            return walk(*args)
+
+        monkeypatch.setattr(coloring, "alternating_walk", counting)
+        assert validate_acyclic(g, phi).ok
+        assert 0 < walks <= 10 * g.n
 
 
 class TestValidateAcyclic:
