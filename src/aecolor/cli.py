@@ -193,6 +193,8 @@ def cmd_verify(args) -> int:
         doc = json.loads(_read(getattr(args, "in")))
     except json.JSONDecodeError as exc:
         raise _UsageError(f"input is not JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _UsageError("input is nested too deeply to read as JSON") from exc
     k, triples = _coloring_rows(doc)
     ids, ranked = _ranked(triples)
     g, phi = _build(len(ids), k, ranked)

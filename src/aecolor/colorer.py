@@ -241,13 +241,28 @@ def try_free_color(ctx: ExtensionContext) -> Optional[int]:
     through uv in colors {c, d} would need d at both ends plus an
     alternating path between them ending in d at each side, which is
     exactly the critical-path test, and `closes_cycle` runs it for every d.
+
+    Every color below an endpoint's floor is used there, so the scan
+    starts at the larger floor and returns the color a scan from 1 would.
+    With `closes_cycle` walking from the endpoint with fewer colors, an
+    edge from a hub to a leaf costs O(1) rather than O(d(hub)).
     """
-    nbr = ctx.phi._nbr
-    nu, nv = nbr[ctx.u], nbr[ctx.v]
-    # T1 nearly always takes the first free color, so scan 1..k lazily
-    # rather than listing the whole free palette first
-    for c in range(1, ctx.k + 1):
-        if c not in nu and c not in nv and not closes_cycle(nbr, ctx.u, ctx.v, c):
+    phi = ctx.phi
+    nbr = phi._nbr
+    u, v = ctx.u, ctx.v
+    nu, nv = nbr[u], nbr[v]
+    # a stale floor is still a valid start; it is raised, at the cost of a
+    # call, only when its own color has been taken since it was last read
+    floor = phi._floor
+    fu, fv = floor[u], floor[v]
+    if fu in nu:
+        fu = phi.floor(u)
+    if fv in nv:
+        fv = phi.floor(v)
+    # T1 nearly always takes the first free color, so scan lazily rather
+    # than listing the whole free palette first
+    for c in range(fu if fu > fv else fv, ctx.k + 1):
+        if c not in nu and c not in nv and not closes_cycle(nbr, u, v, c):
             return c
     return None
 
@@ -314,7 +329,8 @@ def move_recolor_neighbor(
     old = ctx.phi.color_of(*edge)
     if old is None:
         raise ValueError(f"edge {edge} is not colored")
-    if alpha not in ctx.free_palette():
+    nbr = ctx.phi._nbr
+    if not 1 <= alpha <= ctx.k or alpha in nbr[ctx.u] or alpha in nbr[ctx.v]:
         raise ValueError(f"color {alpha} is not free at both ends of the uncolored edge")
     if alpha in forbidden_from(ctx.phi, ctx.v, w):
         raise ValueError(f"color {alpha} is already present around {w}")

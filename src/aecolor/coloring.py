@@ -4,11 +4,14 @@ A coloring lives on the full graph; uncolored edges are first-class (the
 whole extension procedure reasons about colorings of G minus one edge).
 State is kept two ways at once, each serving a different access pattern:
 
- * a per-vertex color -> neighbor dict, the only per-vertex state, which
-   answers membership and alternating-walk steps in O(1),
+ * a per-vertex color -> neighbor dict, which answers membership and
+   alternating-walk steps in O(1),
  * a canonical edge -> color dict for iteration and serialization.
 
-Both take O(n + m) memory whatever the palette size and color values.
+Beside them each vertex keeps one integer, its color floor, so that
+first-fit scans skip the colors a high-degree vertex has filled.
+
+All of it takes O(n + m) memory whatever the palette size and color values.
 """
 
 from __future__ import annotations
@@ -30,9 +33,18 @@ class PartialEdgeColoring:
     `from_pairs(strict=False)`, which records the clashing edges in
     `violations` and keeps them out of the traversal table; validators
     report them, everything else refuses to run via them.
+
+    Each vertex v has a floor: every color below `_floor[v]` is used at
+    v.  Assigning a color keeps that true, `unassign` lowers the floor to
+    the freed color when it lies below, and `floor` raises it past the
+    colors used at v when it is read.  A first-fit scan for a color free
+    at x and y may therefore start at max(floor(x), floor(y)): at a hub
+    with colors 1..d-1 in use that skips d-1 colors.  A raise passes only
+    colors used at v, so between two lowerings the raises at v take at
+    most d(v) steps in all.
     """
 
-    __slots__ = ("graph", "k", "_nbr", "_colors", "violations")
+    __slots__ = ("graph", "k", "_nbr", "_colors", "_floor", "violations")
 
     def __init__(self, graph: Graph, k: int):
         if k < 0:
@@ -41,6 +53,7 @@ class PartialEdgeColoring:
         self.k = k
         self._nbr: list[dict[Color, int]] = [{} for _ in range(graph.n)]
         self._colors: dict[tuple[int, int], int] = {}
+        self._floor = [1] * graph.n
         self.violations: list[tuple[int, int, int]] = []
 
     @classmethod
@@ -86,6 +99,11 @@ class PartialEdgeColoring:
             raise ValueError(f"edge {e} is not colored")
         del self._nbr[u][c]
         del self._nbr[v][c]
+        floor = self._floor
+        if c < floor[u]:
+            floor[u] = c
+        if c < floor[v]:
+            floor[v] = c
         return c
 
     def recolor(self, u: int, v: int, c: Color) -> Color:
@@ -104,10 +122,20 @@ class PartialEdgeColoring:
     def colored_neighbor(self, v: int, c: Color) -> Optional[int]:
         return self._nbr[v].get(c)
 
+    def floor(self, v: int) -> Color:
+        """The least color not used at v; every color below it is used at v."""
+        nb = self._nbr[v]
+        c = self._floor[v]
+        while c in nb:
+            c += 1
+        self._floor[v] = c
+        return c
+
     def free_colors(self, x: int, y: int) -> list[Color]:
         """Ascending colors in 1..k absent at both x and y."""
         nx, ny = self._nbr[x], self._nbr[y]
-        return [c for c in range(1, self.k + 1) if c not in nx and c not in ny]
+        start = max(self.floor(x), self.floor(y))
+        return [c for c in range(start, self.k + 1) if c not in nx and c not in ny]
 
     def walk_end(self, start: int, first: Color, second: Color) -> tuple[int, Color, bool]:
         """Follow the maximal alternating walk from `start`, taking a
@@ -235,7 +263,18 @@ def closes_cycle(nbr: list[dict[Color, int]], u: int, v: int, c: Color) -> bool:
     reaches v.  With uv uncolored and c free at both ends, that walk is the
     whole alternating walk from u and must end at v.  With uv already
     colored c, the walk ends at v exactly when it closes back through uv.
+
+    The answer is symmetric in u and v.  The candidates d are the colors
+    other than c at both ends, the same set from either side.  For each d
+    the question is whether uv lies on the {c, d}-cycle closed by uv: in
+    the first case whether the {c, d}-path from u ends at v, which holds
+    just when the one from v ends at u; in the second whether uv's
+    {c, d}-component is a cycle.  So the loop runs over the colors of the
+    endpoint with fewer of them and walks from there: a leaf next to a
+    hub costs O(1), not O(d(hub)).
     """
+    if len(nbr[v]) < len(nbr[u]):
+        u, v = v, u
     nv = nbr[v]
     for d in nbr[u]:
         if d != c and d in nv and alternating_walk(nbr, u, d, c)[0][-1] == v:

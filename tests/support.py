@@ -121,6 +121,28 @@ def all_pairs_bichromatic_cycle(phi: PartialEdgeColoring) -> CycleWitness | None
     return None
 
 
+def first_fit_free_color(phi: PartialEdgeColoring, u: int, v: int) -> int | None:
+    """Reference T1 scan: the smallest color in 1..k free at u and v that
+    closes no two-colored cycle through uv.
+
+    It scans from 1, ignoring the color floors, and tests each color d at
+    u, walking from u whatever the endpoints' color counts.  These are the
+    O(d(hub)) per edge costs that `try_free_color` avoids; its color is
+    what that function must return.
+    """
+    nbr = phi._nbr
+    nu, nv = nbr[u], nbr[v]
+    for c in range(1, phi.k + 1):
+        if c in nu or c in nv:
+            continue
+        if not any(
+            d != c and d in nv and alternating_walk(nbr, u, d, c)[0][-1] == v
+            for d in nu
+        ):
+            return c
+    return None
+
+
 def all_proper_colorings(g: Graph, k: int):
     """Yield every proper edge coloring of g with colors 1..k."""
     edges = g.edges()

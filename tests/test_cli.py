@@ -205,6 +205,15 @@ class TestVerify:
         code, _, err = self.verify(capsys, monkeypatch, "not json at all")
         assert code == 1 and "not JSON" in err
 
+    @pytest.mark.parametrize(
+        "doc", ["[" * 100_000, '{"k": ' * 100_000], ids=["arrays", "objects"]
+    )
+    def test_deep_nesting_is_usage_error(self, capsys, monkeypatch, doc):
+        code, out, err = self.verify(capsys, monkeypatch, doc)
+        assert code == 1 and out == ""
+        assert "nested too deeply" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_key_is_usage_error(self, capsys, monkeypatch):
         code, _, err = self.verify(capsys, monkeypatch, json.dumps({"edges": []}))
         assert code == 1 and "malformed" in err

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aecolor import colorer
 from aecolor.colorer import (
     ExtensionContext,
     ReductionTrace,
@@ -36,6 +39,8 @@ from aecolor.families import (
 )
 from aecolor.graphs import Graph
 from aecolor.oracle import SearchBudget, search_acyclic_coloring
+
+from support import first_fit_free_color
 
 
 def colored(g, k, triples):
@@ -191,6 +196,108 @@ class TestTryFreeColor:
         phi = colored(g, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
         assert try_free_color(ExtensionContext(g, phi, 0, 3)) is None
 
+    def test_starts_above_the_hub_floor(self):
+        # colors 1..3 fill the hub, so its floor passes them; unassigning 2
+        # lowers the floor again and 2 is the first fit once more
+        g = star_graph(5)
+        phi = colored(g, 15, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
+        assert try_free_color(ExtensionContext(g, phi, 0, 4)) == 4
+        assert phi._floor[0] == 4
+        phi.unassign(0, 2)
+        assert phi._floor[0] == 2
+        assert try_free_color(ExtensionContext(g, phi, 0, 4)) == 2
+
+    @given(
+        st.sampled_from(["star", "wheel", "apollonian"]),
+        st.integers(0, 3),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_first_fit_reference(self, family, slack, seed):
+        # random assign / unassign / recolor sequences; after each step the
+        # floors still lie below every free color, and on an uncolored edge
+        # T1 and the free palette agree with scans from color 1
+        rng = random.Random(seed)
+        g = {
+            "star": lambda: star_graph(rng.randint(3, 12)),
+            "wheel": lambda: wheel_graph(rng.randint(3, 10)),
+            "apollonian": lambda: generate_apollonian(rng.randint(4, 20), seed)[0],
+        }[family]()
+        k = g.max_degree() + slack
+        phi = PartialEdgeColoring(g, k)
+
+        def free(x, y):
+            return [c for c in range(1, k + 1) if c not in phi._nbr[x] and c not in phi._nbr[y]]
+
+        for _ in range(4 * g.m):
+            colored_edges = [e for e, _ in phi.items()]
+            open_edges = [e for e in g.edges() if phi.color_of(*e) is None]
+            op = rng.random()
+            if open_edges and op < 0.6:
+                x, y = rng.choice(open_edges)
+                assert phi.free_colors(x, y) == free(x, y)
+                want = first_fit_free_color(phi, x, y)
+                assert try_free_color(ExtensionContext(g, phi, x, y)) == want
+                # mostly take T1's color, so hubs fill up as in `acolor`
+                c = want if op < 0.45 else rng.choice(free(x, y) or [None])
+                if c is not None:
+                    phi.assign(x, y, c)
+            elif colored_edges and op < 0.8:
+                phi.unassign(*rng.choice(colored_edges))
+            elif colored_edges:
+                x, y = rng.choice(colored_edges)
+                options = free(x, y)
+                if options:
+                    phi.recolor(x, y, rng.choice(options))
+            for v in g.vertices():
+                assert all(c in phi._nbr[v] for c in range(1, phi._floor[v]))
+
+    def test_star_work_is_linear(self, monkeypatch):
+        # count the color-table probes (membership tests and iterated
+        # colors) while `acolor` colors a star: the T1 scan and the
+        # `closes_cycle` loop must stay O(n), where scanning from color 1
+        # and walking from the hub cost Theta(n^2)
+        n = 5000
+        budget = 10 * n
+        probes = 0
+
+        class OverBudget(Exception):
+            pass
+
+        def probe():
+            nonlocal probes
+            probes += 1
+            if probes > budget:
+                raise OverBudget
+
+        class CountingRow(dict):
+            __slots__ = ()
+
+            def __contains__(self, c):
+                probe()
+                return dict.__contains__(self, c)
+
+            def __iter__(self):
+                for c in dict.__iter__(self):
+                    probe()
+                    yield c
+
+        class CountingColoring(PartialEdgeColoring):
+            __slots__ = ()
+
+            def __init__(self, graph, k):
+                super().__init__(graph, k)
+                self._nbr = [CountingRow() for _ in range(graph.n)]
+
+        g = star_graph(n)
+        monkeypatch.setattr(colorer, "PartialEdgeColoring", CountingColoring)
+        try:
+            phi, _ = acolor(g)
+        except OverBudget:
+            pytest.fail(f"more than {budget} color-table probes on a star with {n} leaves")
+        assert phi.max_color_used() == n
+        assert 0 < probes <= budget
+
 
 class TestMoveSwapPair:
     def test_wide_open_swap_accepted(self):
@@ -273,6 +380,12 @@ class TestMoveRecolorNeighbor:
         # 3 is on (1,2), i.e. at u=1, hence not in the free palette
         with pytest.raises(ValueError, match="not free"):
             move_recolor_neighbor(ctx, (2, 3), 3)
+
+    @pytest.mark.parametrize("alpha", [0, 14])
+    def test_alpha_outside_palette_rejected(self, alpha):
+        g, phi, ctx = self.make()
+        with pytest.raises(ValueError, match="not free"):
+            move_recolor_neighbor(ctx, (2, 3), alpha)
 
     def test_alpha_present_at_far_end_rejected(self):
         g = Graph(5, [(0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)])

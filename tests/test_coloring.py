@@ -205,6 +205,15 @@ class TestExistsCriticalPath:
             )
 
 
+def on_two_colored_cycle(phi, cycles, e):
+    """Whether some fully colored cycle through e uses exactly two colors."""
+    for cyc in cycles:
+        colors = {phi.color_of(*f) for f in cyc}
+        if e in cyc and None not in colors and len(colors) == 2:
+            return True
+    return False
+
+
 class TestClosesCycle:
     @given(small_graphs(max_n=7, max_m=12), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -218,22 +227,58 @@ class TestClosesCycle:
             return
         cycles = enumerate_cycles(g)
 
-        def on_cycle(e):
-            for cyc in cycles:
-                colors = {phi.color_of(*f) for f in cyc}
-                if e in cyc and None not in colors and len(colors) == 2:
-                    return True
-            return False
-
         for (x, y), c in phi.items():
-            assert closes_cycle(phi._nbr, x, y, c) == on_cycle((x, y))
+            assert closes_cycle(phi._nbr, x, y, c) == on_two_colored_cycle(
+                phi, cycles, (x, y)
+            )
         x, y = rng.choice(g.edges())
         phi.unassign(x, y)
         for c in phi.free_colors(x, y):
             before = closes_cycle(phi._nbr, x, y, c)
             phi.assign(x, y, c)
-            assert before == on_cycle((x, y)) == closes_cycle(phi._nbr, y, x, c)
+            assert before == on_two_colored_cycle(phi, cycles, (x, y))
+            assert before == closes_cycle(phi._nbr, y, x, c)
             phi.unassign(x, y)
+
+    @given(
+        st.sampled_from(["star", "wheel", "wheel-leaves"]),
+        st.integers(3, 7),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_hub_shapes_agree_both_ways(self, family, size, seed):
+        # partial colorings around a hub, where one endpoint of an edge has
+        # many more colors than the other, so the endpoint swap happens in
+        # both argument orders; both orders must match the enumeration
+        rng = random.Random(seed)
+        if family == "star":
+            g = star_graph(size)
+        elif family == "wheel":
+            g = wheel_graph(size)
+        else:  # a pendant leaf on each of two rim vertices
+            w = wheel_graph(size)
+            g = Graph(w.n + 2, w.edges() + [(1, w.n), (2, w.n + 1)])
+        k = rng.randint(g.max_degree(), 2 * g.max_degree() - 1)
+        phi = random_proper_coloring(g, k, rng)
+        if phi is None:
+            return
+        for e in rng.sample(g.edges(), rng.randint(0, g.m // 2)):
+            phi.unassign(*e)
+        cycles = enumerate_cycles(g)
+
+        nbr = phi._nbr
+        for (x, y), c in phi.items():
+            want = on_two_colored_cycle(phi, cycles, (x, y))
+            assert closes_cycle(nbr, x, y, c) == want == closes_cycle(nbr, y, x, c)
+        for x, y in g.edges():
+            if phi.color_of(x, y) is not None:
+                continue
+            for c in phi.free_colors(x, y):
+                before = closes_cycle(nbr, x, y, c)
+                assert before == closes_cycle(nbr, y, x, c)
+                phi.assign(x, y, c)
+                assert before == on_two_colored_cycle(phi, cycles, (x, y))
+                phi.unassign(x, y)
 
 
 class TestFindBichromaticCycle:
