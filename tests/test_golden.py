@@ -2,8 +2,9 @@
 
 The hashes were recorded once and pin the exact bytes of `aecolor color`
 (coloring and trace JSON) and `aecolor verify` on a fixed graph matrix,
-plus the cycle witnesses and maximal bichromatic paths of seeded proper
-colorings that do contain bichromatic cycles.  A change that alters any of
+the cycle witnesses and maximal bichromatic paths of seeded proper
+colorings that do contain bichromatic cycles, and the colorings the
+escalation tiers T2 and T3 produce at palettes Δ..Δ+3.  A change that alters any of
 them changes observable output; it must not be papered over by editing a
 hash.
 """
@@ -15,17 +16,26 @@ import random
 import pytest
 
 from aecolor.cli import main
-from aecolor.coloring import find_bichromatic_cycle, maximal_bichromatic_path
+from aecolor.colorer import ExtensionContext, extend_at_edge
+from aecolor.coloring import (
+    PartialEdgeColoring,
+    find_bichromatic_cycle,
+    maximal_bichromatic_path,
+)
 from aecolor.embedding import generate_apollonian
+from aecolor.errors import AecolorError
 from aecolor.families import (
     cube,
     cycle_graph,
     dodecahedron,
     grid_graph,
+    icosahedron,
+    octahedron,
     star_graph,
     wheel_graph,
 )
 from aecolor.graphs import format_edge_list
+from aecolor.oracle import SearchBudget, search_acyclic_coloring
 
 from support import random_proper_coloring
 
@@ -178,3 +188,56 @@ def test_walk_results_bytes():
     records = [walk_record(*case) for case in WALK_CASES]
     assert sum(w is not None for w, _ in records) >= 10
     assert sha(json.dumps(records).encode()) == WALKS_SHA
+
+
+def extension_graphs():
+    yield "octahedron", octahedron()[0]
+    yield "icosahedron", icosahedron()[0]
+    yield "cube", cube()[0]
+    for rim in range(4, 9):
+        yield f"W{rim}", wheel_graph(rim)
+    for rows, cols in [(3, 3), (3, 4)]:
+        yield f"grid{rows}x{cols}", grid_graph(rows, cols)
+    for n in (8, 9, 10):
+        for seed in range(3):
+            yield f"apollonian{n}s{seed}", generate_apollonian(n, seed)[0]
+
+
+def extension_records():
+    # at palette Delta+10 only T1 ever fires, so the tiers are pinned on
+    # searcher colorings of g - e at Delta..Delta+3, where they escalate
+    out = []
+    for name, g in extension_graphs():
+        for k in range(g.max_degree(), g.max_degree() + 4):
+            for e in g.edges():
+                w = search_acyclic_coloring(
+                    g.remove_edge(*e), k, SearchBudget(max_nodes=200_000)
+                )
+                if not isinstance(w, dict):
+                    continue
+                phi = PartialEdgeColoring.from_pairs(
+                    g, k, [(u, v, c) for (u, v), c in w.items()]
+                )
+                try:
+                    phi, tier = extend_at_edge(
+                        ExtensionContext(g, phi, *e),
+                        t4_budget=SearchBudget(max_nodes=200_000),
+                    )
+                    result = [tier, [[u, v, c] for (u, v), c in phi.items()]]
+                except AecolorError as exc:
+                    result = [type(exc).__name__, str(exc)]
+                out.append([name, k, list(e), result])
+    return out
+
+
+EXTENSION_SHA = "d780b8207845d5a63fe3b5546df7fccda9ee0a5ce8d02c5fa913414a363eeed4"
+EXTENSION_TIERS = {"T1": 1205, "T2": 15, "T3": 42, "NotPlanarEvidence": 12}
+
+
+def test_extension_tiers_bytes():
+    records = extension_records()
+    tiers: dict = {}
+    for *_, (tier, _) in records:
+        tiers[tier] = tiers.get(tier, 0) + 1
+    assert tiers == EXTENSION_TIERS
+    assert sha(json.dumps(sorted(records)).encode()) == EXTENSION_SHA
