@@ -19,7 +19,6 @@ from .colorer import (
     acolor,
     choose_reduction_edge,
     extend_at_edge,
-    move_recolor_neighbor,
     move_swap_pair,
     replay_trace,
     try_free_color,
@@ -127,7 +126,6 @@ __all__ = [
     "initial_charges",
     "is_acyclically_k_colorable",
     "maximal_bichromatic_path",
-    "move_recolor_neighbor",
     "move_swap_pair",
     "parse_edge_list",
     "parse_rotation",

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .coloring import (
@@ -51,9 +52,9 @@ class ExtensionContext:
     v is the configuration vertex whose removal produced the edge; u is the
     neighbor it was removed toward.  The coloring must be proper, and every
     edge of the current subgraph except uv is expected to be colored.
-    Derived sets (the free palette, the neighbor multiset) are recomputed
-    from the coloring on every access rather than cached, so they stay
-    honest across moves.
+    Derived sets (the colored neighbors, the neighbor multiset) are
+    recomputed from the coloring on every access rather than cached, so
+    they stay honest across moves.
     """
 
     __slots__ = ("graph", "phi", "u", "v", "k")
@@ -72,10 +73,6 @@ class ExtensionContext:
         self.u = u
         self.v = v
         self.k = phi.k
-
-    def free_palette(self) -> list[int]:
-        """Ascending colors unused at both ends; size recomputed, not bounded on faith."""
-        return self.phi.free_colors(self.u, self.v)
 
     def colored_neighbors(self) -> list[int]:
         """Neighbors of v over colored edges, excluding u, by (degree, id)."""
@@ -267,23 +264,22 @@ def try_free_color(ctx: ExtensionContext) -> Optional[int]:
     return None
 
 
-def _swap_raw(phi: PartialEdgeColoring, e1, e2, c1, c2) -> None:
-    # exchange colors, restoring both edges if properness breaks
-    phi.unassign(*e1)
-    phi.unassign(*e2)
-    try:
-        phi.assign(e1[0], e1[1], c2)
-    except ImproperColoringError:
-        phi.assign(e1[0], e1[1], c1)
-        phi.assign(e2[0], e2[1], c2)
-        raise
-    try:
-        phi.assign(e2[0], e2[1], c1)
-    except ImproperColoringError:
-        phi.unassign(*e1)
-        phi.assign(e1[0], e1[1], c1)
-        phi.assign(e2[0], e2[1], c2)
-        raise
+def _recolor(phi: PartialEdgeColoring, e: tuple[int, int], a: int) -> bool:
+    # recolor e with a, free at both of its ends, so properness is immediate;
+    # undone, and False, when it closes a bichromatic cycle
+    old = phi.recolor(e[0], e[1], a)
+    if closes_cycle(phi._nbr, e[0], e[1], a):
+        phi.recolor(e[0], e[1], old)
+        return False
+    return True
+
+
+def _swap(phi: PartialEdgeColoring, e1: tuple[int, int], e2: tuple[int, int]) -> None:
+    # exchange the colors of two edges at one center; its own inverse
+    c1 = phi.unassign(*e1)
+    c2 = phi.unassign(*e2)
+    phi.assign(e1[0], e1[1], c2)
+    phi.assign(e2[0], e2[1], c1)
 
 
 def move_swap_pair(
@@ -292,80 +288,57 @@ def move_swap_pair(
     """Exchange the colors of two colored edges sharing exactly one endpoint.
 
     The shared endpoint sees the same color pair afterwards; each far
-    endpoint is re-checked, and the exchange is verified to close no
-    bichromatic cycle.  On rejection the coloring is rolled back first.
+    endpoint is checked before the exchange, and the exchange is undone
+    and rejected if it closes a bichromatic cycle.
     """
     e1, e2 = _canon(*e1), _canon(*e2)
-    c1, c2 = ctx.phi.color_of(*e1), ctx.phi.color_of(*e2)
+    phi = ctx.phi
+    c1, c2 = phi.color_of(*e1), phi.color_of(*e2)
     if c1 is None or c2 is None:
         raise ValueError("swap requires two colored edges")
-    if len(set(e1) & set(e2)) != 1:
+    shared = set(e1) & set(e2)
+    if len(shared) != 1:
         raise ValueError(f"edges {e1} and {e2} must share exactly one endpoint")
-    try:
-        _swap_raw(ctx.phi, e1, e2, c1, c2)
-    except ImproperColoringError as exc:
-        raise MoveRejected(f"swap of {e1} and {e2} breaks properness: {exc}") from exc
-    nbr = ctx.phi._nbr
+    nbr = phi._nbr
+    for (x, y), c in ((e1, c2), (e2, c1)):
+        far = y if x in shared else x
+        if c in nbr[far]:
+            raise MoveRejected(
+                f"swap of {e1} and {e2} breaks properness: "
+                f"color {c} already at vertex {far}"
+            )
+    _swap(phi, e1, e2)
     if closes_cycle(nbr, *e1, c2) or closes_cycle(nbr, *e2, c1):
-        _swap_raw(ctx.phi, e1, e2, c2, c1)
+        _swap(phi, e1, e2)
         raise MoveRejected(f"swap of {e1} and {e2} closes a bichromatic cycle")
-    return ctx.phi
+    return phi
 
 
-def move_recolor_neighbor(
-    ctx: ExtensionContext, edge: tuple[int, int], alpha: int
-) -> PartialEdgeColoring:
-    """Recolor a colored spoke vw at the configuration vertex with alpha.
-
-    alpha must come from the free palette of uv and be absent around w, so
-    properness is immediate; acyclicity is still verified by walking the
-    alternating paths through the recolored edge, and the move is rolled
-    back and rejected if any of them closes.
-    """
-    edge = _canon(*edge)
-    if ctx.v not in edge:
-        raise ValueError(f"edge {edge} is not incident to vertex {ctx.v}")
-    w = edge[0] if edge[1] == ctx.v else edge[1]
-    old = ctx.phi.color_of(*edge)
-    if old is None:
-        raise ValueError(f"edge {edge} is not colored")
-    nbr = ctx.phi._nbr
-    if not 1 <= alpha <= ctx.k or alpha in nbr[ctx.u] or alpha in nbr[ctx.v]:
-        raise ValueError(f"color {alpha} is not free at both ends of the uncolored edge")
-    if alpha in forbidden_from(ctx.phi, ctx.v, w):
-        raise ValueError(f"color {alpha} is already present around {w}")
-    ctx.phi.recolor(edge[0], edge[1], alpha)
-    if closes_cycle(ctx.phi._nbr, edge[0], edge[1], alpha):
-        ctx.phi.recolor(edge[0], edge[1], old)
-        raise MoveRejected(f"recoloring {edge} to {alpha} closes a bichromatic cycle")
-    return ctx.phi
-
-
-def _finish(ctx: ExtensionContext) -> Optional[int]:
+def _finish(ctx: ExtensionContext) -> bool:
     c = try_free_color(ctx)
-    if c is not None:
-        ctx.phi.assign(ctx.u, ctx.v, c)
-    return c
+    if c is None:
+        return False
+    ctx.phi.assign(ctx.u, ctx.v, c)
+    return True
 
 
 def _tier2(ctx: ExtensionContext) -> bool:
     phi = ctx.phi
     # recolor one spoke at v with a color of low multiplicity around the
-    # neighborhood, smallest candidates first
+    # neighborhood, smallest candidates first; such a color is free at v
+    # and, being outside the spoke's forbidden set, at its far end too
     s = ctx.neighbor_multiset()
+    free = phi.free_colors(ctx.u, ctx.v)
     for w in ctx.colored_neighbors():
-        old = phi.color_of(ctx.v, w)
+        spoke = _canon(ctx.v, w)
+        old = phi.color_of(*spoke)
         blocked = forbidden_from(phi, ctx.v, w)
-        for alpha in ctx.free_palette():
-            if s[alpha] > 1 or alpha in blocked:
+        for alpha in free:
+            if s[alpha] > 1 or alpha in blocked or not _recolor(phi, spoke, alpha):
                 continue
-            try:
-                move_recolor_neighbor(ctx, (ctx.v, w), alpha)
-            except MoveRejected:
-                continue
-            if _finish(ctx) is not None:
+            if _finish(ctx):
                 return True
-            phi.recolor(ctx.v, w, old)
+            phi.recolor(spoke[0], spoke[1], old)
     # swap two spokes at either endpoint
     for center in (ctx.v, ctx.u):
         spokes = [
@@ -373,18 +346,14 @@ def _tier2(ctx: ExtensionContext) -> bool:
             for x in ctx.graph.neighbors(center)
             if phi.color_of(center, x) is not None
         ]
-        for i in range(len(spokes)):
-            for j in range(i + 1, len(spokes)):
-                try:
-                    move_swap_pair(ctx, spokes[i], spokes[j])
-                except MoveRejected:
-                    continue
-                if _finish(ctx) is not None:
-                    return True
-                # swap back; the previous state was already verified
-                c1 = phi.color_of(*spokes[i])
-                c2 = phi.color_of(*spokes[j])
-                _swap_raw(phi, spokes[i], spokes[j], c1, c2)
+        for e1, e2 in combinations(spokes, 2):
+            try:
+                move_swap_pair(ctx, e1, e2)
+            except MoveRejected:
+                continue
+            if _finish(ctx):
+                return True
+            _swap(phi, e1, e2)
     return False
 
 
@@ -400,65 +369,55 @@ def _zone_edges(ctx: ExtensionContext) -> list[tuple[int, int]]:
                     dist[y] = d
                     nxt.append(y)
         frontier = nxt
-    return sorted(
-        e
-        for e, _ in ctx.phi.items()
-        if e[0] in dist or e[1] in dist
-    )
+    # items() is already sorted
+    return [e for e, _ in ctx.phi.items() if e[0] in dist or e[1] in dist]
 
 
 def _tier3(ctx: ExtensionContext, budget: int) -> bool:
     phi = ctx.phi
     zone = _zone_edges(ctx)
-    FOUND, DEAD, STOP = 0, 1, 2
+    pairs = [(a, b) for a, b in combinations(zone, 2) if len(set(a) & set(b)) == 1]
     used = 0
 
-    def dfs(depth: int) -> int:
+    def dfs(depth: int) -> Optional[bool]:
+        # after `depth` moves: True once uv is colored, False when every
+        # move below is tried, None when the budget is spent
         nonlocal used
+        if depth and _finish(ctx):
+            return True
         if depth == T3_DEPTH:
-            return DEAD
+            return False
         for e in zone:
             old = phi.color_of(*e)
             for a in phi.free_colors(*e):
                 if used >= budget:
-                    return STOP
+                    return None
                 used += 1
-                phi.recolor(e[0], e[1], a)
-                if closes_cycle(phi._nbr, e[0], e[1], a):
-                    phi.recolor(e[0], e[1], old)
+                if not _recolor(phi, e, a):
                     continue
-                if _finish(ctx) is not None:
-                    return FOUND
                 res = dfs(depth + 1)
-                if res == FOUND:
-                    return FOUND
+                if res:
+                    return True
                 phi.recolor(e[0], e[1], old)
-                if res == STOP:
-                    return STOP
-        for i in range(len(zone)):
-            for j in range(i + 1, len(zone)):
-                e1, e2 = zone[i], zone[j]
-                if len(set(e1) & set(e2)) != 1:
-                    continue
-                if used >= budget:
-                    return STOP
-                used += 1
-                try:
-                    move_swap_pair(ctx, e1, e2)
-                except MoveRejected:
-                    continue
-                if _finish(ctx) is not None:
-                    return FOUND
-                res = dfs(depth + 1)
-                if res == FOUND:
-                    return FOUND
-                c1, c2 = phi.color_of(*e1), phi.color_of(*e2)
-                _swap_raw(phi, e1, e2, c1, c2)
-                if res == STOP:
-                    return STOP
-        return DEAD
+                if res is None:
+                    return None
+        for e1, e2 in pairs:
+            if used >= budget:
+                return None
+            used += 1
+            try:
+                move_swap_pair(ctx, e1, e2)
+            except MoveRejected:
+                continue
+            res = dfs(depth + 1)
+            if res:
+                return True
+            _swap(phi, e1, e2)
+            if res is None:
+                return None
+        return False
 
-    return dfs(0) == FOUND
+    return dfs(0) is True
 
 
 def _tier4(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> PartialEdgeColoring:
@@ -494,8 +453,7 @@ def extend_at_edge(
     """
     if not 1 <= max_tier <= 4:
         raise ValueError(f"max_tier must be in 1..4, got {max_tier}")
-    c = _finish(ctx)
-    if c is not None:
+    if _finish(ctx):
         return ctx.phi, "T1"
     if max_tier >= 2 and _tier2(ctx):
         return ctx.phi, "T2"
@@ -508,77 +466,79 @@ def extend_at_edge(
     )
 
 
-def acolor(
+def _reinsert(
     g: Graph,
-    *,
+    edges: list[tuple[int, int]],
+    vertices: list[int],
+    tiers: list[Optional[str]],
     max_tier: int = 4,
-    t3_budget: int = T3_STATE_BUDGET,
-    t4_budget: Optional[SearchBudget] = None,
-) -> tuple[PartialEdgeColoring, ReductionTrace]:
+) -> PartialEdgeColoring:
+    # the one re-insertion loop: palette Δ+10, last removal first, edges[i]
+    # extended from its far end u toward vertices[i]; tiers[i] is the tier
+    # it must land on, or None to record it.  (A pair per step, kept for the
+    # loop, made replay about 20% slower in the garbage collector.)
+    phi = PartialEdgeColoring(g, g.max_degree() + 10)
+    for i in range(len(edges) - 1, -1, -1):
+        edge, v = edges[i], vertices[i]
+        u = edge[0] if edge[1] == v else edge[1]
+        phi, tier = extend_at_edge(ExtensionContext(g, phi, u, v), max_tier=max_tier)
+        if tier != tiers[i]:
+            if tiers[i] is not None:
+                raise ValueError(
+                    f"trace mismatch at edge {edge}: recorded {tiers[i]}, got {tier}"
+                )
+            tiers[i] = tier
+    return phi
+
+
+def acolor(g: Graph, *, max_tier: int = 4) -> tuple[PartialEdgeColoring, ReductionTrace]:
     """Acyclic edge coloring of a planar graph with at most Δ+10 colors.
 
     Peels configuration edges until none remain, then re-inserts them in
-    reverse, extending the coloring across each.  The peeling runs
-    incrementally, in near-linear time, and removes the same edges in the
-    same order as calling `choose_reduction_edge` and `Graph.remove_edge`
-    in a loop.  The result is validated before it is returned.  On inputs
-    that are not actually planar this either still succeeds (the bound is
-    one-sided) or raises NotPlanarEvidence.
+    reverse, extending the coloring across each with tiers up to `max_tier`
+    (ExtensionFailed past it).  The peeling runs incrementally, in
+    near-linear time, and removes the same edges in the same order as
+    calling `choose_reduction_edge` and `Graph.remove_edge` in a loop.  The
+    result is validated before it is returned.  On inputs that are not
+    actually planar this either still succeeds (the bound is one-sided) or
+    raises NotPlanarEvidence.
     """
-    k = g.max_degree() + 10
     removals = list(_Reducer(g))
-    phi = PartialEdgeColoring(g, k)
-    tiers: list[str] = [""] * len(removals)
-    for i in range(len(removals) - 1, -1, -1):
-        edge, cfg = removals[i]
-        v = cfg.vertex
-        u = edge[0] if edge[1] == v else edge[1]
-        ctx = ExtensionContext(g, phi, u, v)
-        phi, tiers[i] = extend_at_edge(
-            ctx, max_tier=max_tier, t3_budget=t3_budget, t4_budget=t4_budget
-        )
-    trace = ReductionTrace(
-        tuple(TraceStep(e, c, t) for (e, c), t in zip(removals, tiers))
-    )
-    if not phi.is_complete():
-        raise AssertionError("extension finished with uncolored edges")
+    tiers: list[Optional[str]] = [None] * len(removals)
+    edges = [e for e, _ in removals]
+    phi = _reinsert(g, edges, [c.vertex for _, c in removals], tiers, max_tier)
+    trace = ReductionTrace(tuple(TraceStep(*r, t) for r, t in zip(removals, tiers)))
     report = validate_acyclic(g, phi)
     if not report.ok:
         raise AssertionError(f"final coloring failed validation: {report}")
     return phi, trace
 
 
-def replay_trace(
-    g: Graph,
-    trace: ReductionTrace,
-    *,
-    max_tier: int = 4,
-    t3_budget: int = T3_STATE_BUDGET,
-) -> PartialEdgeColoring:
-    """Re-run the reduce/extend pipeline along a recorded trace.
+def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
+    """Re-run the extension along a recorded trace; returns the coloring.
 
-    The removals must empty the graph's edge set and every extension must
-    land on the recorded tier, otherwise the trace does not belong to this
-    graph (or was produced with different settings) and a ValueError is
-    raised.  Returns the reproduced coloring.
+    Each step's configuration vertex must lie on its edge, the removals
+    must empty the graph's edge set and each extension must land on the
+    recorded tier, or the trace does not belong to this graph and a
+    ValueError is raised: for a tier, at the first step that misses it in
+    re-insertion order, before any later step runs.  Replay needs no tier
+    cap: the tiers run in order, so a trace recorded under any cap lands
+    on the same tiers without one.
     """
     remaining = set(g.edge_set())
-    for step in trace:
+    for i, step in enumerate(trace):
         e = _canon(*step.edge)
+        if step.config.vertex not in e:
+            raise ValueError(
+                f"trace step {i} removes edge {step.edge}, which does not meet "
+                f"its configuration vertex {step.config.vertex}"
+            )
         if e not in remaining:
             raise ValueError(f"trace replays removal of missing edge {step.edge}")
         remaining.remove(e)
     if remaining:
         raise ValueError(f"trace leaves {len(remaining)} edges unremoved")
-    k = g.max_degree() + 10
-    phi = PartialEdgeColoring(g, k)
-    for step in reversed(trace.steps):
-        v = step.config.vertex
-        u = step.edge[0] if step.edge[1] == v else step.edge[1]
-        ctx = ExtensionContext(g, phi, u, v)
-        phi, tier = extend_at_edge(ctx, max_tier=max_tier, t3_budget=t3_budget)
-        if tier != step.tier:
-            raise ValueError(
-                f"trace mismatch at edge {step.edge}: recorded {step.tier}, got {tier}"
-            )
-    return phi
+    steps = trace.steps
+    return _reinsert(
+        g, [s.edge for s in steps], [s.config.vertex for s in steps], [s.tier for s in steps]
+    )

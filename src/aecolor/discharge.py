@@ -115,6 +115,15 @@ def classify_rule(
     of the final branch needs the embedding; without `faces` the generic
     id "R3.3" is returned.
     """
+    ra = _classify(g, v, None)
+    if ra.rule == "R3.3" and faces is not None:
+        # only this branch reads the embedding, so only it builds corners
+        ra = _classify(g, v, _corners(faces, g.n)[v])
+    return ra
+
+
+def _classify(g: Graph, v: int, corners: Optional[list[_Corner]]) -> RuleApplicability:
+    # `classify_rule` from v's corners, None without an embedding
     d = g.degree(v)
     if d <= 3:
         return RuleApplicability("none", False)
@@ -133,12 +142,10 @@ def classify_rule(
         return RuleApplicability("R3.1", False)
     if nd[1][1] >= 8:
         return RuleApplicability("R3.2", False)
-    if faces is None:
+    if corners is None:
         return RuleApplicability("R3.3", False)
     v1, v2 = nd[0][0], nd[1][0]
-    adjacent = any(
-        {c.prev, c.next} == {v1, v2} for c in _corners(faces, g.n)[v]
-    )
+    adjacent = any({c.prev, c.next} == {v1, v2} for c in corners)
     return RuleApplicability(
         "R3.3-adjacent" if adjacent else "R3.3-split", False
     )
@@ -193,12 +200,13 @@ def vertex_transfers(g: Graph, faces: FaceSet, v: int) -> list[Transfer]:
     Raises ConfigurationPresentError when v's degree pattern violates the
     rule preconditions.
     """
-    ra = classify_rule(g, v, faces)
+    corners = _corners(faces, g.n)[v]
+    ra = _classify(g, v, corners)
     if ra.violation:
         raise ConfigurationPresentError(v)
     if ra.rule == "none":
         return []
-    return _transfers_at(g, v, _corners(faces, g.n)[v], ra.rule)
+    return _transfers_at(g, v, corners, ra.rule)
 
 
 def apply_discharging(g: Graph, faces: FaceSet, ledger: ChargeLedger) -> ChargeLedger:
@@ -210,7 +218,7 @@ def apply_discharging(g: Graph, faces: FaceSet, ledger: ChargeLedger) -> ChargeL
     fc = list(ledger.face_charges)
     log: list[Transfer] = []
     for v in g.vertices():
-        ra = classify_rule(g, v, faces)
+        ra = _classify(g, v, corner_map[v])
         if ra.violation:
             raise ConfigurationPresentError(v)
         if ra.rule == "none":

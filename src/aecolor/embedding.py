@@ -97,22 +97,23 @@ def trace_faces(g: Graph, rot: RotationSystem) -> FaceSet:
     if not g.is_connected():
         raise ValueError("face tracing requires a connected graph")
 
-    todo: set[Dart] = set()
-    for u, v in g.edges():
-        todo.add((u, v))
-        todo.add((v, u))
+    # each face starts at its smallest dart and faces come in order of it,
+    # so one sorted pass over the darts finds the starts in O(m log m)
+    darts = sorted(d for u, v in g.edges() for d in ((u, v), (v, u)))
+    seen: set[Dart] = set()
     faces: list[tuple[Dart, ...]] = []
-    while todo:
-        start = min(todo)  # deterministic face order
+    for start in darts:
+        if start in seen:
+            continue
         walk = [start]
-        todo.discard(start)
+        seen.add(start)
         u, v = start
         while True:
             nxt = (v, rot.successor(v, u))
             if nxt == start:
                 break
             walk.append(nxt)
-            todo.discard(nxt)
+            seen.add(nxt)
             u, v = nxt
         faces.append(tuple(walk))
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from aecolor.colorer import (
     acolor,
     choose_reduction_edge,
     extend_at_edge,
-    move_recolor_neighbor,
     move_swap_pair,
     replay_trace,
     try_free_color,
@@ -84,8 +84,8 @@ class TestExtensionContext:
     def test_derived_sets(self):
         g = cycle_graph(4)
         phi = colored(g, 12, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
-        ctx = ExtensionContext(g, phi, 0, 3)
-        assert ctx.free_palette() == list(range(2, 13))
+        ExtensionContext(g, phi, 0, 3)
+        assert phi.free_colors(0, 3) == list(range(2, 13))
 
     def test_colored_neighbors_sorted_and_excludes_u(self):
         g = star_graph(4)
@@ -343,60 +343,6 @@ class TestMoveSwapPair:
             move_swap_pair(ctx, (0, 1), (2, 3))
 
 
-class TestMoveRecolorNeighbor:
-    def make(self):
-        g = Graph(5, [(0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)])
-        phi = colored(
-            g, 13, [(2, 3, 1), (0, 3, 2), (0, 4, 5), (2, 4, 2), (1, 2, 3)]
-        )
-        return g, phi, ExtensionContext(g, phi, 1, 3)
-
-    def test_fresh_color_accepted(self):
-        g, phi, ctx = self.make()
-        move_recolor_neighbor(ctx, (2, 3), 4)
-        assert phi.color_of(2, 3) == 4
-
-    def test_cycle_closing_recolor_rejected(self):
-        # recoloring (2,3) to 5 closes the walk 2-3-0-4-2 in colors {5,2}
-        g, phi, ctx = self.make()
-        with pytest.raises(MoveRejected, match="cycle"):
-            move_recolor_neighbor(ctx, (2, 3), 5)
-        assert phi.color_of(2, 3) == 1
-
-    def test_not_incident_rejected(self):
-        g, phi, ctx = self.make()
-        with pytest.raises(ValueError, match="not incident"):
-            move_recolor_neighbor(ctx, (0, 4), 6)
-
-    def test_uncolored_spoke_rejected(self):
-        g = star_graph(3)
-        phi = colored(g, 13, [(0, 1, 1)])
-        ctx = ExtensionContext(g, phi, 2, 0)
-        with pytest.raises(ValueError, match="not colored"):
-            move_recolor_neighbor(ctx, (0, 3), 4)
-
-    def test_non_free_alpha_rejected(self):
-        g, phi, ctx = self.make()
-        # 3 is on (1,2), i.e. at u=1, hence not in the free palette
-        with pytest.raises(ValueError, match="not free"):
-            move_recolor_neighbor(ctx, (2, 3), 3)
-
-    @pytest.mark.parametrize("alpha", [0, 14])
-    def test_alpha_outside_palette_rejected(self, alpha):
-        g, phi, ctx = self.make()
-        with pytest.raises(ValueError, match="not free"):
-            move_recolor_neighbor(ctx, (2, 3), alpha)
-
-    def test_alpha_present_at_far_end_rejected(self):
-        g = Graph(5, [(0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)])
-        phi = colored(
-            g, 13, [(2, 3, 1), (0, 3, 2), (0, 4, 5), (2, 4, 6), (1, 2, 3)]
-        )
-        ctx = ExtensionContext(g, phi, 1, 3)
-        with pytest.raises(ValueError, match="already present"):
-            move_recolor_neighbor(ctx, (2, 3), 6)
-
-
 class TestExtendTiers:
     def test_tree_edge_is_t1(self):
         g = path_graph(3)
@@ -568,4 +514,16 @@ class TestTrace:
         victim = next(i for i, s in enumerate(steps) if s.tier == "T1")
         steps[victim] = TraceStep(steps[victim].edge, steps[victim].config, "T2")
         with pytest.raises(ValueError, match="mismatch"):
+            replay_trace(g, ReductionTrace(tuple(steps)))
+
+    def test_replay_rejects_vertex_off_its_edge(self):
+        # a vertex off the edge would pick the wrong u, and the replay would
+        # fail later at a non-edge or an already colored edge
+        g = cycle_graph(5)
+        _, trace = acolor(g)
+        steps = list(trace.steps)
+        step = steps[2]
+        off = next(x for x in g.vertices() if x not in step.edge)
+        steps[2] = TraceStep(step.edge, replace(step.config, vertex=off), step.tier)
+        with pytest.raises(ValueError, match=f"trace step 2 .* vertex {off}$"):
             replay_trace(g, ReductionTrace(tuple(steps)))

@@ -54,6 +54,16 @@ class TestTraceFaces:
         g, rot = icosahedron()
         assert trace_faces(g, rot) == trace_faces(g, rot)
 
+    def test_faces_ordered_by_smallest_dart(self, embedded):
+        # each face starts at its smallest dart and those starts ascend,
+        # the order in which repeatedly taking the least unvisited dart
+        # finds the faces
+        for _, g, rot in embedded:
+            faces = list(trace_faces(g, rot))
+            firsts = [f[0] for f in faces]
+            assert all(f[0] == min(f) for f in faces)
+            assert all(a < b for a, b in zip(firsts, firsts[1:]))
+
     def test_rotation_graph_mismatch(self):
         g = cycle_graph(3)
         with pytest.raises(InvalidRotationError):
