@@ -30,9 +30,7 @@ from .coloring import (
     ValidationReport,
     exists_critical_path,
     find_bichromatic_cycle,
-    forbidden_from,
     maximal_bichromatic_path,
-    seen_colors,
     validate_acyclic,
 )
 from .discharge import (
@@ -119,7 +117,6 @@ __all__ = [
     "extend_at_edge",
     "find_bichromatic_cycle",
     "find_configuration",
-    "forbidden_from",
     "format_edge_list",
     "format_rotation",
     "generate_apollonian",
@@ -131,7 +128,6 @@ __all__ = [
     "parse_rotation",
     "replay_trace",
     "search_acyclic_coloring",
-    "seen_colors",
     "trace_faces",
     "try_free_color",
     "validate_acyclic",

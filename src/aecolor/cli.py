@@ -104,7 +104,9 @@ def _coloring_rows(doc: dict) -> tuple[int, list[tuple[int, int, Optional[int]]]
             u, v = _json_int(row["u"], "u"), _json_int(row["v"], "v")
             c = row["color"]
             triples.append((u, v, None if c is None else _json_int(c, "color")))
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise _UsageError(f"malformed coloring document: missing key {exc}") from exc
+    except TypeError as exc:
         raise _UsageError(f"malformed coloring document: {exc}") from exc
     return k, triples
 
@@ -328,14 +330,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, EdgeListParseError, ValueError, OSError) as exc:
         print(f"aecolor: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EdgeListParseError, ValueError) as exc:
-        print(f"aecolor: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"aecolor: {exc}", file=sys.stderr)
+    except (MemoryError, RecursionError) as exc:
+        # an input too large or too deeply nested for this process
+        print(f"aecolor: input too large to process ({type(exc).__name__})", file=sys.stderr)
         return EXIT_USAGE
     except (NotPlanarEvidence, NonPlanarEmbeddingError) as exc:
         print(f"aecolor: not planar: {exc}", file=sys.stderr)

@@ -5,9 +5,8 @@ then re-inserts the edges in reverse, extending the coloring across each.
 Extension escalates through four tiers:
 
   T1  pick a color free at both ends that closes no bichromatic cycle
-  T2  one local recoloring move (recolor a spoke at the configuration
-      vertex with a color of multiplicity <= 1 around its neighbors, or
-      swap two spoke colors at either endpoint), then retry T1
+  T2  swap the colors of two spokes at the configuration vertex, then
+      at its neighbor, and retry T1 after each swap
   T3  bounded search over move sequences near the edge (depth <= 3,
       edges within distance 2, explicit state budget)
   T4  exhaustive recoloring of the current subgraph over the full palette
@@ -20,7 +19,6 @@ which refutes the caller's planarity assertion.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
@@ -29,7 +27,6 @@ from typing import Iterator, Optional
 from .coloring import (
     PartialEdgeColoring,
     closes_cycle,
-    forbidden_from,
     validate_acyclic,
 )
 from .errors import (
@@ -52,9 +49,6 @@ class ExtensionContext:
     v is the configuration vertex whose removal produced the edge; u is the
     neighbor it was removed toward.  The coloring must be proper, and every
     edge of the current subgraph except uv is expected to be colored.
-    Derived sets (the colored neighbors, the neighbor multiset) are
-    recomputed from the coloring on every access rather than cached, so
-    they stay honest across moves.
     """
 
     __slots__ = ("graph", "phi", "u", "v", "k")
@@ -73,24 +67,6 @@ class ExtensionContext:
         self.u = u
         self.v = v
         self.k = phi.k
-
-    def colored_neighbors(self) -> list[int]:
-        """Neighbors of v over colored edges, excluding u, by (degree, id)."""
-        out = [
-            w
-            for w in self.graph.neighbors(self.v)
-            if w != self.u and self.phi.color_of(self.v, w) is not None
-        ]
-        out.sort(key=lambda w: (self.graph.degree(w), w))
-        return out
-
-    def neighbor_multiset(self) -> Counter:
-        """Color multiplicities over the forbidden sets of every colored
-        spoke at v except uv."""
-        s: Counter = Counter()
-        for w in self.colored_neighbors():
-            s.update(forbidden_from(self.phi, self.v, w))
-        return s
 
 
 @dataclass(frozen=True)
@@ -324,22 +300,9 @@ def _finish(ctx: ExtensionContext) -> bool:
 
 def _tier2(ctx: ExtensionContext) -> bool:
     phi = ctx.phi
-    # recolor one spoke at v with a color of low multiplicity around the
-    # neighborhood, smallest candidates first; such a color is free at v
-    # and, being outside the spoke's forbidden set, at its far end too
-    s = ctx.neighbor_multiset()
-    free = phi.free_colors(ctx.u, ctx.v)
-    for w in ctx.colored_neighbors():
-        spoke = _canon(ctx.v, w)
-        old = phi.color_of(*spoke)
-        blocked = forbidden_from(phi, ctx.v, w)
-        for alpha in free:
-            if s[alpha] > 1 or alpha in blocked or not _recolor(phi, spoke, alpha):
-                continue
-            if _finish(ctx):
-                return True
-            phi.recolor(spoke[0], spoke[1], old)
-    # swap two spokes at either endpoint
+    # swap two spokes at v, then at u.  A single spoke recoloring is not
+    # tried here: the spoke lies in T3's zone and T3's first level tries
+    # every free color on it
     for center in (ctx.v, ctx.u):
         spokes = [
             _canon(center, x)

@@ -203,27 +203,6 @@ class ValidationReport:
         return self.all_edges_colored and self.is_proper and self.cycle is None
 
 
-def seen_colors(phi: PartialEdgeColoring, v: int) -> set[Color]:
-    """C(v): the colors on colored edges at v."""
-    return set(phi._nbr[v])
-
-
-def forbidden_from(phi: PartialEdgeColoring, u: int, v: int) -> set[Color]:
-    """Colors at v excluding the edge vu itself.
-
-    Asymmetric by design: forbidden_from(u, v) reads off v's other edges,
-    forbidden_from(v, u) reads off u's.  uv must be an edge of the graph
-    (it may be uncolored, in particular the current extension edge).
-    """
-    if not phi.graph.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    out = seen_colors(phi, v)
-    own = phi.color_of(u, v)
-    if own is not None:
-        out.discard(own)
-    return out
-
-
 def _check_pair(phi: PartialEdgeColoring, alpha: Color, beta: Color) -> None:
     if alpha == beta:
         raise ValueError(f"colors must differ, got {alpha} twice")

@@ -71,8 +71,11 @@ def find_configuration(g: Graph) -> Configuration:
     """Configuration at the smallest-id qualifying vertex.
 
     Raises NotPlanarEvidence when no vertex qualifies, which cannot happen
-    for a planar input.
+    for a planar input with a vertex, and ValueError on the null graph,
+    which has no vertex to qualify but is planar.
     """
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
     for v in g.vertices():
         conf = classify_vertex(g, v)
         if conf is not None:

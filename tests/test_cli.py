@@ -219,6 +219,16 @@ class TestVerify:
         assert code == 1 and "malformed" in err
 
     @pytest.mark.parametrize(
+        "doc, key",
+        [({"edges": []}, "'k'"), ({"k": 3, "edges": [{"u": 0, "v": 1}]}, "'color'")],
+        ids=["k", "color"],
+    )
+    def test_missing_key_is_named(self, capsys, monkeypatch, doc, key):
+        code, out, err = self.verify(capsys, monkeypatch, json.dumps(doc))
+        assert code == 1 and out == ""
+        assert err == f"aecolor: malformed coloring document: missing key {key}\n"
+
+    @pytest.mark.parametrize(
         "doc",
         [
             # a bool and a float that int() would read as the edge (1, 2)
@@ -350,6 +360,12 @@ class TestFindConfig:
         code, _, err = run(capsys, ["find-config", "--in", path])
         assert code == 5 and "not planar" in err
 
+    def test_null_graph_is_usage_error(self, capsys, monkeypatch):
+        # no vertex means no configuration, but the null graph is planar
+        code, out, err = run(capsys, ["find-config"], stdin="0 0\n", monkeypatch=monkeypatch)
+        assert code == 1 and out == ""
+        assert "no vertices" in err and "not planar" not in err
+
 
 class TestAudit:
     def gen_files(self, capsys, tmp_path, argv_kind):
@@ -393,6 +409,18 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["color", "--in", "/nonexistent/file.txt"])
         assert code == 1
+
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_resource_exhaustion_is_one_line(self, capsys, monkeypatch, tmp_path, error):
+        def exhausted(text):
+            raise error()
+
+        monkeypatch.setattr("aecolor.cli.parse_edge_list", exhausted)
+        path = write_graph(tmp_path, cycle_graph(3))
+        code, out, err = run(capsys, ["color", "--in", path])
+        assert code == 1 and out == ""
+        assert err.startswith("aecolor: ") and error.__name__ in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_import_loads_no_numeric_stack(self):
         # every CLI call pays the package import, so it stays stdlib-only

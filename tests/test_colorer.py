@@ -87,22 +87,6 @@ class TestExtensionContext:
         ExtensionContext(g, phi, 0, 3)
         assert phi.free_colors(0, 3) == list(range(2, 13))
 
-    def test_colored_neighbors_sorted_and_excludes_u(self):
-        g = star_graph(4)
-        phi = colored(g, 14, [(0, 2, 1), (0, 3, 2), (0, 4, 3)])
-        ctx = ExtensionContext(g, phi, 1, 0)
-        assert ctx.colored_neighbors() == [2, 3, 4]
-
-    def test_neighbor_multiset_joins_forbidden_sets(self):
-        # spoke (0,2) sees {3,4} beyond itself, spoke (0,3) sees {4};
-        # spoke colors themselves are not forbidden, so 1 and 2 are absent
-        g = Graph(5, [(0, 1), (0, 2), (0, 3), (2, 4), (2, 3)])
-        phi = colored(g, 13, [(0, 2, 1), (0, 3, 2), (2, 4, 3), (2, 3, 4)])
-        ctx = ExtensionContext(g, phi, 1, 0)
-        s = ctx.neighbor_multiset()
-        assert s[4] == 2 and s[3] == 1
-        assert s[2] == 0 and s[1] == 0
-
 
 class TestChooseReductionEdge:
     def test_c4_takes_a1(self):

@@ -11,9 +11,7 @@ from aecolor.coloring import (
     closes_cycle,
     exists_critical_path,
     find_bichromatic_cycle,
-    forbidden_from,
     maximal_bichromatic_path,
-    seen_colors,
     validate_acyclic,
 )
 from aecolor.colorer import acolor
@@ -66,44 +64,6 @@ class TestPartialColoring:
         assert not phi.is_complete()
         phi.assign(1, 2, 2)
         assert phi.is_complete()
-
-
-class TestSeenColors:
-    def test_star_center_sees_all(self):
-        g = star_graph(3)
-        phi = colored(g, 3, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
-        assert seen_colors(phi, 0) == {1, 2, 3}
-
-    def test_leaf_sees_own_edge(self):
-        g = star_graph(3)
-        phi = colored(g, 3, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
-        assert seen_colors(phi, 2) == {2}
-
-    def test_uncolored_vertex_sees_nothing(self):
-        phi = PartialEdgeColoring(star_graph(3), 3)
-        assert seen_colors(phi, 0) == set()
-
-
-class TestForbiddenFrom:
-    def test_p3_reads_far_end(self):
-        g = path_graph(3)
-        phi = colored(g, 2, [(0, 1, 1), (1, 2, 2)])
-        assert forbidden_from(phi, 0, 1) == {2}
-
-    def test_p3_other_direction_empty(self):
-        g = path_graph(3)
-        phi = colored(g, 2, [(0, 1, 1), (1, 2, 2)])
-        assert forbidden_from(phi, 1, 0) == set()
-
-    def test_asymmetry_witness(self):
-        g = path_graph(3)
-        phi = colored(g, 2, [(0, 1, 1), (1, 2, 2)])
-        assert forbidden_from(phi, 0, 1) != forbidden_from(phi, 1, 0)
-
-    def test_non_edge_rejected(self):
-        phi = PartialEdgeColoring(path_graph(3), 2)
-        with pytest.raises(ValueError, match="not an edge"):
-            forbidden_from(phi, 0, 2)
 
 
 class TestMaximalBichromaticPath:

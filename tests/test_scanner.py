@@ -92,6 +92,11 @@ class TestFindConfiguration:
         with pytest.raises(NotPlanarEvidence):
             find_configuration(complete_graph(7))
 
+    def test_null_graph_is_not_refuted(self):
+        # no vertex can qualify, yet the null graph is planar
+        with pytest.raises(ValueError, match="no vertices"):
+            find_configuration(Graph(0, []))
+
     def test_star_leaf_beats_center(self):
         # center has degree 8, so the smallest qualifying vertex is leaf 1
         cfg = find_configuration(star_graph(8))
