@@ -1,15 +1,18 @@
-"""Byte-level regression gate on the colorer, the CLI and the walk helpers.
+"""Byte-level regression gate on the colorer, the CLI, the walk helpers and
+the discharging rules.
 
 The hashes were recorded once and pin the exact bytes of `aecolor color`
 (coloring and trace JSON) and `aecolor verify` on a fixed graph matrix,
 the cycle witnesses and maximal bichromatic paths of seeded proper
 colorings that do contain bichromatic cycles, and the colorings the
-escalation tiers T2 and T3 produce at palettes Δ..Δ+3.  A change that alters any of
-them changes observable output; it must not be papered over by editing a
-hash.
+escalation tiers T2 and T3 produce at palettes Δ..Δ+3, and the discharging
+rules' choices and per-corner shares on wheel patches and the embedded
+corpus.  A change that alters any of them changes observable output; it
+must not be papered over by editing a hash.
 """
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -22,8 +25,14 @@ from aecolor.coloring import (
     find_bichromatic_cycle,
     maximal_bichromatic_path,
 )
-from aecolor.embedding import generate_apollonian
-from aecolor.errors import AecolorError
+from aecolor.discharge import (
+    apply_discharging,
+    classify_rule,
+    initial_charges,
+    vertex_transfers,
+)
+from aecolor.embedding import generate_apollonian, trace_faces
+from aecolor.errors import AecolorError, ConfigurationPresentError
 from aecolor.families import (
     cube,
     cycle_graph,
@@ -37,7 +46,7 @@ from aecolor.families import (
 from aecolor.graphs import format_edge_list
 from aecolor.oracle import SearchBudget, search_acyclic_coloring
 
-from support import random_proper_coloring
+from support import embedded_corpus, random_proper_coloring, wheel_patch
 
 
 def sha(data: bytes) -> str:
@@ -241,3 +250,62 @@ def test_extension_tiers_bytes():
         tiers[tier] = tiers.get(tier, 0) + 1
     assert tiers == EXTENSION_TIERS
     assert sha(json.dumps(sorted(records)).encode()) == EXTENSION_SHA
+
+
+
+def transfer_rows(transfers):
+    return [[t.vertex, t.face, str(t.amount), t.rule] for t in transfers]
+
+
+def discharge_records():
+    # every ring of degrees 6..10 around a 4- or 5-hub crosses each A3/A4
+    # cap on both sides; the embedded corpus adds whole discharging passes
+    patches = []
+    for d in (4, 5):
+        for ring in itertools.product(range(6, 11), repeat=d):
+            g, rot = wheel_patch(ring)
+            faces = trace_faces(g, rot)
+            bare, full = classify_rule(g, 0), classify_rule(g, 0, faces)
+            try:
+                out = transfer_rows(vertex_transfers(g, faces, 0))
+            except ConfigurationPresentError as exc:
+                out = ["ConfigurationPresentError", exc.vertex]
+            patches.append(
+                [list(ring), [bare.rule, bare.violation], [full.rule, full.violation], out]
+            )
+    passes = []
+    for name, g, rot in embedded_corpus():
+        faces = trace_faces(g, rot)
+        rules = []
+        for v in g.vertices():
+            bare, full = classify_rule(g, v), classify_rule(g, v, faces)
+            rules.append([bare.rule, full.rule, full.violation])
+        try:
+            ledger = apply_discharging(g, faces, initial_charges(g, faces))
+            log = transfer_rows(ledger.transfers)
+        except ConfigurationPresentError as exc:
+            log = ["ConfigurationPresentError", exc.vertex]
+        passes.append([name, rules, log])
+    return patches, passes
+
+
+DISCHARGE_SHA = "700e0afe0aa42248b7be270d09acc098757e6366454cb129c867296384bd1f4b"
+DISCHARGE_RULES = {
+    "R2a": 81,
+    "R2b": 8,
+    "R3.1": 1024,
+    "R3.2": 405,
+    "R3.3-adjacent": 120,
+    "R3.3-split": 120,
+    "violation": 1992,
+}
+
+
+def test_discharge_bytes():
+    patches, passes = discharge_records()
+    rules: dict = {}
+    for _, _, (rule, violation), _ in patches:
+        key = "violation" if violation else rule
+        rules[key] = rules.get(key, 0) + 1
+    assert rules == DISCHARGE_RULES
+    assert sha(json.dumps([patches, passes]).encode()) == DISCHARGE_SHA
