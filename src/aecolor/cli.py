@@ -29,7 +29,7 @@ from .errors import (
     NonPlanarEmbeddingError,
     NotPlanarEvidence,
 )
-from .families import platonic_solids
+from .families import PLATONIC
 from .graphs import Graph, format_edge_list, parse_edge_list
 from .oracle import EXHAUSTED, SearchBudget, exact_chi_a, is_acyclically_k_colorable
 from .scanner import find_configuration
@@ -169,7 +169,7 @@ def cmd_gen(args) -> int:
             raise _UsageError("--apollonian needs n >= 3")
         g, rot = generate_apollonian(args.apollonian, seed=args.seed)
     else:
-        g, rot = platonic_solids()[args.platonic]
+        g, rot = PLATONIC[args.platonic]()
     _write(args.out, format_edge_list(g))
     if args.rot_out:
         _write(args.rot_out, format_rotation(rot))
@@ -288,7 +288,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("gen", help="generate a graph in edge-list form")
     kind = sp.add_mutually_exclusive_group(required=True)
     kind.add_argument("--apollonian", type=int, metavar="N", help="stacked triangulation on N vertices")
-    kind.add_argument("--platonic", choices=sorted(platonic_solids()), help="a platonic solid")
+    kind.add_argument("--platonic", choices=sorted(PLATONIC), help="a platonic solid")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--rot-out", metavar="FILE", help="also write the rotation system")
     add_io(sp, with_in=False)

@@ -119,9 +119,6 @@ class PartialEdgeColoring:
     def color_of(self, u: int, v: int) -> Optional[Color]:
         return self._colors.get(_canon(u, v))
 
-    def colored_neighbor(self, v: int, c: Color) -> Optional[int]:
-        return self._nbr[v].get(c)
-
     def floor(self, v: int) -> Color:
         """The least color not used at v; every color below it is used at v."""
         nb = self._nbr[v]
@@ -136,20 +133,6 @@ class PartialEdgeColoring:
         nx, ny = self._nbr[x], self._nbr[y]
         start = max(self.floor(x), self.floor(y))
         return [c for c in range(start, self.k + 1) if c not in nx and c not in ny]
-
-    def walk_end(self, start: int, first: Color, second: Color) -> tuple[int, Color, bool]:
-        """Follow the maximal alternating walk from `start`, taking a
-        `first`-colored edge, then `second`, then `first`, and so on.
-
-        Returns (end vertex, color of the last edge taken, closed), where
-        closed means the walk returned to `start` and the two-colored
-        component through it is a cycle.  When `start` has no `first`-colored
-        edge the walk is empty and the last color is -1.
-        """
-        seq, closed = alternating_walk(self._nbr, start, first, second)
-        steps = len(seq) if closed else len(seq) - 1
-        last = -1 if steps == 0 else first if steps % 2 else second
-        return (start if closed else seq[-1]), last, closed
 
     def is_complete(self) -> bool:
         return len(self._colors) == self.graph.m
@@ -296,14 +279,17 @@ def exists_critical_path(
     via an alpha-edge.  Such a path is exactly what makes coloring the edge
     uv with beta close a bichromatic cycle."""
     _check_pair(phi, alpha, beta)
+    g._check(u)
+    g._check(v)
     if u == v:
         raise ValueError("critical path endpoints must differ")
     # a maximal path STARTS at u only if u is an endpoint, i.e. has no
     # beta-edge; without this the relation would not be symmetric in u, v
-    if phi.colored_neighbor(u, beta) is not None:
+    if beta in phi._nbr[u]:
         return False
-    end, last, closed = phi.walk_end(u, alpha, beta)
-    return not closed and end == v and last == alpha
+    # alpha is the last color exactly when the walk has an even vertex count
+    seq, closed = alternating_walk(phi._nbr, u, alpha, beta)
+    return not closed and seq[-1] == v and len(seq) % 2 == 0
 
 
 def find_bichromatic_cycle(

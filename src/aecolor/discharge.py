@@ -6,10 +6,13 @@ then redistribute charge to incident faces by degree-pattern rules.  Every
 transfer is per *corner* (one vertex-face incidence), so a face incident to
 a vertex twice is paid twice, exactly how face degrees count.
 
-Each rule's precondition encodes the absence of a low-degree configuration
-at that vertex; when the pattern is present anyway the vertex is flagged
-instead, and a full discharging pass refuses to run.  All arithmetic uses
-exact fractions (denominators here divide 420), never floats.
+A 4- or 5-vertex's rule is picked by the scanner's A3/A4 caps: with v's
+neighbors sorted by degree, the first one over its cap names the rule, and
+the neighbors before it are the light ones the rule's shares single out.
+With no neighbor over its cap the configuration is present, so the vertex
+is flagged instead, and a full discharging pass refuses to run.  The shares
+come from one table.  All arithmetic uses exact fractions (denominators
+here divide 420), never floats.
 """
 
 from __future__ import annotations
@@ -22,22 +25,26 @@ from .embedding import FaceSet, RotationSystem, trace_faces
 from .errors import ConfigurationPresentError, NotPlanarEvidence
 from .graphs import Graph
 from .scanner import (
+    _CAPS,
+    _KIND_BY_DEGREE,
     Configuration,
     _sorted_neighbors,
-    classify_vertex,
     find_configuration,
 )
 
-RULE_IDS = ("R1", "R2a", "R2b", "R3.1", "R3.2", "R3.3-adjacent", "R3.3-split", "none")
+# rule by d(v) and by the index of v's first sorted neighbor over its cap
+_RULES = {4: ("R2a", "R2b"), 5: ("R3.1", "R3.2", "R3.3")}
 
-HALF = Fraction(1, 2)
-FIFTH = Fraction(1, 5)
-FOUR_FIFTHS = Fraction(4, 5)
-FIVE_QUARTERS = Fraction(5, 4)
-FIVE_SIXTHS = Fraction(5, 6)
-TWO_THIRDS = Fraction(2, 3)
-THIRTEEN_FIFTEENTHS = Fraction(13, 15)
-EIGHT_FIFTEENTHS = Fraction(8, 15)
+# amounts[j]: the share of a corner whose two sides meet j of the
+# len(amounts) - 1 lightest neighbors.  A split corner never meets both.
+_SHARES = {
+    "R2a": (Fraction(1, 2),),
+    "R2b": (Fraction(1, 5), Fraction(4, 5)),
+    "R3.1": (Fraction(4, 5),),
+    "R3.2": (Fraction(1, 2), Fraction(5, 4)),
+    "R3.3-adjacent": (Fraction(2, 3), Fraction(5, 6), Fraction(1)),
+    "R3.3-split": (Fraction(8, 15), Fraction(13, 15), Fraction(13, 15)),
+}
 
 
 class Transfer(NamedTuple):
@@ -115,83 +122,49 @@ def classify_rule(
     of the final branch needs the embedding; without `faces` the generic
     id "R3.3" is returned.
     """
-    ra = _classify(g, v, None)
-    if ra.rule == "R3.3" and faces is not None:
+    rule, _ = _classify(g, v, None)
+    if rule == "R3.3" and faces is not None:
         # only this branch reads the embedding, so only it builds corners
-        ra = _classify(g, v, _corners(faces, g.n)[v])
-    return ra
+        rule, _ = _classify(g, v, _corners(faces, g.n)[v])
+    return RuleApplicability(rule or "none", rule is None)
 
 
-def _classify(g: Graph, v: int, corners: Optional[list[_Corner]]) -> RuleApplicability:
-    # `classify_rule` from v's corners, None without an embedding
+def _classify(
+    g: Graph, v: int, corners: Optional[list[_Corner]]
+) -> tuple[Optional[str], set[int]]:
+    # v's rule (None on a violation) and the light neighbors its shares
+    # single out; `corners` is None without an embedding
     d = g.degree(v)
     if d <= 3:
-        return RuleApplicability("none", False)
+        return "none", set()
     if d >= 6:
-        return RuleApplicability("R1", False)
-    if classify_vertex(g, v) is not None:
-        return RuleApplicability("none", True)  # the A3 or A4 pattern is present
-    # (id, degree) pairs by (degree, id).  With A3 absent a 4-vertex has
-    # d(v1) >= 8 or d(v2) >= 10; with A4 absent a 5-vertex that fails the
-    # first two tests has d(v3) >= 9
+        return "R1", set()
     nd = _sorted_neighbors(g, v)
-    if d == 4:
-        return RuleApplicability("R2a" if nd[0][1] >= 8 else "R2b", False)
-    # d == 5
-    if nd[0][1] >= 7:
-        return RuleApplicability("R3.1", False)
-    if nd[1][1] >= 8:
-        return RuleApplicability("R3.2", False)
-    if corners is None:
-        return RuleApplicability("R3.3", False)
-    v1, v2 = nd[0][0], nd[1][0]
-    adjacent = any({c.prev, c.next} == {v1, v2} for c in corners)
-    return RuleApplicability(
-        "R3.3-adjacent" if adjacent else "R3.3-split", False
-    )
+    caps = _CAPS[_KIND_BY_DEGREE[d]]
+    i = next((i for i, cap in enumerate(caps) if nd[i][1] > cap), None)
+    if i is None:
+        return None, set()  # the A3 or A4 pattern is present
+    rule = _RULES[d][i]
+    light = {u for u, _ in nd[:i]}
+    if rule == "R3.3" and corners is not None:
+        adjacent = any({c.prev, c.next} == light for c in corners)
+        rule += "-adjacent" if adjacent else "-split"
+    return rule, light
 
 
-def _transfers_at(
-    g: Graph, v: int, corners: list[_Corner], rule: str
-) -> list[Transfer]:
+def _transfers(g: Graph, v: int, corners: list[_Corner]) -> list[Transfer]:
+    # everything v sends out, one entry per corner
+    rule, light = _classify(g, v, corners)
+    if rule is None:
+        raise ConfigurationPresentError(v)
+    if rule == "none":
+        return []
     d = g.degree(v)
-    nd = _sorted_neighbors(g, v)
-    out = []
-    if rule == "R1":
-        share = Fraction(2 * d - 6, d)
-        out = [Transfer(v, c.face, share, rule) for c in corners]
-    elif rule == "R2a":
-        out = [Transfer(v, c.face, HALF, rule) for c in corners]
-    elif rule == "R2b":
-        v1 = nd[0][0]
-        out = [
-            Transfer(v, c.face, FOUR_FIFTHS if v1 in (c.prev, c.next) else FIFTH, rule)
-            for c in corners
-        ]
-    elif rule == "R3.1":
-        out = [Transfer(v, c.face, FOUR_FIFTHS, rule) for c in corners]
-    elif rule == "R3.2":
-        v1 = nd[0][0]
-        out = [
-            Transfer(v, c.face, FIVE_QUARTERS if v1 in (c.prev, c.next) else HALF, rule)
-            for c in corners
-        ]
-    elif rule == "R3.3-adjacent":
-        v1, v2 = nd[0][0], nd[1][0]
-        for c in corners:
-            hits = len({v1, v2} & {c.prev, c.next})
-            amount = (Fraction(1), FIVE_SIXTHS, TWO_THIRDS)[2 - hits]
-            out.append(Transfer(v, c.face, amount, rule))
-    elif rule == "R3.3-split":
-        v1, v2 = nd[0][0], nd[1][0]
-        for c in corners:
-            touched = v1 in (c.prev, c.next) or v2 in (c.prev, c.next)
-            out.append(
-                Transfer(
-                    v, c.face, THIRTEEN_FIFTEENTHS if touched else EIGHT_FIFTEENTHS, rule
-                )
-            )
-    return out
+    amounts = (Fraction(2 * d - 6, d),) if rule == "R1" else _SHARES[rule]
+    return [
+        Transfer(v, c.face, amounts[len(light & {c.prev, c.next})], rule)
+        for c in corners
+    ]
 
 
 def vertex_transfers(g: Graph, faces: FaceSet, v: int) -> list[Transfer]:
@@ -200,13 +173,7 @@ def vertex_transfers(g: Graph, faces: FaceSet, v: int) -> list[Transfer]:
     Raises ConfigurationPresentError when v's degree pattern violates the
     rule preconditions.
     """
-    corners = _corners(faces, g.n)[v]
-    ra = _classify(g, v, corners)
-    if ra.violation:
-        raise ConfigurationPresentError(v)
-    if ra.rule == "none":
-        return []
-    return _transfers_at(g, v, corners, ra.rule)
+    return _transfers(g, v, _corners(faces, g.n)[v])
 
 
 def apply_discharging(g: Graph, faces: FaceSet, ledger: ChargeLedger) -> ChargeLedger:
@@ -218,12 +185,7 @@ def apply_discharging(g: Graph, faces: FaceSet, ledger: ChargeLedger) -> ChargeL
     fc = list(ledger.face_charges)
     log: list[Transfer] = []
     for v in g.vertices():
-        ra = _classify(g, v, corner_map[v])
-        if ra.violation:
-            raise ConfigurationPresentError(v)
-        if ra.rule == "none":
-            continue
-        for t in _transfers_at(g, v, corner_map[v], ra.rule):
+        for t in _transfers(g, v, corner_map[v]):
             vc[t.vertex] -= t.amount
             fc[t.face] += t.amount
             log.append(t)

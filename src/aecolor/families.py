@@ -153,14 +153,17 @@ def dodecahedron() -> tuple[Graph, RotationSystem]:
     return _solid_from_coordinates(coords)
 
 
+PLATONIC = {
+    "tetrahedron": tetrahedron,
+    "cube": cube,
+    "octahedron": octahedron,
+    "icosahedron": icosahedron,
+    "dodecahedron": dodecahedron,
+}
+
+
 def platonic_solids() -> dict[str, tuple[Graph, RotationSystem]]:
-    return {
-        "tetrahedron": tetrahedron(),
-        "cube": cube(),
-        "octahedron": octahedron(),
-        "icosahedron": icosahedron(),
-        "dodecahedron": dodecahedron(),
-    }
+    return {name: build() for name, build in PLATONIC.items()}
 
 
 def triakis_tetrahedron() -> tuple[Graph, RotationSystem]:
@@ -193,6 +196,7 @@ __all__ = [
     "octahedron",
     "icosahedron",
     "dodecahedron",
+    "PLATONIC",
     "platonic_solids",
     "triakis_tetrahedron",
     "triangle_embedded",

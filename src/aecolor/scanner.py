@@ -22,7 +22,9 @@ from .errors import NotPlanarEvidence
 from .graphs import Graph
 
 # Sorted-neighbor-degree caps per kind; a prefix check against these decides
-# membership.  A1 has no neighbor condition.
+# membership.  A1 has no neighbor condition.  `discharge` picks its rules by
+# these caps and `colorer._Reducer` bounds its re-checks by them, so the
+# patterns live here only.
 _CAPS = {"A2": (11,), "A3": (7, 9), "A4": (6, 7, 8)}
 _KIND_BY_DEGREE = {3: "A2", 4: "A3", 5: "A4"}
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import aecolor
+from aecolor import families
 from aecolor.cli import main
 from aecolor.embedding import generate_apollonian
 from aecolor.families import complete_graph, cycle_graph
@@ -68,6 +69,21 @@ class TestGen:
         lines = rot.read_text().splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("0:") and set(lines[0].split()[1:]) == {"1", "2", "3"}
+
+    def test_only_the_named_solid_is_built(self, capsys, monkeypatch):
+        calls = []
+        for name, build in list(families.PLATONIC.items()):
+
+            def counted(build=build, name=name):
+                calls.append(name)
+                return build()
+
+            monkeypatch.setitem(families.PLATONIC, name, counted)
+        doc = coloring_doc(3, [(0, 1, 1), (1, 2, 2), (2, 0, 3)])
+        code, _, _ = run(capsys, ["verify", "--in", "-"], doc, monkeypatch)
+        assert code == 0 and calls == []
+        code, _, _ = run(capsys, ["gen", "--platonic", "cube"])
+        assert code == 0 and calls == ["cube"]
 
     def test_too_small_apollonian_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["gen", "--apollonian", "2"])

@@ -150,6 +150,13 @@ class TestExistsCriticalPath:
         with pytest.raises(ValueError):
             exists_critical_path(g, phi, 1, 2, 0, 0)
 
+    @pytest.mark.parametrize("u, v", [(-4, 3), (0, -1), (4, 0), (0, 4)])
+    def test_endpoint_out_of_range_rejected(self, u, v):
+        # a negative id must not wrap round to a vertex at the end
+        g, phi = self.p4()
+        with pytest.raises(ValueError, match="out of range"):
+            exists_critical_path(g, phi, 1, 2, u, v)
+
     @given(small_graphs(max_n=7), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_symmetry_property(self, g, seed):
