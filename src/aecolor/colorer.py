@@ -216,9 +216,12 @@ def try_free_color(ctx: ExtensionContext) -> Optional[int]:
     exactly the critical-path test, and `closes_cycle` runs it for every d.
 
     Every color below an endpoint's floor is used there, so the scan
-    starts at the larger floor and returns the color a scan from 1 would.
-    With `closes_cycle` walking from the endpoint with fewer colors, an
-    edge from a hub to a leaf costs O(1) rather than O(d(hub)).
+    starts at the larger floor.  A candidate used at an endpoint jumps to
+    the next color free there through that endpoint's skip map, so a run
+    of a hub's colors costs O(1) amortized, not one test per color.  The
+    cycle test walks from the endpoint with fewer colors and reads the
+    ends of long paths from the coloring's cache.  The result is the
+    color a scan from 1 would return.
     """
     phi = ctx.phi
     nbr = phi._nbr
@@ -232,10 +235,17 @@ def try_free_color(ctx: ExtensionContext) -> Optional[int]:
         fu = phi.floor(u)
     if fv in nv:
         fv = phi.floor(v)
-    # T1 nearly always takes the first free color, so scan lazily rather
-    # than listing the whole free palette first
-    for c in range(fu if fu > fv else fv, ctx.k + 1):
-        if c not in nu and c not in nv and not closes_cycle(nbr, u, v, c):
+    c = fu if fu > fv else fv
+    k = ctx.k
+    ends = phi._ends
+    while c <= k:
+        if c in nu:
+            c = phi._next_free(u, c + 1)
+        elif c in nv:
+            c = phi._next_free(v, c + 1)
+        elif closes_cycle(nbr, u, v, c, ends):
+            c += 1
+        else:
             return c
     return None
 

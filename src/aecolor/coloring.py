@@ -8,8 +8,11 @@ State is kept two ways at once, each serving a different access pattern:
    alternating-walk steps in O(1),
  * a canonical edge -> color dict for iteration and serialization.
 
-Beside them each vertex keeps one integer, its color floor, so that
-first-fit scans skip the colors a high-degree vertex has filled.
+Beside them sit three aids to first-fit extension, none of which changes
+an answer: a color floor per vertex, below which every color is used
+there; a skip map per vertex, made on first use, that jumps runs of used
+colors; and a cache of the far ends of long two-colored paths, so that
+the cycle test for an uncolored edge need not walk them again.
 
 All of it takes O(n + m) memory whatever the palette size and color values.
 """
@@ -42,9 +45,23 @@ class PartialEdgeColoring:
     with colors 1..d-1 in use that skips d-1 colors.  A raise passes only
     colors used at v, so between two lowerings the raises at v take at
     most d(v) steps in all.
+
+    A floor cannot pass a run of used colors above a free one, so each
+    vertex that needs it also gets a skip map, `_skip[v]`: an entry
+    c -> c2 says every color in [c, c2) is used at v.  `_next_free`
+    follows and compresses it.  Keys are used colors only, so v's map
+    holds at most d(v) entries; `unassign` drops the maps of both ends.
+
+    `_ends` caches where long two-colored paths end (see `_PathEnds`), so
+    that `closes_cycle` need not walk them again.  Its entries are exact
+    or absent: `assign` carries the paths it lengthens or joins over to
+    their new ends, and `unassign` empties it.  It holds at most 4n
+    entries, so the whole coloring takes O(n + m) memory.
     """
 
-    __slots__ = ("graph", "k", "_nbr", "_colors", "_floor", "violations")
+    __slots__ = (
+        "graph", "k", "_nbr", "_colors", "_floor", "_skip", "_ends", "violations"
+    )
 
     def __init__(self, graph: Graph, k: int):
         if k < 0:
@@ -54,6 +71,8 @@ class PartialEdgeColoring:
         self._nbr: list[dict[Color, int]] = [{} for _ in range(graph.n)]
         self._colors: dict[tuple[int, int], int] = {}
         self._floor = [1] * graph.n
+        self._skip: dict[int, dict[Color, Color]] = {}
+        self._ends = _PathEnds()
         self.violations: list[tuple[int, int, int]] = []
 
     @classmethod
@@ -91,6 +110,8 @@ class PartialEdgeColoring:
         self._nbr[u][c] = v
         self._nbr[v][c] = u
         self._colors[e] = c
+        if self._ends:
+            self._ends.join(self._nbr, u, v, c)
 
     def unassign(self, u: int, v: int) -> Color:
         e = _canon(u, v)
@@ -104,6 +125,12 @@ class PartialEdgeColoring:
             floor[u] = c
         if c < floor[v]:
             floor[v] = c
+        skip = self._skip
+        if skip:
+            skip.pop(u, None)
+            skip.pop(v, None)
+        if self._ends:
+            self._ends = _PathEnds()
         return c
 
     def recolor(self, u: int, v: int, c: Color) -> Color:
@@ -126,6 +153,24 @@ class PartialEdgeColoring:
         while c in nb:
             c += 1
         self._floor[v] = c
+        return c
+
+    def _next_free(self, v: int, c: Color) -> Color:
+        """The least color >= c not used at v."""
+        nb = self._nbr[v]
+        if c not in nb:
+            return c
+        jump = self._skip.get(v)
+        if jump is None:
+            jump = self._skip[v] = {}
+        passed = []
+        while c in nb:
+            passed.append(c)
+            c = jump.get(c, c + 1)
+        # path compression (Tarjan, J. ACM 22, 1975): each color passed
+        # now jumps straight to the free one
+        for p in passed:
+            jump[p] = c
         return c
 
     def free_colors(self, x: int, y: int) -> list[Color]:
@@ -218,7 +263,100 @@ def alternating_walk(
     return seq, False
 
 
-def closes_cycle(nbr: list[dict[Color, int]], u: int, v: int, c: Color) -> bool:
+# `closes_cycle` caches the end of a walk only when the walk visits more
+# vertices than this.  Once the cache holds a path, every `assign` pays to
+# carry it, which short walks do not repay: replaying three Apollonian
+# graphs of 1250 vertices ran 31% more bytecode instructions at 0, 10% more
+# at 8 and none more at 16 than with nothing cached.  Of the 22 300 walks
+# T1 makes on nine Apollonian graphs (n = 1000-3000) only 8 pass 16.  A
+# wheel needs one walk recorded, along its rim.
+_CACHE_MIN_WALK = 16
+
+
+def _end_slot(
+    nbr: list[dict[Color, int]], z: int, p: Color, q: Color
+) -> tuple[tuple[int, Color], Color]:
+    # the cache slot of z as an end of a {p, q}-path: z has just one of them
+    return ((z, q), p) if p in nbr[z] else ((z, p), q)
+
+
+class _PathEnds(dict):
+    """Far ends of maximal two-colored paths, for `closes_cycle`.
+
+    `self[(z, q)][p] == f` says that the maximal {p, q}-path that leaves z
+    by its p-edge, with q absent at z, ends at f.  Entries come in mirrored
+    pairs, one at each end of a path, and each is exact or absent.  Walks
+    add pairs through `record` while `room` lasts; when it runs out the
+    cache starts again empty, so it never holds more than 4n entries and
+    emptying it costs O(1) per pair recorded.
+    """
+
+    __slots__ = ("room",)
+
+    def __init__(self):
+        super().__init__()
+        self.room = 0
+
+    def link(self, nbr: list[dict[Color, int]], a: int, b: int, p: Color, q: Color):
+        # a and b are the two ends of one {p, q}-path
+        for z, f in ((a, b), (b, a)):
+            key, col = _end_slot(nbr, z, p, q)
+            row = self.get(key)
+            if row is None:
+                row = self[key] = {}
+            row[col] = f
+
+    def unlink(self, nbr: list[dict[Color, int]], z: int, p: Color, q: Color):
+        # drop z's entry for its {p, q}-path
+        key, col = _end_slot(nbr, z, p, q)
+        row = self[key]
+        del row[col]
+        if not row:
+            del self[key]
+
+    def record(self, nbr: list[dict[Color, int]], a: int, b: int, p: Color, q: Color):
+        if self.room < 2:
+            self.clear()
+            self.room = 4 * len(nbr)
+        self.room -= 2
+        self.link(nbr, a, b, p, q)
+
+    def join(self, nbr: list[dict[Color, int]], x: int, y: int, c: Color):
+        """Carry the cached paths over the edge xy, just colored c.
+
+        Before, x and y lacked c, so the {c, q}-paths that ended there are
+        rows (x, c) and (y, c), and no other path with c passed them.  Each
+        now runs on through xy: it ends at the other side when q is absent
+        there, or joins the path from there, or closes a cycle.  Where the
+        other side's path is not cached, the joined path is dropped.
+        """
+        rx = self.pop((x, c), None) or {}
+        ry = self.pop((y, c), None) or {}
+        for q, f in rx.items():
+            if f == y:
+                continue  # a {c, q}-cycle; y's mirror entry left with ry
+            g = ry.get(q)
+            if g is not None:
+                self.link(nbr, f, g, c, q)
+            elif q in nbr[y]:
+                self.unlink(nbr, f, c, q)
+            else:
+                self.link(nbr, f, y, c, q)
+        for q, g in ry.items():
+            if q not in rx:
+                if q in nbr[x]:
+                    self.unlink(nbr, g, c, q)
+                else:
+                    self.link(nbr, g, x, c, q)
+
+
+def closes_cycle(
+    nbr: list[dict[Color, int]],
+    u: int,
+    v: int,
+    c: Color,
+    ends: Optional[_PathEnds] = None,
+) -> bool:
     """Whether the edge uv in color c lies on a {c, d}-cycle for some d.
 
     Such a cycle needs d at both ends and a d, c, ..., d walk from u that
@@ -234,12 +372,26 @@ def closes_cycle(nbr: list[dict[Color, int]], u: int, v: int, c: Color) -> bool:
     {c, d}-component is a cycle.  So the loop runs over the colors of the
     endpoint with fewer of them and walks from there: a leaf next to a
     hub costs O(1), not O(d(hub)).
+
+    `ends` is the coloring's path-end cache, and may be passed only in
+    the first case: then each walk's end is read from it when cached, and
+    the end of a long walk is recorded in it.
     """
     if len(nbr[v]) < len(nbr[u]):
         u, v = v, u
     nv = nbr[v]
+    row = ends.get((u, c)) if ends else None
     for d in nbr[u]:
-        if d != c and d in nv and alternating_walk(nbr, u, d, c)[0][-1] == v:
+        if d == c or d not in nv:
+            continue
+        if row and d in row:
+            f = row[d]
+        else:
+            seq = alternating_walk(nbr, u, d, c)[0]
+            f = seq[-1]
+            if len(seq) > _CACHE_MIN_WALK and ends is not None:
+                ends.record(nbr, u, f, d, c)
+        if f == v:
             return True
     return False
 

@@ -111,6 +111,17 @@ def _corners(faces: FaceSet, n: int) -> list[list[_Corner]]:
     return corners
 
 
+def _corners_at(faces: FaceSet, v: int) -> list[_Corner]:
+    """v's corners alone, in the order `_corners` lists them."""
+    out: list[_Corner] = []
+    for fi, walk in enumerate(faces):
+        L = len(walk)
+        for i, (x, y) in enumerate(walk):
+            if y == v:
+                out.append(_Corner(fi, x, walk[(i + 1) % L][1]))
+    return out
+
+
 def classify_rule(
     g: Graph, v: int, faces: Optional[FaceSet] = None
 ) -> RuleApplicability:
@@ -124,8 +135,8 @@ def classify_rule(
     """
     rule, _ = _classify(g, v, None)
     if rule == "R3.3" and faces is not None:
-        # only this branch reads the embedding, so only it builds corners
-        rule, _ = _classify(g, v, _corners(faces, g.n)[v])
+        # only this branch reads the embedding, so only it collects corners
+        rule, _ = _classify(g, v, _corners_at(faces, v))
     return RuleApplicability(rule or "none", rule is None)
 
 
@@ -173,7 +184,7 @@ def vertex_transfers(g: Graph, faces: FaceSet, v: int) -> list[Transfer]:
     Raises ConfigurationPresentError when v's degree pattern violates the
     rule preconditions.
     """
-    return _transfers(g, v, _corners(faces, g.n)[v])
+    return _transfers(g, v, _corners_at(faces, v))
 
 
 def apply_discharging(g: Graph, faces: FaceSet, ledger: ChargeLedger) -> ChargeLedger:

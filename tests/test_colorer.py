@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aecolor import colorer
+from aecolor import colorer, coloring
 from aecolor.colorer import (
     ExtensionContext,
     ReductionTrace,
@@ -162,6 +162,56 @@ class TestReducer:
         assert "n=12, m=21" in str(have.value)
 
 
+def acolor_with_work(g, budget, monkeypatch):
+    """`acolor(g)` and the work it did, failing the test once that passes
+    budget.  Work is color-table probes (membership tests and iterated
+    colors) plus the vertices each `alternating_walk` visits."""
+    work = 0
+
+    class OverBudget(Exception):
+        pass
+
+    def spend(amount):
+        nonlocal work
+        work += amount
+        if work > budget:
+            raise OverBudget
+
+    class CountingRow(dict):
+        __slots__ = ()
+
+        def __contains__(self, c):
+            spend(1)
+            return dict.__contains__(self, c)
+
+        def __iter__(self):
+            for c in dict.__iter__(self):
+                spend(1)
+                yield c
+
+    class CountingColoring(PartialEdgeColoring):
+        __slots__ = ()
+
+        def __init__(self, graph, k):
+            super().__init__(graph, k)
+            self._nbr = [CountingRow() for _ in range(graph.n)]
+
+    walk = coloring.alternating_walk
+
+    def counting_walk(*args):
+        seq, closed = walk(*args)
+        spend(len(seq))
+        return seq, closed
+
+    monkeypatch.setattr(colorer, "PartialEdgeColoring", CountingColoring)
+    monkeypatch.setattr(coloring, "alternating_walk", counting_walk)
+    try:
+        phi, _ = acolor(g)
+    except OverBudget:
+        pytest.fail(f"more than {budget} probes and walked vertices on {g}")
+    return phi, work
+
+
 class TestTryFreeColor:
     def test_empty_shared_takes_smallest_free(self):
         g = cycle_graph(3)
@@ -190,6 +240,23 @@ class TestTryFreeColor:
         phi.unassign(0, 2)
         assert phi._floor[0] == 2
         assert try_free_color(ExtensionContext(g, phi, 0, 4)) == 2
+
+    def test_jumps_a_run_of_hub_colors(self):
+        # the hub holds 2..d-1 but not 1, so its floor stays at 1; spokes
+        # d-1 and d have pendant edges in color 1, so T1's first candidate
+        # past their floors is 2, and the hub's skip map passes the rest of
+        # the run in one jump; the second spoke follows it and one step more
+        d = 12
+        spokes = [(0, j) for j in range(1, d + 1)]
+        g = Graph(d + 3, spokes + [(d - 1, d + 1), (d, d + 2)])
+        hub = [(0, j, j + 1) for j in range(1, d - 1)]
+        phi = colored(g, d + 5, hub + [(d - 1, d + 1, 1), (d, d + 2, 1)])
+        assert try_free_color(ExtensionContext(g, phi, 0, d - 1)) == d
+        assert phi.floor(0) == 1
+        assert phi._skip[0] == {c: d for c in range(3, d)}
+        phi.assign(0, d - 1, d)
+        assert try_free_color(ExtensionContext(g, phi, 0, d)) == d + 1
+        assert phi._skip[0] == {**{c: d for c in range(3, d)}, 3: d + 1, d: d + 1}
 
     @given(
         st.sampled_from(["star", "wheel", "apollonian"]),
@@ -237,50 +304,23 @@ class TestTryFreeColor:
                 assert all(c in phi._nbr[v] for c in range(1, phi._floor[v]))
 
     def test_star_work_is_linear(self, monkeypatch):
-        # count the color-table probes (membership tests and iterated
-        # colors) while `acolor` colors a star: the T1 scan and the
-        # `closes_cycle` loop must stay O(n), where scanning from color 1
-        # and walking from the hub cost Theta(n^2)
+        # the T1 scan and the `closes_cycle` loop must stay O(n) on a star,
+        # where scanning from color 1 and walking from the hub cost
+        # Theta(n^2); a star makes no walks, so only probes count
         n = 5000
-        budget = 10 * n
-        probes = 0
-
-        class OverBudget(Exception):
-            pass
-
-        def probe():
-            nonlocal probes
-            probes += 1
-            if probes > budget:
-                raise OverBudget
-
-        class CountingRow(dict):
-            __slots__ = ()
-
-            def __contains__(self, c):
-                probe()
-                return dict.__contains__(self, c)
-
-            def __iter__(self):
-                for c in dict.__iter__(self):
-                    probe()
-                    yield c
-
-        class CountingColoring(PartialEdgeColoring):
-            __slots__ = ()
-
-            def __init__(self, graph, k):
-                super().__init__(graph, k)
-                self._nbr = [CountingRow() for _ in range(graph.n)]
-
-        g = star_graph(n)
-        monkeypatch.setattr(colorer, "PartialEdgeColoring", CountingColoring)
-        try:
-            phi, _ = acolor(g)
-        except OverBudget:
-            pytest.fail(f"more than {budget} color-table probes on a star with {n} leaves")
+        phi, work = acolor_with_work(star_graph(n), 10 * n, monkeypatch)
         assert phi.max_color_used() == n
-        assert 0 < probes <= budget
+        assert work > 0
+
+    def test_wheel_work_is_linear(self, monkeypatch):
+        # the hub lacks color 1, so first-fit passed its colors one at a
+        # time, and every even spoke's {1, 2}-walk ran the whole rim built
+        # so far: about 2270 n in all before the skip maps and the path-end
+        # cache, about 29 n after
+        n = 3000
+        phi, work = acolor_with_work(wheel_graph(n), 40 * n, monkeypatch)
+        assert phi.is_complete()
+        assert work > 0
 
 
 class TestMoveSwapPair:

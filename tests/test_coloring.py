@@ -8,13 +8,14 @@ from aecolor import coloring
 from aecolor.coloring import (
     CycleWitness,
     PartialEdgeColoring,
+    alternating_walk,
     closes_cycle,
     exists_critical_path,
     find_bichromatic_cycle,
     maximal_bichromatic_path,
     validate_acyclic,
 )
-from aecolor.colorer import acolor
+from aecolor.colorer import ExtensionContext, acolor, try_free_color
 from aecolor.embedding import generate_apollonian
 from aecolor.errors import ImproperColoringError
 from aecolor.families import (
@@ -246,6 +247,86 @@ class TestClosesCycle:
                 phi.assign(x, y, c)
                 assert before == on_two_colored_cycle(phi, cycles, (x, y))
                 phi.unassign(x, y)
+
+
+class TestExtensionAids:
+    """The skip maps and the path-end cache under random edits.
+
+    With the recording threshold at 0 every walk that `closes_cycle` makes
+    for an uncolored edge is cached, so `assign` carries many paths over.
+    """
+
+    @staticmethod
+    def check(phi, rng):
+        nbr, k = phi._nbr, phi.k
+        comparisons = 0
+        # the cached test is the raw one, from either end (this also fills
+        # the cache)
+        open_edges = [e for e in phi.graph.edges() if phi.color_of(*e) is None]
+        for x, y in rng.sample(open_edges, min(4, len(open_edges))):
+            for c in range(1, k + 1):
+                if c in nbr[x] or c in nbr[y]:
+                    continue
+                raw = closes_cycle(nbr, x, y, c)
+                assert closes_cycle(nbr, x, y, c, phi._ends) == raw
+                assert closes_cycle(nbr, y, x, c, phi._ends) == raw
+                comparisons += 1
+        # every entry is the end of a fresh walk, and its mirror is there
+        ends = phi._ends
+        for (z, q), row in ends.items():
+            assert row and q not in nbr[z]
+            for p, f in row.items():
+                seq, closed = alternating_walk(nbr, z, p, q)
+                assert not closed and seq[-1] == f
+                back = (f, q, p) if p in nbr[f] else (f, p, q)
+                assert ends.get(back[:2], {}).get(back[2]) == z
+                comparisons += 1
+        # every skip entry c -> c2 passes only colors used at its vertex
+        for v, jump in phi._skip.items():
+            for c, c2 in jump.items():
+                assert c < c2 and all(x in nbr[v] for x in range(c, c2))
+        return comparisons
+
+    @given(
+        st.sampled_from(["wheel", "cycle", "grid", "apollonian"]),
+        st.integers(0, 3),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_edits_keep_both_exact(self, family, slack, seed):
+        rng = random.Random(seed)
+        g = {
+            "wheel": lambda: wheel_graph(rng.randint(3, 40)),
+            "cycle": lambda: cycle_graph(rng.randint(3, 40)),
+            "grid": lambda: grid_graph(rng.randint(2, 7), rng.randint(2, 7)),
+            "apollonian": lambda: generate_apollonian(rng.randint(4, 40), seed)[0],
+        }[family]()
+        phi = PartialEdgeColoring(g, g.max_degree() + slack)
+        comparisons = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coloring, "_CACHE_MIN_WALK", 0)
+            for _ in range(2 * g.m):
+                colored_edges = [e for e, _ in phi.items()]
+                open_edges = [e for e in g.edges() if phi.color_of(*e) is None]
+                op = rng.random()
+                if open_edges and op < 0.7:
+                    x, y = rng.choice(open_edges)
+                    free = phi.free_colors(x, y)
+                    # mostly T1's color, so paths grow as in `acolor`
+                    c = try_free_color(ExtensionContext(g, phi, x, y))
+                    if op >= 0.55 or c is None:
+                        c = rng.choice(free or [None])
+                    if c is not None:
+                        phi.assign(x, y, c)
+                elif colored_edges and op < 0.85:
+                    phi.unassign(*rng.choice(colored_edges))
+                elif colored_edges:
+                    x, y = rng.choice(colored_edges)
+                    free = phi.free_colors(x, y)
+                    if free:
+                        phi.recolor(x, y, rng.choice(free))
+                comparisons += self.check(phi, rng)
+        assert comparisons > 0
 
 
 class TestFindBichromaticCycle:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from aecolor import discharge
 from aecolor.discharge import (
     RuleApplicability,
     apply_discharging,
@@ -167,6 +168,35 @@ class TestBalanceIdentities:
     def test_no_rule_no_transfers(self):
         g, rot = tetrahedron()
         assert vertex_transfers(g, trace_faces(g, rot), 0) == []
+
+
+class TestCornerLookup:
+    def test_one_vertex_builds_no_full_table(self, monkeypatch):
+        # classify_rule and vertex_transfers collect v's corners alone, in
+        # the order of the full table apply_discharging builds once
+        g, rot = generate_apollonian(300, 1)
+        faces = trace_faces(g, rot)
+        table = discharge._corners(faces, g.n)
+        builds = 0
+        full = discharge._corners
+
+        def counting(*args):
+            nonlocal builds
+            builds += 1
+            return full(*args)
+
+        monkeypatch.setattr(discharge, "_corners", counting)
+        rules = {classify_rule(g, v, faces).rule for v in g.vertices()}
+        # the R3.3 sub-rules are the branch that reads corners
+        assert {"R3.3-adjacent", "R3.3-split"} <= rules
+        for v in g.vertices():
+            assert discharge._corners_at(faces, v) == table[v]
+            try:
+                transfers = vertex_transfers(g, faces, v)
+            except ConfigurationPresentError:
+                continue
+            assert len(transfers) in (0, g.degree(v))
+        assert builds == 0
 
 
 class TestApplyDischarging:
