@@ -8,128 +8,98 @@ rational discharging.  On the coloring side, `acolor` constructs an
 acyclic edge coloring using at most max degree + 10 colors by peeling
 configuration edges and extending the coloring back across them, while
 `exact_chi_a` provides brute-force ground truth at small scale.
+
+`import aecolor` loads no submodule.  Each exported name resolves on first
+use, by importing the one submodule that defines it (PEP 562), so a CLI
+call or a script pays only for the modules it touches.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .colorer import (
-    ExtensionContext,
-    ReductionTrace,
-    TraceStep,
-    acolor,
-    choose_reduction_edge,
-    extend_at_edge,
-    move_swap_pair,
-    replay_trace,
-    try_free_color,
-)
-from .coloring import (
-    BichromaticPath,
-    CycleWitness,
-    PartialEdgeColoring,
-    ValidationReport,
-    exists_critical_path,
-    find_bichromatic_cycle,
-    maximal_bichromatic_path,
-    validate_acyclic,
-)
-from .discharge import (
-    AuditReport,
-    ChargeLedger,
-    RuleApplicability,
-    Transfer,
-    apply_discharging,
-    audit_triangulation,
-    classify_rule,
-    initial_charges,
-    vertex_transfers,
-)
-from .embedding import (
-    FaceSet,
-    RotationSystem,
-    generate_apollonian,
-    parse_rotation,
-    format_rotation,
-    trace_faces,
-)
-from .errors import (
-    AecolorError,
-    ConfigurationPresentError,
-    EdgeListParseError,
-    ExtensionFailed,
-    ImproperColoringError,
-    InvalidRotationError,
-    MoveRejected,
-    NonPlanarEmbeddingError,
-    NotPlanarEvidence,
-)
-from .graphs import Graph, format_edge_list, parse_edge_list
-from .oracle import (
-    EXHAUSTED,
-    Exhausted,
-    SearchBudget,
-    bichromatic_cycle_exists_brute,
-    enumerate_cycles,
-    exact_chi_a,
-    is_acyclically_k_colorable,
-    search_acyclic_coloring,
-)
-from .scanner import Configuration, classify_vertex, find_configuration
+# each submodule and the names the package exports from it
+_EXPORTS = {
+    "colorer": (
+        "ExtensionContext",
+        "ReductionTrace",
+        "TraceStep",
+        "acolor",
+        "choose_reduction_edge",
+        "extend_at_edge",
+        "move_swap_pair",
+        "replay_trace",
+        "try_free_color",
+    ),
+    "coloring": (
+        "BichromaticPath",
+        "CycleWitness",
+        "PartialEdgeColoring",
+        "ValidationReport",
+        "exists_critical_path",
+        "find_bichromatic_cycle",
+        "maximal_bichromatic_path",
+        "validate_acyclic",
+    ),
+    "discharge": (
+        "AuditReport",
+        "ChargeLedger",
+        "RuleApplicability",
+        "Transfer",
+        "apply_discharging",
+        "audit_triangulation",
+        "classify_rule",
+        "initial_charges",
+        "vertex_transfers",
+    ),
+    "embedding": (
+        "FaceSet",
+        "RotationSystem",
+        "generate_apollonian",
+        "parse_rotation",
+        "format_rotation",
+        "trace_faces",
+    ),
+    "errors": (
+        "AecolorError",
+        "ConfigurationPresentError",
+        "EdgeListParseError",
+        "ExtensionFailed",
+        "ImproperColoringError",
+        "InvalidRotationError",
+        "MoveRejected",
+        "NonPlanarEmbeddingError",
+        "NotPlanarEvidence",
+    ),
+    "graphs": ("Graph", "format_edge_list", "parse_edge_list"),
+    "oracle": (
+        "EXHAUSTED",
+        "Exhausted",
+        "SearchBudget",
+        "bichromatic_cycle_exists_brute",
+        "enumerate_cycles",
+        "exact_chi_a",
+        "is_acyclically_k_colorable",
+        "search_acyclic_coloring",
+    ),
+    "scanner": ("Configuration", "classify_vertex", "find_configuration"),
+}
 
-__all__ = [
-    "AecolorError",
-    "AuditReport",
-    "BichromaticPath",
-    "ChargeLedger",
-    "Configuration",
-    "ConfigurationPresentError",
-    "CycleWitness",
-    "EXHAUSTED",
-    "EdgeListParseError",
-    "Exhausted",
-    "ExtensionContext",
-    "ExtensionFailed",
-    "FaceSet",
-    "Graph",
-    "ImproperColoringError",
-    "InvalidRotationError",
-    "MoveRejected",
-    "NonPlanarEmbeddingError",
-    "NotPlanarEvidence",
-    "PartialEdgeColoring",
-    "ReductionTrace",
-    "RotationSystem",
-    "RuleApplicability",
-    "SearchBudget",
-    "TraceStep",
-    "Transfer",
-    "ValidationReport",
-    "acolor",
-    "apply_discharging",
-    "audit_triangulation",
-    "bichromatic_cycle_exists_brute",
-    "choose_reduction_edge",
-    "classify_rule",
-    "classify_vertex",
-    "enumerate_cycles",
-    "exact_chi_a",
-    "exists_critical_path",
-    "extend_at_edge",
-    "find_bichromatic_cycle",
-    "find_configuration",
-    "format_edge_list",
-    "format_rotation",
-    "generate_apollonian",
-    "initial_charges",
-    "is_acyclically_k_colorable",
-    "maximal_bichromatic_path",
-    "move_swap_pair",
-    "parse_edge_list",
-    "parse_rotation",
-    "replay_trace",
-    "search_acyclic_coloring",
-    "trace_faces",
-    "try_free_color",
-    "validate_acyclic",
-    "vertex_transfers",
-]
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # called only for names not yet in the module dict; the first lookup
+    # imports the home module and caches the object here
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

@@ -18,10 +18,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .colorer import acolor
 from .coloring import PartialEdgeColoring, validate_acyclic
-from .embedding import format_rotation, generate_apollonian, parse_rotation
-from .discharge import audit_triangulation
 from .errors import (
     AecolorError,
     EdgeListParseError,
@@ -29,10 +26,11 @@ from .errors import (
     NonPlanarEmbeddingError,
     NotPlanarEvidence,
 )
-from .families import PLATONIC
 from .graphs import Graph, format_edge_list, parse_edge_list
-from .oracle import EXHAUSTED, SearchBudget, exact_chi_a, is_acyclically_k_colorable
-from .scanner import find_configuration
+
+# A CLI call pays for every module it imports, compiled from source when no
+# bytecode cache is written, so each subcommand imports, inside its own
+# function, the modules that only it runs.
 
 SCHEMA = "aecolor/1"
 
@@ -164,11 +162,15 @@ def _dot(phi: PartialEdgeColoring) -> str:
 
 
 def cmd_gen(args) -> int:
+    from .embedding import format_rotation, generate_apollonian
+
     if args.apollonian is not None:
         if args.apollonian < 3:
             raise _UsageError("--apollonian needs n >= 3")
         g, rot = generate_apollonian(args.apollonian, seed=args.seed)
     else:
+        from .families import PLATONIC
+
         g, rot = PLATONIC[args.platonic]()
     _write(args.out, format_edge_list(g))
     if args.rot_out:
@@ -177,6 +179,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_color(args) -> int:
+    from .colorer import acolor
+
     g = _load_graph(getattr(args, "in"))
     phi, trace = acolor(g, max_tier=args.max_tier)
     if args.format == "json":
@@ -231,6 +235,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chi_a(args) -> int:
+    from .oracle import EXHAUSTED, SearchBudget, exact_chi_a, is_acyclically_k_colorable
+
     g = _load_graph(getattr(args, "in"))
     budget = SearchBudget(max_nodes=args.budget)
     if args.k is not None:
@@ -249,6 +255,8 @@ def cmd_chi_a(args) -> int:
 
 
 def cmd_find_config(args) -> int:
+    from .scanner import find_configuration
+
     g = _load_graph(getattr(args, "in"))
     cfg = find_configuration(g)
     if args.format == "plain":
@@ -260,6 +268,9 @@ def cmd_find_config(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .discharge import audit_triangulation
+    from .embedding import parse_rotation
+
     g = _load_graph(getattr(args, "in"))
     rot = parse_rotation(_read(args.rot), g)
     report = audit_triangulation(g, rot)
@@ -275,6 +286,22 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
+class _Solids:
+    """The `gen --platonic` choices: the names in `families.PLATONIC`,
+    listed sorted.  argparse reads them only to check or list `gen`'s
+    arguments, so only `gen` imports the families module."""
+
+    def __iter__(self):
+        from .families import PLATONIC
+
+        return iter(sorted(PLATONIC))
+
+    def __contains__(self, name) -> bool:
+        from .families import PLATONIC
+
+        return name in PLATONIC
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="aecolor", description=__doc__)
     p.add_argument("--version", action="version", version=f"aecolor {__version__}")
@@ -288,7 +315,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("gen", help="generate a graph in edge-list form")
     kind = sp.add_mutually_exclusive_group(required=True)
     kind.add_argument("--apollonian", type=int, metavar="N", help="stacked triangulation on N vertices")
-    kind.add_argument("--platonic", choices=sorted(PLATONIC), help="a platonic solid")
+    kind.add_argument("--platonic", choices=_Solids(), help="a platonic solid")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--rot-out", metavar="FILE", help="also write the rotation system")
     add_io(sp, with_in=False)

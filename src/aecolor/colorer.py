@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .coloring import (
     PartialEdgeColoring,
@@ -36,8 +36,10 @@ from .errors import (
     NotPlanarEvidence,
 )
 from .graphs import Graph, _canon
-from .oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
 from .scanner import _CAPS, Configuration, classify_vertex
+
+if TYPE_CHECKING:
+    from .oracle import SearchBudget
 
 T3_STATE_BUDGET = 100_000
 T3_DEPTH = 3
@@ -394,6 +396,10 @@ def _tier3(ctx: ExtensionContext, budget: int) -> bool:
 
 
 def _tier4(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> PartialEdgeColoring:
+    # the only use of the oracle here, so a run that never reaches T4
+    # never imports it
+    from .oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
+
     colored = [(u, v) for (u, v), _ in ctx.phi.items()]
     sub = Graph(ctx.graph.n, colored + [(ctx.u, ctx.v)])
     found = search_acyclic_coloring(sub, ctx.k, budget or SearchBudget())

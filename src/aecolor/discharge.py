@@ -112,13 +112,12 @@ def _corners(faces: FaceSet, n: int) -> list[list[_Corner]]:
 
 
 def _corners_at(faces: FaceSet, v: int) -> list[_Corner]:
-    """v's corners alone, in the order `_corners` lists them."""
+    """v's corners alone, in the order `_corners` lists them, read through
+    the face set's index of the darts into each vertex."""
     out: list[_Corner] = []
-    for fi, walk in enumerate(faces):
-        L = len(walk)
-        for i, (x, y) in enumerate(walk):
-            if y == v:
-                out.append(_Corner(fi, x, walk[(i + 1) % L][1]))
+    for fi, i in faces.darts_into.get(v, ()):
+        walk = faces.faces[fi]
+        out.append(_Corner(fi, walk[i][0], walk[(i + 1) % len(walk)][1]))
     return out
 
 

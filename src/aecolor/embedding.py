@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidRotationError, NonPlanarEmbeddingError
@@ -71,6 +72,16 @@ class FaceSet:
 
     def all_triangles(self) -> bool:
         return all(len(f) == 3 for f in self.faces)
+
+    @cached_property
+    def darts_into(self) -> dict[int, list[tuple[int, int]]]:
+        """Vertex v -> (face index, position) of every dart (x, v) into v,
+        in face order.  Built once per face set, on first use."""
+        index: dict[int, list[tuple[int, int]]] = {}
+        for fi, walk in enumerate(self.faces):
+            for i, (_, y) in enumerate(walk):
+                index.setdefault(y, []).append((fi, i))
+        return index
 
 
 def _validate_rotation(g: Graph, rot: RotationSystem) -> None:

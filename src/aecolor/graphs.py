@@ -15,6 +15,11 @@ from .errors import EdgeListParseError
 
 Edge = tuple[int, int]
 
+# The largest vertex count `parse_edge_list` accepts.  A graph takes memory
+# for every vertex the header declares, edges or not, so the header alone
+# must not decide how much memory a parse takes.
+MAX_VERTICES = 1_000_000
+
 
 def _canon(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -135,7 +140,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the `n m` / `u v` edge-list format, 0-based ids.
 
     Raises EdgeListParseError with a 1-based line number on any defect,
-    including duplicate edges and self-loops.
+    including duplicate edges and self-loops, and on a header n above
+    MAX_VERTICES.
     """
     lines = text.splitlines()
     idx = 0
@@ -152,6 +158,10 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(f"non-integer header fields {lines[idx].strip()!r}", idx + 1) from None
     if n < 0 or m < 0:
         raise EdgeListParseError("n and m must be nonnegative", idx + 1)
+    if n > MAX_VERTICES:
+        raise EdgeListParseError(
+            f"header declares n={n}, above the limit of {MAX_VERTICES} vertices", idx + 1
+        )
 
     edges: list[Edge] = []
     canon: set[Edge] = set()

@@ -1,5 +1,6 @@
 """End-to-end command line checks, all in-process through main(argv)."""
 
+import importlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import aecolor
 from aecolor import families
 from aecolor.cli import main
-from aecolor.embedding import generate_apollonian
+from aecolor.embedding import format_rotation, generate_apollonian
 from aecolor.families import complete_graph, cycle_graph
 from aecolor.graphs import format_edge_list
 
@@ -147,6 +148,29 @@ class TestColor:
             monkeypatch=monkeypatch,
         )
         assert code == 0 and len(out.splitlines()) == 3
+
+    def test_huge_header_is_refused_in_bounded_memory(self):
+        # the header alone must not size the graph; the child runs under an
+        # address-space limit, so a parser that trusts n fails the test
+        # rather than exhausting the machine
+        probe = (
+            "import resource, tracemalloc\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from aecolor.cli import main\n"
+            "tracemalloc.start()\n"
+            "code = main(['color', '--in', '-'])\n"
+            "print(code, tracemalloc.get_traced_memory()[1])"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(aecolor.__file__).resolve().parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-c", probe],
+            input="1000000000 0\n", capture_output=True, text=True, env=env,
+        )
+        code, peak = map(int, res.stdout.split())
+        assert code == 1
+        assert res.stderr.startswith("aecolor: line 1: ") and "limit" in res.stderr
+        assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+        assert peak < 20 * 2**20
 
     def test_malformed_edge_list(self, capsys, monkeypatch):
         code, _, err = run(
@@ -446,6 +470,67 @@ class TestUsage:
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
         )
         assert res.stdout == "[]\n"
+
+    # the aecolor modules each call imports, beyond the package itself
+    # and what every subcommand needs
+    COMMON = {"aecolor", "aecolor.cli", "aecolor.coloring", "aecolor.errors", "aecolor.graphs"}
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["verify", "--in", "doc.json"], set()),
+            (["color", "--in", "k4.txt"], {"colorer", "scanner"}),
+            (["gen", "--apollonian", "20"], {"embedding"}),
+            (["gen", "--platonic", "cube"], {"embedding", "families"}),
+            (["chi-a", "--in", "k4.txt", "--k", "4"], {"oracle"}),
+            (["find-config", "--in", "k4.txt"], {"scanner"}),
+            (["audit", "--in", "g.txt", "--rot", "g.rot"], {"discharge", "embedding", "scanner"}),
+        ],
+        ids=["verify", "color", "gen-apollonian", "gen-platonic", "chi-a", "find-config", "audit"],
+    )
+    def test_subcommand_imports_only_what_it_runs(self, tmp_path, argv, extra):
+        g, rot = generate_apollonian(12, 0)
+        (tmp_path / "g.txt").write_text(format_edge_list(g))
+        (tmp_path / "g.rot").write_text(format_rotation(rot))
+        (tmp_path / "k4.txt").write_text(format_edge_list(complete_graph(4)))
+        (tmp_path / "doc.json").write_text(coloring_doc(3, [(0, 1, 1), (1, 2, 2), (2, 0, 3)]))
+        probe = (
+            "import contextlib, io, sys\n"
+            "from aecolor.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'aecolor'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(aecolor.__file__).resolve().parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+        )
+        code, *loaded = res.stdout.split()
+        assert code == "0"
+        assert set(loaded) == self.COMMON | {f"aecolor.{m}" for m in extra}
+
+    def test_bare_import_loads_no_submodule(self):
+        probe = "import sys, aecolor; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'aecolor'))"
+        env = dict(os.environ, PYTHONPATH=str(Path(aecolor.__file__).resolve().parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert res.stdout == "aecolor\n"
+
+    def test_lazy_names_are_the_home_modules_objects(self):
+        for name in aecolor.__all__:
+            obj = getattr(aecolor, name)
+            assert obj is getattr(importlib.import_module(obj.__module__), name)
+            assert obj.__module__ == f"aecolor.{aecolor._HOME[name]}"
+        star: dict = {}
+        exec("from aecolor import *", star)
+        assert set(star) - {"__builtins__"} == set(aecolor.__all__)
+        assert set(aecolor.__all__) <= set(dir(aecolor))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            aecolor.no_such_name
+        with pytest.raises(ImportError):
+            exec("from aecolor import no_such_name", {})
 
     def test_version_banner(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,7 +19,7 @@ from aecolor.discharge import (
     initial_charges,
     vertex_transfers,
 )
-from aecolor.embedding import generate_apollonian, trace_faces
+from aecolor.embedding import FaceSet, generate_apollonian, trace_faces
 from aecolor.errors import ConfigurationPresentError
 from aecolor.families import (
     cube,
@@ -170,6 +170,20 @@ class TestBalanceIdentities:
         assert vertex_transfers(g, trace_faces(g, rot), 0) == []
 
 
+class _CountingFaces(tuple):
+    # a face tuple that counts the face walks read from it
+    visits = 0
+
+    def __iter__(self):
+        for walk in tuple.__iter__(self):
+            self.visits += 1
+            yield walk
+
+    def __getitem__(self, i):
+        self.visits += 1
+        return tuple.__getitem__(self, i)
+
+
 class TestCornerLookup:
     def test_one_vertex_builds_no_full_table(self, monkeypatch):
         # classify_rule and vertex_transfers collect v's corners alone, in
@@ -197,6 +211,21 @@ class TestCornerLookup:
                 continue
             assert len(transfers) in (0, g.degree(v))
         assert builds == 0
+
+    def test_all_vertex_loops_read_o_m_faces(self):
+        # one index per face set, not one scan of every face per vertex
+        g, rot = generate_apollonian(2000, 1)
+        walks = _CountingFaces(trace_faces(g, rot).faces)
+        faces = FaceSet(walks)
+        rules = [classify_rule(g, v, faces).rule for v in g.vertices()]
+        assert {"R3.3-adjacent", "R3.3-split"} <= set(rules)
+        assert walks.visits <= g.m
+        for v in g.vertices():
+            try:
+                vertex_transfers(g, faces, v)
+            except ConfigurationPresentError:
+                pass
+        assert walks.visits <= 3 * g.m
 
 
 class TestApplyDischarging:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 
+from aecolor import graphs
 from aecolor.errors import EdgeListParseError
 from aecolor.families import complete_graph, cycle_graph, path_graph, star_graph
 from aecolor.graphs import Graph, format_edge_list, parse_edge_list
@@ -138,6 +139,13 @@ class TestEdgeListFormat:
     def test_out_of_range_id(self):
         with pytest.raises(EdgeListParseError, match="out of range"):
             parse_edge_list("2 1\n0 5\n")
+
+    def test_header_n_above_the_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
+        assert parse_edge_list("5 1\n0 4\n").n == 5
+        with pytest.raises(EdgeListParseError, match="limit of 5 vertices") as ei:
+            parse_edge_list("\n6 0\n")
+        assert ei.value.line == 2
 
     @given(small_graphs())
     def test_round_trip_random(self, g):
