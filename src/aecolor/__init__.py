@@ -14,8 +14,6 @@ use, by importing the one submodule that defines it (PEP 562), so a CLI
 call or a script pays only for the modules it touches.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # each submodule and the names the package exports from it
@@ -92,11 +90,11 @@ __all__ = sorted(_HOME)
 
 def __getattr__(name: str):
     # called only for names not yet in the module dict; the first lookup
-    # imports the home module and caches the object here
+    # runs `from .module import name` and caches the object here
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
     globals()[name] = value
     return value
 

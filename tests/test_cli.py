@@ -43,6 +43,18 @@ def coloring_doc(k, rows):
     )
 
 
+def python(probe, *argv, **kwargs):
+    """Run `probe` in a fresh interpreter that imports this aecolor."""
+    env = dict(os.environ, PYTHONPATH=str(Path(aecolor.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, **kwargs
+    )
+
+
+# the names of the aecolor modules a probe has loaded, space-separated
+LOADED = "' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'aecolor'))"
+
+
 class TestGen:
     def test_platonic_cube(self, capsys):
         code, out, _ = run(capsys, ["gen", "--platonic", "cube"])
@@ -85,6 +97,18 @@ class TestGen:
         assert code == 0 and calls == []
         code, _, _ = run(capsys, ["gen", "--platonic", "cube"])
         assert code == 0 and calls == ["cube"]
+
+    def test_platonic_choices_listed_and_checked(self, capsys):
+        # argparse reads the choices from families.PLATONIC on demand
+        names = sorted(families.PLATONIC)
+        code, _, err = run(capsys, ["gen", "--platonic", "sphere"])
+        choices = ", ".join(map(repr, names))
+        assert code == 1
+        assert f"invalid choice: 'sphere' (choose from {choices})" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--help"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(names) + "}" in capsys.readouterr().out
 
     def test_too_small_apollonian_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["gen", "--apollonian", "2"])
@@ -161,11 +185,7 @@ class TestColor:
             "code = main(['color', '--in', '-'])\n"
             "print(code, tracemalloc.get_traced_memory()[1])"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(aecolor.__file__).resolve().parents[1]))
-        res = subprocess.run(
-            [sys.executable, "-c", probe],
-            input="1000000000 0\n", capture_output=True, text=True, env=env,
-        )
+        res = python(probe, input="1000000000 0\n")
         code, peak = map(int, res.stdout.split())
         assert code == 1
         assert res.stderr.startswith("aecolor: line 1: ") and "limit" in res.stderr
@@ -465,10 +485,7 @@ class TestUsage:
     def test_import_loads_no_numeric_stack(self):
         # every CLI call pays the package import, so it stays stdlib-only
         probe = "import sys, aecolor; print(sorted({'numpy', 'numba'} & set(sys.modules)))"
-        env = dict(os.environ, PYTHONPATH=str(Path(aecolor.__file__).resolve().parents[1]))
-        res = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-        )
+        res = python(probe, check=True)
         assert res.stdout == "[]\n"
 
     # the aecolor modules each call imports, beyond the package itself
@@ -499,23 +516,15 @@ class TestUsage:
             "from aecolor.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = main(sys.argv[1:])\n"
-            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'aecolor'))"
+            f"print(code, {LOADED})"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(aecolor.__file__).resolve().parents[1]))
-        res = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
-            capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
-        )
+        res = python(probe, *argv, cwd=tmp_path, check=True)
         code, *loaded = res.stdout.split()
         assert code == "0"
         assert set(loaded) == self.COMMON | {f"aecolor.{m}" for m in extra}
 
     def test_bare_import_loads_no_submodule(self):
-        probe = "import sys, aecolor; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'aecolor'))"
-        env = dict(os.environ, PYTHONPATH=str(Path(aecolor.__file__).resolve().parents[1]))
-        res = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-        )
+        res = python(f"import sys, aecolor; print({LOADED})", check=True)
         assert res.stdout == "aecolor\n"
 
     def test_lazy_names_are_the_home_modules_objects(self):
@@ -523,6 +532,7 @@ class TestUsage:
             obj = getattr(aecolor, name)
             assert obj is getattr(importlib.import_module(obj.__module__), name)
             assert obj.__module__ == f"aecolor.{aecolor._HOME[name]}"
+            assert vars(aecolor)[name] is obj  # resolved once, then cached
         star: dict = {}
         exec("from aecolor import *", star)
         assert set(star) - {"__builtins__"} == set(aecolor.__all__)
