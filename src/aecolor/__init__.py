@@ -27,7 +27,6 @@ _EXPORTS = {
         "extend_at_edge",
         "move_swap_pair",
         "replay_trace",
-        "try_free_color",
     ),
     "coloring": (
         "BichromaticPath",

@@ -26,7 +26,7 @@ from .errors import (
     NonPlanarEmbeddingError,
     NotPlanarEvidence,
 )
-from .graphs import Graph, format_edge_list, parse_edge_list
+from .graphs import MAX_VERTICES, Graph, format_edge_list, parse_edge_list
 
 # A CLI call pays for every module it imports, compiled from source when no
 # bytecode cache is written, so each subcommand imports, inside its own
@@ -167,6 +167,9 @@ def cmd_gen(args) -> int:
     if args.apollonian is not None:
         if args.apollonian < 3:
             raise _UsageError("--apollonian needs n >= 3")
+        if args.apollonian > MAX_VERTICES:
+            # `color` refuses such a graph, and generation is quadratic in n
+            raise _UsageError(f"--apollonian needs n <= {MAX_VERTICES}")
         g, rot = generate_apollonian(args.apollonian, seed=args.seed)
     else:
         from .families import PLATONIC

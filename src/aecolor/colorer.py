@@ -53,7 +53,7 @@ class ExtensionContext:
     edge of the current subgraph except uv is expected to be colored.
     """
 
-    __slots__ = ("graph", "phi", "u", "v", "k")
+    __slots__ = ("phi", "u", "v")
 
     def __init__(self, graph: Graph, phi: PartialEdgeColoring, u: int, v: int):
         if phi.graph != graph:
@@ -64,11 +64,9 @@ class ExtensionContext:
             raise ValueError(f"edge ({u}, {v}) is already colored")
         if phi.violations:
             raise ImproperColoringError("context requires a proper coloring")
-        self.graph = graph
         self.phi = phi
         self.u = u
         self.v = v
-        self.k = phi.k
 
 
 @dataclass(frozen=True)
@@ -209,49 +207,6 @@ class _Reducer:
                             heappush(cand, w)
 
 
-def try_free_color(ctx: ExtensionContext) -> Optional[int]:
-    """Smallest color unused at both ends of uv that closes no cycle.
-
-    Coloring uv with such a color is proper outright; a bichromatic cycle
-    through uv in colors {c, d} would need d at both ends plus an
-    alternating path between them ending in d at each side, which is
-    exactly the critical-path test, and `closes_cycle` runs it for every d.
-
-    Every color below an endpoint's floor is used there, so the scan
-    starts at the larger floor.  A candidate used at an endpoint jumps to
-    the next color free there through that endpoint's skip map, so a run
-    of a hub's colors costs O(1) amortized, not one test per color.  The
-    cycle test walks from the endpoint with fewer colors and reads the
-    ends of long paths from the coloring's cache.  The result is the
-    color a scan from 1 would return.
-    """
-    phi = ctx.phi
-    nbr = phi._nbr
-    u, v = ctx.u, ctx.v
-    nu, nv = nbr[u], nbr[v]
-    # a stale floor is still a valid start; it is raised, at the cost of a
-    # call, only when its own color has been taken since it was last read
-    floor = phi._floor
-    fu, fv = floor[u], floor[v]
-    if fu in nu:
-        fu = phi.floor(u)
-    if fv in nv:
-        fv = phi.floor(v)
-    c = fu if fu > fv else fv
-    k = ctx.k
-    ends = phi._ends
-    while c <= k:
-        if c in nu:
-            c = phi._next_free(u, c + 1)
-        elif c in nv:
-            c = phi._next_free(v, c + 1)
-        elif closes_cycle(nbr, u, v, c, ends):
-            c += 1
-        else:
-            return c
-    return None
-
-
 def _recolor(phi: PartialEdgeColoring, e: tuple[int, int], a: int) -> bool:
     # recolor e with a, free at both of its ends, so properness is immediate;
     # undone, and False, when it closes a bichromatic cycle
@@ -303,7 +258,7 @@ def move_swap_pair(
 
 
 def _finish(ctx: ExtensionContext) -> bool:
-    c = try_free_color(ctx)
+    c = ctx.phi._first_fit(ctx.u, ctx.v)
     if c is None:
         return False
     ctx.phi.assign(ctx.u, ctx.v, c)
@@ -318,7 +273,7 @@ def _tier2(ctx: ExtensionContext) -> bool:
     for center in (ctx.v, ctx.u):
         spokes = [
             _canon(center, x)
-            for x in ctx.graph.neighbors(center)
+            for x in phi.graph.neighbors(center)
             if phi.color_of(center, x) is not None
         ]
         for e1, e2 in combinations(spokes, 2):
@@ -334,12 +289,13 @@ def _tier2(ctx: ExtensionContext) -> bool:
 
 def _zone_edges(ctx: ExtensionContext) -> list[tuple[int, int]]:
     # colored edges with an endpoint within distance 2 of {u, v}
+    g = ctx.phi.graph
     dist = {ctx.u: 0, ctx.v: 0}
     frontier = [ctx.u, ctx.v]
     for d in (1, 2):
         nxt = []
         for x in frontier:
-            for y in ctx.graph.neighbors(x):
+            for y in g.neighbors(x):
                 if y not in dist:
                     dist[y] = d
                     nxt.append(y)
@@ -400,20 +356,21 @@ def _tier4(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> PartialEdge
     # never imports it
     from .oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
 
-    colored = [(u, v) for (u, v), _ in ctx.phi.items()]
-    sub = Graph(ctx.graph.n, colored + [(ctx.u, ctx.v)])
-    found = search_acyclic_coloring(sub, ctx.k, budget or SearchBudget())
+    phi = ctx.phi
+    colored = [(u, v) for (u, v), _ in phi.items()]
+    sub = Graph(phi.graph.n, colored + [(ctx.u, ctx.v)])
+    found = search_acyclic_coloring(sub, phi.k, budget or SearchBudget())
     if found is EXHAUSTED:
         raise ExtensionFailed(
             f"exhaustive recoloring ran out of budget at edge ({ctx.u}, {ctx.v})"
         )
     if found is None:
         raise NotPlanarEvidence(
-            f"no acyclic edge coloring with {ctx.k} colors exists for the current "
+            f"no acyclic edge coloring with {phi.k} colors exists for the current "
             f"subgraph (n={sub.n}, m={sub.m}); the palette bound refutes planarity"
         )
     return PartialEdgeColoring.from_pairs(
-        ctx.graph, ctx.k, [(u, v, c) for (u, v), c in found.items()]
+        phi.graph, phi.k, [(u, v, c) for (u, v), c in found.items()]
     )
 
 

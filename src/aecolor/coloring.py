@@ -8,18 +8,18 @@ State is kept two ways at once, each serving a different access pattern:
    alternating-walk steps in O(1),
  * a canonical edge -> color dict for iteration and serialization.
 
-Beside them sit three aids to first-fit extension, none of which changes
-an answer: a color floor per vertex, below which every color is used
-there; a skip map per vertex, made on first use, that jumps runs of used
-colors; and a cache of the far ends of long two-colored paths, so that
-the cycle test for an uncolored edge need not walk them again.
+Beside them sit three aids to first-fit extension, which
+`PartialEdgeColoring._first_fit` reads and none of which changes an
+answer: a color floor per vertex, below which every color is used there;
+a skip map per vertex, made on first use, that jumps runs of used colors;
+and a cache of the far ends of long two-colored paths, so that the cycle
+test for an uncolored edge need not walk them again.
 
 All of it takes O(n + m) memory whatever the palette size and color values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ImproperColoringError
@@ -57,6 +57,9 @@ class PartialEdgeColoring:
     or absent: `assign` carries the paths it lengthens or joins over to
     their new ends, and `unassign` empties it.  It holds at most 4n
     entries, so the whole coloring takes O(n + m) memory.
+
+    `_first_fit`, the first tier of extension, is the scan that reads all
+    three aids.
     """
 
     __slots__ = (
@@ -173,6 +176,44 @@ class PartialEdgeColoring:
             jump[p] = c
         return c
 
+    def _first_fit(self, u: int, v: int) -> Optional[Color]:
+        """Smallest color unused at both ends of the uncolored edge uv that
+        closes no cycle.
+
+        Coloring uv with such a color is proper outright; a bichromatic cycle
+        through uv in colors {c, d} would need d at both ends plus an
+        alternating path between them ending in d at each side, which is
+        exactly the critical-path test, and `closes_cycle` runs it for every d.
+
+        Every color the scan passes is used at an endpoint, below its floor
+        or in a run its skip map jumps, or closes a cycle, and the path-end
+        cache holds only exact ends.  So the result is the color a scan from
+        1 would return.
+        """
+        nbr = self._nbr
+        nu, nv = nbr[u], nbr[v]
+        # a stale floor is still a valid start; it is raised, at the cost of a
+        # call, only when its own color has been taken since it was last read
+        floor = self._floor
+        fu, fv = floor[u], floor[v]
+        if fu in nu:
+            fu = self.floor(u)
+        if fv in nv:
+            fv = self.floor(v)
+        c = fu if fu > fv else fv
+        k = self.k
+        ends = self._ends
+        while c <= k:
+            if c in nu:
+                c = self._next_free(u, c + 1)
+            elif c in nv:
+                c = self._next_free(v, c + 1)
+            elif closes_cycle(nbr, u, v, c, ends):
+                c += 1
+            else:
+                return c
+        return None
+
     def free_colors(self, x: int, y: int) -> list[Color]:
         """Ascending colors in 1..k absent at both x and y."""
         nx, ny = self._nbr[x], self._nbr[y]
@@ -211,16 +252,14 @@ class CycleWitness(NamedTuple):
     colors: tuple[Color, Color]
 
 
-@dataclass(frozen=True)
-class BichromaticPath:
+class BichromaticPath(NamedTuple):
     vertices: tuple[int, ...]
     colors: tuple[Color, Color]
     edge_colors: tuple[Color, ...]
     cycle: bool
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     all_edges_colored: bool
     is_proper: bool
     cycle: Optional[CycleWitness]

@@ -127,8 +127,8 @@ def first_fit_free_color(phi: PartialEdgeColoring, u: int, v: int) -> int | None
 
     It scans from 1, ignoring the color floors, and tests each color d at
     u, walking from u whatever the endpoints' color counts.  These are the
-    O(d(hub)) per edge costs that `try_free_color` avoids; its color is
-    what that function must return.
+    O(d(hub)) per edge costs that `PartialEdgeColoring._first_fit` avoids;
+    its color is what that method must return.
     """
     nbr = phi._nbr
     nu, nv = nbr[u], nbr[v]

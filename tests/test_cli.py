@@ -16,7 +16,7 @@ from aecolor import families
 from aecolor.cli import main
 from aecolor.embedding import format_rotation, generate_apollonian
 from aecolor.families import complete_graph, cycle_graph
-from aecolor.graphs import format_edge_list
+from aecolor.graphs import MAX_VERTICES, format_edge_list
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -113,6 +113,16 @@ class TestGen:
     def test_too_small_apollonian_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["gen", "--apollonian", "2"])
         assert code == 1 and "n >= 3" in err
+
+    def test_apollonian_above_the_vertex_cap_is_refused(self, capsys, monkeypatch):
+        # refused before generating, which is quadratic in n
+        def generate(*args, **kwargs):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr("aecolor.embedding.generate_apollonian", generate)
+        code, out, err = run(capsys, ["gen", "--apollonian", str(MAX_VERTICES + 1)])
+        assert code == 1 and out == ""
+        assert err == f"aecolor: --apollonian needs n <= {MAX_VERTICES}\n"
 
 
 class TestColor:
@@ -399,6 +409,11 @@ class TestChiA:
         code, out, _ = run(capsys, ["chi-a", "--in", path, "--budget", "1"])
         assert code == 6 and out == "exhausted\n"
 
+    def test_tiny_budget_exhausts_the_decision(self, capsys, tmp_path):
+        path = write_graph(tmp_path, complete_graph(4))
+        code, out, _ = run(capsys, ["chi-a", "--in", path, "--k", "4", "--budget", "1"])
+        assert code == 6 and out == "exhausted\n"
+
 
 class TestFindConfig:
     def test_json(self, capsys, tmp_path):
@@ -522,6 +537,20 @@ class TestUsage:
         code, *loaded = res.stdout.split()
         assert code == "0"
         assert set(loaded) == self.COMMON | {f"aecolor.{m}" for m in extra}
+
+    def test_verify_loads_no_dataclasses(self, tmp_path):
+        # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`, so the
+        # records `verify` builds are NamedTuples
+        (tmp_path / "doc.json").write_text(coloring_doc(3, [(0, 1, 1), (1, 2, 2), (2, 0, 3)]))
+        probe = (
+            "import contextlib, io, sys\n"
+            "from aecolor.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        res = python(probe, "verify", "--in", "doc.json", cwd=tmp_path, check=True)
+        assert res.stdout == "0 []\n"
 
     def test_bare_import_loads_no_submodule(self):
         res = python(f"import sys, aecolor; print({LOADED})", check=True)

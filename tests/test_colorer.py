@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -16,7 +17,6 @@ from aecolor.colorer import (
     extend_at_edge,
     move_swap_pair,
     replay_trace,
-    try_free_color,
 )
 from aecolor.coloring import PartialEdgeColoring, validate_acyclic
 from aecolor.embedding import generate_apollonian
@@ -28,6 +28,7 @@ from aecolor.errors import (
 )
 from aecolor.families import (
     complete_graph,
+    cube,
     cycle_graph,
     dodecahedron,
     grid_graph,
@@ -45,6 +46,29 @@ from support import first_fit_free_color
 
 def colored(g, k, triples):
     return PartialEdgeColoring.from_pairs(g, k, triples)
+
+
+def t3_cases():
+    """(g, k, e, triples) for every searcher coloring of g - e at palette
+    Δ..Δ+3 on which `extend_at_edge` with tiers up to T3 lands on T3."""
+    graphs = [octahedron()[0], icosahedron()[0], cube()[0]]
+    graphs += [wheel_graph(rim) for rim in range(4, 9)]
+    graphs += [grid_graph(3, 3), grid_graph(3, 4)]
+    for g in graphs:
+        for k in range(g.max_degree(), g.max_degree() + 4):
+            for e in g.edges():
+                w = search_acyclic_coloring(g.remove_edge(*e), k)
+                if not isinstance(w, dict):
+                    continue
+                triples = [(u, v, c) for (u, v), c in w.items()]
+                try:
+                    _, tier = extend_at_edge(
+                        ExtensionContext(g, colored(g, k, triples), *e), max_tier=3
+                    )
+                except ExtensionFailed:
+                    continue
+                if tier == "T3":
+                    yield g, k, e, triples
 
 
 def context_for(g, e, k):
@@ -216,30 +240,30 @@ class TestTryFreeColor:
     def test_empty_shared_takes_smallest_free(self):
         g = cycle_graph(3)
         phi = colored(g, 13, [(0, 1, 1), (1, 2, 2)])
-        assert try_free_color(ExtensionContext(g, phi, 0, 2)) == 3
+        assert phi._first_fit(0, 2) == 3
 
     def test_critical_path_blocks_smallest(self):
         # closing the square: color 2 is free at both ends but the
         # (1,2)-path 0-1-2-3 is critical, so 3 is chosen
         g = cycle_graph(4)
         phi = colored(g, 12, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
-        assert try_free_color(ExtensionContext(g, phi, 0, 3)) == 3
+        assert phi._first_fit(0, 3) == 3
 
     def test_exhausted_palette_returns_none(self):
         g = cycle_graph(4)
         phi = colored(g, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
-        assert try_free_color(ExtensionContext(g, phi, 0, 3)) is None
+        assert phi._first_fit(0, 3) is None
 
     def test_starts_above_the_hub_floor(self):
         # colors 1..3 fill the hub, so its floor passes them; unassigning 2
         # lowers the floor again and 2 is the first fit once more
         g = star_graph(5)
         phi = colored(g, 15, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
-        assert try_free_color(ExtensionContext(g, phi, 0, 4)) == 4
+        assert phi._first_fit(0, 4) == 4
         assert phi._floor[0] == 4
         phi.unassign(0, 2)
         assert phi._floor[0] == 2
-        assert try_free_color(ExtensionContext(g, phi, 0, 4)) == 2
+        assert phi._first_fit(0, 4) == 2
 
     def test_jumps_a_run_of_hub_colors(self):
         # the hub holds 2..d-1 but not 1, so its floor stays at 1; spokes
@@ -251,11 +275,11 @@ class TestTryFreeColor:
         g = Graph(d + 3, spokes + [(d - 1, d + 1), (d, d + 2)])
         hub = [(0, j, j + 1) for j in range(1, d - 1)]
         phi = colored(g, d + 5, hub + [(d - 1, d + 1, 1), (d, d + 2, 1)])
-        assert try_free_color(ExtensionContext(g, phi, 0, d - 1)) == d
+        assert phi._first_fit(0, d - 1) == d
         assert phi.floor(0) == 1
         assert phi._skip[0] == {c: d for c in range(3, d)}
         phi.assign(0, d - 1, d)
-        assert try_free_color(ExtensionContext(g, phi, 0, d)) == d + 1
+        assert phi._first_fit(0, d) == d + 1
         assert phi._skip[0] == {**{c: d for c in range(3, d)}, 3: d + 1, d: d + 1}
 
     @given(
@@ -288,7 +312,7 @@ class TestTryFreeColor:
                 x, y = rng.choice(open_edges)
                 assert phi.free_colors(x, y) == free(x, y)
                 want = first_fit_free_color(phi, x, y)
-                assert try_free_color(ExtensionContext(g, phi, x, y)) == want
+                assert phi._first_fit(x, y) == want
                 # mostly take T1's color, so hubs fill up as in `acolor`
                 c = want if op < 0.45 else rng.choice(free(x, y) or [None])
                 if c is not None:
@@ -394,14 +418,31 @@ class TestExtendTiers:
         ctx = context_for(octahedron()[0], (0, 2), 6)
         phi, tier = extend_at_edge(ctx, t3_budget=0)
         assert tier == "T4"
-        rep = validate_acyclic(ctx.graph, phi)
+        rep = validate_acyclic(ctx.phi.graph, phi)
         assert rep.ok and rep.max_color <= 6
 
     def test_extension_result_is_acyclic(self):
         for e in [(0, 4), (0, 2)]:
             ctx = context_for(octahedron()[0], e, 6)
             phi, _ = extend_at_edge(ctx)
-            assert validate_acyclic(ctx.graph, phi).ok
+            assert validate_acyclic(ctx.phi.graph, phi).ok
+
+    def test_spent_t3_budget_restores_the_coloring(self):
+        # each T3 instance again with every smaller state budget: a budget
+        # spent at any depth must unwind every move made before it ran out
+        cases = exhausted = 0
+        for g, k, e, triples in t3_cases():
+            cases += 1
+            for budget in itertools.count(1):
+                phi = colored(g, k, triples)
+                before = phi.items()
+                try:
+                    extend_at_edge(ExtensionContext(g, phi, *e), max_tier=3, t3_budget=budget)
+                    break
+                except ExtensionFailed:
+                    exhausted += 1
+                    assert phi.items() == before
+        assert cases == 37 and exhausted > 0
 
     def test_tier_cap_fails_honestly(self):
         with pytest.raises(ExtensionFailed, match="T2"):

@@ -15,7 +15,7 @@ from aecolor.coloring import (
     maximal_bichromatic_path,
     validate_acyclic,
 )
-from aecolor.colorer import ExtensionContext, acolor, try_free_color
+from aecolor.colorer import acolor
 from aecolor.embedding import generate_apollonian
 from aecolor.errors import ImproperColoringError
 from aecolor.families import (
@@ -53,6 +53,16 @@ class TestPartialColoring:
         assert phi.color_of(0, 1) == 2
         assert phi.unassign(0, 1) == 2
         assert phi.color_of(0, 1) is None
+
+    def test_failed_recolor_keeps_the_old_color(self):
+        g = path_graph(3)
+        phi = colored(g, 3, [(0, 1, 1), (1, 2, 2)])
+        with pytest.raises(ImproperColoringError):
+            phi.recolor(0, 1, 2)
+        with pytest.raises(ValueError):
+            phi.recolor(0, 1, 4)
+        assert phi.items() == [((0, 1), 1), ((1, 2), 2)]
+        assert phi._nbr[0] == {1: 1} and phi._nbr[1] == {1: 0, 2: 2}
 
     def test_rejects_out_of_palette(self):
         phi = PartialEdgeColoring(path_graph(2), 2)
@@ -313,7 +323,7 @@ class TestExtensionAids:
                     x, y = rng.choice(open_edges)
                     free = phi.free_colors(x, y)
                     # mostly T1's color, so paths grow as in `acolor`
-                    c = try_free_color(ExtensionContext(g, phi, x, y))
+                    c = phi._first_fit(x, y)
                     if op >= 0.55 or c is None:
                         c = rng.choice(free or [None])
                     if c is not None:

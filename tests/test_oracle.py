@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
 from aecolor.coloring import PartialEdgeColoring, validate_acyclic
 from aecolor.families import (
     complete_graph,
     cycle_graph,
+    grid_graph,
     octahedron,
     path_graph,
     star_graph,
@@ -124,6 +127,13 @@ class TestBudget:
             SearchBudget(max_nodes=0)
         with pytest.raises(ValueError):
             SearchBudget(max_nodes=10, wall_seconds=-1.0)
+
+    def test_wall_clock_budget_exhausts(self):
+        # a node budget far out of reach, so only the deadline can stop it
+        budget = SearchBudget(max_nodes=10**9, wall_seconds=0.2)
+        start = time.monotonic()
+        assert search_acyclic_coloring(grid_graph(10, 10), 4, budget) is EXHAUSTED
+        assert time.monotonic() - start < 5
 
     def test_generous_budget_still_exact(self):
         assert exact_chi_a(complete_graph(4), SearchBudget(max_nodes=10**7)) == 5
