@@ -19,10 +19,9 @@ which refutes the caller's planarity assertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .coloring import (
     PartialEdgeColoring,
@@ -36,13 +35,21 @@ from .errors import (
     NotPlanarEvidence,
 )
 from .graphs import Graph, _canon
-from .scanner import _CAPS, Configuration, classify_vertex
+from .scanner import _CAPS, _KIND_BY_DEGREE, Configuration, _match, classify_vertex
 
 if TYPE_CHECKING:
     from .oracle import SearchBudget
 
 T3_STATE_BUDGET = 100_000
 T3_DEPTH = 3
+
+# _RECHECK[c]: the degrees of the vertices whose cap test can change when a
+# neighbor's degree falls onto c, that is, the degrees whose kind has cap c
+_RECHECK = {
+    c: frozenset(d for d, kind in _KIND_BY_DEGREE.items() if c in _CAPS[kind])
+    for caps in _CAPS.values()
+    for c in caps
+}
 
 
 class ExtensionContext:
@@ -69,8 +76,7 @@ class ExtensionContext:
         self.v = v
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     edge: tuple[int, int]
     config: Configuration
     tier: str
@@ -83,11 +89,24 @@ class TraceStep:
         return {"edge": [u, v], "config": self.config.kind, "tier": self.tier}
 
 
-@dataclass(frozen=True)
 class ReductionTrace:
     """Removal-ordered log of (edge, configuration, extension tier)."""
 
-    steps: tuple[TraceStep, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[TraceStep, ...]):
+        self.steps = steps
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReductionTrace):
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash(self.steps)
+
+    def __repr__(self) -> str:
+        return f"ReductionTrace(steps={self.steps!r})"
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -142,49 +161,51 @@ class _Reducer:
     """The `choose_reduction_edge` + `remove_edge` loop, run incrementally.
 
     Iterating yields the same (edge, configuration) sequence as that loop
-    and mutates the reducer's own adjacency sets, never the graph.  Two
-    min-heaps of vertex ids replace the rescan from vertex 0 (the
-    smallest-last bookkeeping of Matula & Beck, J. ACM 30, 1983): `low`
-    holds every vertex of degree 1-2 and `cand` every vertex of degree
-    3-5 that may classify.  Entries go stale as degrees fall and are
-    checked again when popped.  The reducer exposes `degree` and
-    `neighbors`, so `classify_vertex` runs on it unchanged.
+    and mutates the reducer's own adjacency sets and degree list, never the
+    graph.  Two min-heaps of vertex ids replace the rescan from vertex 0
+    (the smallest-last bookkeeping of Matula & Beck, J. ACM 30, 1983):
+    `low` holds every vertex of degree 1-2 and `cand` every vertex of
+    degree 3-5 that may classify.  Entries go stale as degrees fall and are
+    checked again when popped.
+
+    After uv is removed, u and v are pushed by their new degrees, and a
+    neighbor w of either is pushed only when that endpoint's degree has
+    just fallen onto a cap of w's kind (`_RECHECK`).  That is enough: w's
+    cap test asks, for each cap c_j of its kind, whether at least j of its
+    neighbors have degree <= c_j.  When a neighbor's degree falls from c+1
+    to c, only the count at cap c grows (the counts at caps above c held it
+    already, those below c still do not), so a test that failed can start
+    to pass only when c is one of w's caps; w's own degree changes only
+    when w is an endpoint.  Every vertex that classifies is therefore in
+    `cand`.
     """
 
-    __slots__ = ("n", "m", "_adj")
+    __slots__ = ("n", "m", "_adj", "_deg")
 
     def __init__(self, g: Graph):
         self.n = g.n
         self.m = g.m
         self._adj = [set(g.neighbors(v)) for v in g.vertices()]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def neighbors(self, v: int) -> set[int]:
-        return self._adj[v]
+        self._deg = [len(a) for a in self._adj]
 
     def __iter__(self) -> Iterator[tuple[tuple[int, int], Configuration]]:
-        adj = self._adj
+        adj, deg = self._adj, self._deg
         # ascending lists are already heaps
-        low = [v for v in range(self.n) if 1 <= len(adj[v]) <= 2]
-        cand = [v for v in range(self.n) if 3 <= len(adj[v]) <= 5]
-        # a class depends only on d(v) and its neighbors' degrees, and a
-        # degree that stays above every cap cannot change a cap test
-        reach = max(max(caps) for caps in _CAPS.values())
+        low = [v for v, d in enumerate(deg) if 1 <= d <= 2]
+        cand = [v for v, d in enumerate(deg) if 3 <= d <= 5]
         while self.m:
-            while low and not 1 <= len(adj[low[0]]) <= 2:
+            while low and not 1 <= deg[low[0]] <= 2:
                 heappop(low)
             if low:
                 v = heappop(low)
-                cfg = classify_vertex(self, v)
+                cfg = _match(v, sorted([(deg[w], w) for w in adj[v]]))
                 u = min(adj[v])
             else:
                 cfg = None
                 while cand and cfg is None:
                     v = heappop(cand)
-                    if 3 <= len(adj[v]) <= 5:
-                        cfg = classify_vertex(self, v)
+                    if 3 <= deg[v] <= 5:
+                        cfg = _match(v, sorted([(deg[w], w) for w in adj[v]]))
                 if cfg is None:
                     raise NotPlanarEvidence(
                         f"no reducible configuration in a graph with n={self.n}, "
@@ -196,14 +217,15 @@ class _Reducer:
             adj[u].remove(v)
             self.m -= 1
             for x in (v, u):
-                d = len(adj[x])
+                d = deg[x] = deg[x] - 1
                 if 1 <= d <= 2:
                     heappush(low, x)
                 elif 3 <= d <= 5:
                     heappush(cand, x)
-                if d <= reach:
+                kinds = _RECHECK.get(d)
+                if kinds:
                     for w in adj[x]:
-                        if 3 <= len(adj[w]) <= 5:
+                        if deg[w] in kinds:
                             heappush(cand, w)
 
 
@@ -225,6 +247,23 @@ def _swap(phi: PartialEdgeColoring, e1: tuple[int, int], e2: tuple[int, int]) ->
     phi.assign(e2[0], e2[1], c1)
 
 
+def _try_swap(phi: PartialEdgeColoring, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
+    # exchange the colors of two colored canonical edges sharing exactly one
+    # endpoint; False, with phi unchanged, when a far endpoint already has
+    # the incoming color or the exchange closes a bichromatic cycle
+    colors, nbr = phi._colors, phi._nbr
+    c1, c2 = colors[e1], colors[e2]
+    far1 = e1[1] if e1[0] in e2 else e1[0]
+    far2 = e2[1] if e2[0] in e1 else e2[0]
+    if c2 in nbr[far1] or c1 in nbr[far2]:
+        return False
+    _swap(phi, e1, e2)
+    if closes_cycle(nbr, *e1, c2) or closes_cycle(nbr, *e2, c1):
+        _swap(phi, e1, e2)
+        return False
+    return True
+
+
 def move_swap_pair(
     ctx: ExtensionContext, e1: tuple[int, int], e2: tuple[int, int]
 ) -> PartialEdgeColoring:
@@ -242,19 +281,16 @@ def move_swap_pair(
     shared = set(e1) & set(e2)
     if len(shared) != 1:
         raise ValueError(f"edges {e1} and {e2} must share exactly one endpoint")
-    nbr = phi._nbr
+    if _try_swap(phi, e1, e2):
+        return phi
     for (x, y), c in ((e1, c2), (e2, c1)):
         far = y if x in shared else x
-        if c in nbr[far]:
+        if c in phi._nbr[far]:
             raise MoveRejected(
                 f"swap of {e1} and {e2} breaks properness: "
                 f"color {c} already at vertex {far}"
             )
-    _swap(phi, e1, e2)
-    if closes_cycle(nbr, *e1, c2) or closes_cycle(nbr, *e2, c1):
-        _swap(phi, e1, e2)
-        raise MoveRejected(f"swap of {e1} and {e2} closes a bichromatic cycle")
-    return phi
+    raise MoveRejected(f"swap of {e1} and {e2} closes a bichromatic cycle")
 
 
 def _finish(ctx: ExtensionContext) -> bool:
@@ -277,9 +313,7 @@ def _tier2(ctx: ExtensionContext) -> bool:
             if phi.color_of(center, x) is not None
         ]
         for e1, e2 in combinations(spokes, 2):
-            try:
-                move_swap_pair(ctx, e1, e2)
-            except MoveRejected:
+            if not _try_swap(phi, e1, e2):
                 continue
             if _finish(ctx):
                 return True
@@ -307,7 +341,8 @@ def _zone_edges(ctx: ExtensionContext) -> list[tuple[int, int]]:
 def _tier3(ctx: ExtensionContext, budget: int) -> bool:
     phi = ctx.phi
     zone = _zone_edges(ctx)
-    pairs = [(a, b) for a, b in combinations(zone, 2) if len(set(a) & set(b)) == 1]
+    # two distinct edges of a simple graph share at most one endpoint
+    pairs = [(a, b) for a, b in combinations(zone, 2) if a[0] in b or a[1] in b]
     used = 0
 
     def dfs(depth: int) -> Optional[bool]:
@@ -336,9 +371,7 @@ def _tier3(ctx: ExtensionContext, budget: int) -> bool:
             if used >= budget:
                 return None
             used += 1
-            try:
-                move_swap_pair(ctx, e1, e2)
-            except MoveRejected:
+            if not _try_swap(phi, e1, e2):
                 continue
             res = dfs(depth + 1)
             if res:

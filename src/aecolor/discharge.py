@@ -28,7 +28,6 @@ from .scanner import (
     _CAPS,
     _KIND_BY_DEGREE,
     Configuration,
-    _sorted_neighbors,
     find_configuration,
 )
 
@@ -149,13 +148,13 @@ def _classify(
         return "none", set()
     if d >= 6:
         return "R1", set()
-    nd = _sorted_neighbors(g, v)
+    nd = sorted([(g.degree(u), u) for u in g.neighbors(v)])
     caps = _CAPS[_KIND_BY_DEGREE[d]]
-    i = next((i for i, cap in enumerate(caps) if nd[i][1] > cap), None)
+    i = next((i for i, cap in enumerate(caps) if nd[i][0] > cap), None)
     if i is None:
         return None, set()  # the A3 or A4 pattern is present
     rule = _RULES[d][i]
-    light = {u for u, _ in nd[:i]}
+    light = {u for _, u in nd[:i]}
     if rule == "R3.3" and corners is not None:
         adjacent = any({c.prev, c.next} == light for c in corners)
         rule += "-adjacent" if adjacent else "-split"

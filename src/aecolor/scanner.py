@@ -15,22 +15,20 @@ constructive evidence of non-planarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotPlanarEvidence
 from .graphs import Graph
 
 # Sorted-neighbor-degree caps per kind; a prefix check against these decides
 # membership.  A1 has no neighbor condition.  `discharge` picks its rules by
-# these caps and `colorer._Reducer` bounds its re-checks by them, so the
-# patterns live here only.
+# these caps and `colorer._Reducer` re-checks a vertex when a neighbor's
+# degree falls onto one of them, so the patterns live here only.
 _CAPS = {"A2": (11,), "A3": (7, 9), "A4": (6, 7, 8)}
 _KIND_BY_DEGREE = {3: "A2", 4: "A3", 5: "A4"}
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     kind: str
     vertex: int
     neighbors: tuple[tuple[int, int], ...]  # (vertex, degree), by (degree, id)
@@ -43,11 +41,20 @@ class Configuration:
         }
 
 
-def _sorted_neighbors(g: Graph, v: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (u, g.degree(u))
-        for u in sorted(g.neighbors(v), key=lambda u: (g.degree(u), u))
-    )
+def _match(v: int, nd: list[tuple[int, int]]) -> Optional[Configuration]:
+    # the one pattern test: v's configuration, or None, from its neighbors
+    # as sorted (degree, id) pairs
+    d = len(nd)
+    if d <= 2:
+        kind = "A1"
+    else:
+        kind = _KIND_BY_DEGREE.get(d)
+        if kind is None:
+            return None
+        for (du, _), cap in zip(nd, _CAPS[kind]):
+            if du > cap:
+                return None
+    return Configuration(kind, v, tuple([(u, du) for du, u in nd]))
 
 
 def classify_vertex(g: Graph, v: int) -> Optional[Configuration]:
@@ -56,17 +63,8 @@ def classify_vertex(g: Graph, v: int) -> Optional[Configuration]:
     Kinds are keyed to d(v), so at most one kind can apply; A1 covers every
     degree <= 2 (isolated vertices included).
     """
-    d = g.degree(v)
-    if d <= 2:
-        return Configuration("A1", v, _sorted_neighbors(g, v))
-    kind = _KIND_BY_DEGREE.get(d)
-    if kind is None:
-        return None
-    nbrs = _sorted_neighbors(g, v)
-    caps = _CAPS[kind]
-    if all(nbrs[i][1] <= cap for i, cap in enumerate(caps)):
-        return Configuration(kind, v, nbrs)
-    return None
+    degree = g.degree
+    return _match(v, sorted([(degree(u), u) for u in g.neighbors(v)]))
 
 
 def find_configuration(g: Graph) -> Configuration:

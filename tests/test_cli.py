@@ -540,8 +540,9 @@ class TestUsage:
 
     def test_verify_loads_no_dataclasses(self, tmp_path):
         # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`, so the
-        # records `verify` builds are NamedTuples
+        # records `verify` and `color` build are NamedTuples
         (tmp_path / "doc.json").write_text(coloring_doc(3, [(0, 1, 1), (1, 2, 2), (2, 0, 3)]))
+        (tmp_path / "g.txt").write_text(format_edge_list(generate_apollonian(12, 0)[0]))
         probe = (
             "import contextlib, io, sys\n"
             "from aecolor.cli import main\n"
@@ -549,8 +550,12 @@ class TestUsage:
             "    code = main(sys.argv[1:])\n"
             "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
         )
-        res = python(probe, "verify", "--in", "doc.json", cwd=tmp_path, check=True)
-        assert res.stdout == "0 []\n"
+        for argv in (
+            ["verify", "--in", "doc.json"],
+            ["color", "--in", "g.txt", "--trace", "trace.json"],
+        ):
+            res = python(probe, *argv, cwd=tmp_path, check=True)
+            assert res.stdout == "0 []\n", argv
 
     def test_bare_import_loads_no_submodule(self):
         res = python(f"import sys, aecolor; print({LOADED})", check=True)

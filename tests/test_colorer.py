@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +10,7 @@ from aecolor.colorer import (
     ExtensionContext,
     ReductionTrace,
     TraceStep,
+    _RECHECK,
     _Reducer,
     acolor,
     choose_reduction_edge,
@@ -40,6 +40,7 @@ from aecolor.families import (
 )
 from aecolor.graphs import Graph
 from aecolor.oracle import SearchBudget, search_acyclic_coloring
+from aecolor.scanner import Configuration
 
 from support import first_fit_free_color
 
@@ -151,24 +152,84 @@ def reference_reduction(g, out):
     return out
 
 
+def subgraph(g, share, seed):
+    rng = random.Random(seed)
+    return Graph(g.n, [e for e in g.edges() if rng.random() < share])
+
+
+def wheel_with_pendant_paths(rim):
+    # rim vertex i carries i % 3 paths of i % 4 + 1 edges, so rim degrees
+    # run 3-5 while the hub's falls through every cap
+    g = wheel_graph(rim)
+    edges, n = list(g.edges()), g.n
+    for i in range(1, rim + 1):
+        for _ in range(i % 3):
+            prev = i
+            for _ in range(i % 4 + 1):
+                edges.append((prev, n))
+                prev, n = n, n + 1
+    return Graph(n, edges)
+
+
 def reduction_cases():
     for n in (60, 300, 1000):
         for seed in range(3):
             g, _ = generate_apollonian(n, seed=seed)
             yield f"apollonian-{n}-s{seed}", g
             # dropping edges creates degree 1-2 vertices in mid-run
-            rng = random.Random(seed)
-            kept = [e for e in g.edges() if rng.random() < 0.6]
-            yield f"subgraph-{n}-s{seed}", Graph(g.n, kept)
+            yield f"subgraph-{n}-s{seed}", subgraph(g, 0.6, seed)
+            yield f"subgraph30-{n}-s{seed}", subgraph(g, 0.3, seed)
     yield "star-300", star_graph(300)
     yield "wheel-200", wheel_graph(200)
+    yield "wheel-40-pendant-paths", wheel_with_pendant_paths(40)
     yield "grid-12x12", grid_graph(12, 12)
+    yield "grid-20x20-subgraph", subgraph(grid_graph(20, 20), 0.6, 0)
 
 
 class TestReducer:
     @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in reduction_cases()])
     def test_matches_reference_loop(self, g):
-        assert list(_Reducer(g)) == reference_reduction(g, [])
+        got = list(_Reducer(g))
+        assert got == reference_reduction(g, [])
+        assert all(type(cfg) is Configuration for _, cfg in got)
+
+    def test_corpus_lands_on_every_cap(self):
+        # a degree falling onto a cap re-checks the neighbors of the kinds
+        # with that cap; the corpus above takes every such (cap, neighbor
+        # degree) step, so the identity test sees each re-check
+        want = {(11, 3), (9, 4), (7, 4), (7, 5), (6, 5), (8, 5)}
+        assert {(c, d) for c, ds in _RECHECK.items() for d in ds} == want
+        seen = set()
+        for _, g in reduction_cases():
+            adj = [set(g.neighbors(v)) for v in g.vertices()]
+            for (a, b), _ in _Reducer(g):
+                adj[a].remove(b)
+                adj[b].remove(a)
+                for x in (a, b):
+                    seen.update((len(adj[x]), len(adj[w])) for w in adj[x])
+        assert want <= seen
+
+    def test_reduction_work_is_linear(self, monkeypatch):
+        # heap pushes plus pattern tests: re-pushing every degree 3-5
+        # neighbor of an endpoint left below degree 12 cost about 3.9 m on
+        # this triangulation and 5.4 m on the grid; re-pushing only on cap
+        # crossings costs about 2.5 m on both
+        work = 0
+
+        def counted(f):
+            def call(*args):
+                nonlocal work
+                work += 1
+                return f(*args)
+
+            return call
+
+        monkeypatch.setattr(colorer, "heappush", counted(colorer.heappush))
+        monkeypatch.setattr(colorer, "_match", counted(colorer._match))
+        for g in (generate_apollonian(10000, seed=11)[0], grid_graph(100, 100)):
+            work = 0
+            assert len(list(_Reducer(g))) == g.m
+            assert work <= 3 * g.m
 
     def test_refutes_at_the_same_step(self):
         # the path is peeled away first; then only K7 is left, with no
@@ -589,6 +650,6 @@ class TestTrace:
         steps = list(trace.steps)
         step = steps[2]
         off = next(x for x in g.vertices() if x not in step.edge)
-        steps[2] = TraceStep(step.edge, replace(step.config, vertex=off), step.tier)
+        steps[2] = TraceStep(step.edge, step.config._replace(vertex=off), step.tier)
         with pytest.raises(ValueError, match=f"trace step 2 .* vertex {off}$"):
             replay_trace(g, ReductionTrace(tuple(steps)))
