@@ -25,7 +25,6 @@ _EXPORTS = {
         "acolor",
         "choose_reduction_edge",
         "extend_at_edge",
-        "move_swap_pair",
         "replay_trace",
     ),
     "coloring": (
@@ -64,7 +63,6 @@ _EXPORTS = {
         "ExtensionFailed",
         "ImproperColoringError",
         "InvalidRotationError",
-        "MoveRejected",
         "NonPlanarEmbeddingError",
         "NotPlanarEvidence",
     ),

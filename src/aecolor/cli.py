@@ -15,10 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .coloring import PartialEdgeColoring, validate_acyclic
 from .errors import (
     AecolorError,
     EdgeListParseError,
@@ -28,9 +27,12 @@ from .errors import (
 )
 from .graphs import MAX_VERTICES, Graph, format_edge_list, parse_edge_list
 
+if TYPE_CHECKING:
+    from .coloring import PartialEdgeColoring
+
 # A CLI call pays for every module it imports, compiled from source when no
 # bytecode cache is written, so each subcommand imports, inside its own
-# function, the modules that only it runs.
+# function, the modules that not every subcommand runs.
 
 SCHEMA = "aecolor/1"
 
@@ -110,6 +112,8 @@ def _coloring_rows(doc: dict) -> tuple[int, list[tuple[int, int, Optional[int]]]
 
 
 def _build(n: int, k: int, triples) -> tuple[Graph, PartialEdgeColoring]:
+    from .coloring import PartialEdgeColoring
+
     g = Graph(n, [(u, v) for u, v, _ in triples])
     return g, PartialEdgeColoring.from_pairs(g, k, triples, strict=False)
 
@@ -198,6 +202,8 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .coloring import validate_acyclic
+
     try:
         doc = json.loads(_read(getattr(args, "in")))
     except json.JSONDecodeError as exc:

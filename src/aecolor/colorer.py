@@ -28,12 +28,7 @@ from .coloring import (
     closes_cycle,
     validate_acyclic,
 )
-from .errors import (
-    ExtensionFailed,
-    ImproperColoringError,
-    MoveRejected,
-    NotPlanarEvidence,
-)
+from .errors import ExtensionFailed, ImproperColoringError, NotPlanarEvidence
 from .graphs import Graph, _canon
 from .scanner import _CAPS, _KIND_BY_DEGREE, Configuration, _match, classify_vertex
 
@@ -264,35 +259,6 @@ def _try_swap(phi: PartialEdgeColoring, e1: tuple[int, int], e2: tuple[int, int]
     return True
 
 
-def move_swap_pair(
-    ctx: ExtensionContext, e1: tuple[int, int], e2: tuple[int, int]
-) -> PartialEdgeColoring:
-    """Exchange the colors of two colored edges sharing exactly one endpoint.
-
-    The shared endpoint sees the same color pair afterwards; each far
-    endpoint is checked before the exchange, and the exchange is undone
-    and rejected if it closes a bichromatic cycle.
-    """
-    e1, e2 = _canon(*e1), _canon(*e2)
-    phi = ctx.phi
-    c1, c2 = phi.color_of(*e1), phi.color_of(*e2)
-    if c1 is None or c2 is None:
-        raise ValueError("swap requires two colored edges")
-    shared = set(e1) & set(e2)
-    if len(shared) != 1:
-        raise ValueError(f"edges {e1} and {e2} must share exactly one endpoint")
-    if _try_swap(phi, e1, e2):
-        return phi
-    for (x, y), c in ((e1, c2), (e2, c1)):
-        far = y if x in shared else x
-        if c in phi._nbr[far]:
-            raise MoveRejected(
-                f"swap of {e1} and {e2} breaks properness: "
-                f"color {c} already at vertex {far}"
-            )
-    raise MoveRejected(f"swap of {e1} and {e2} closes a bichromatic cycle")
-
-
 def _finish(ctx: ExtensionContext) -> bool:
     c = ctx.phi._first_fit(ctx.u, ctx.v)
     if c is None:
@@ -495,19 +461,21 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
     on the same tiers without one.
     """
     remaining = set(g.edge_set())
-    for i, step in enumerate(trace):
-        e = _canon(*step.edge)
-        if step.config.vertex not in e:
+    edges, vertices, tiers = [], [], []
+    for i, (edge, config, tier) in enumerate(trace.steps):
+        v = config.vertex
+        e = _canon(*edge)
+        if v not in e:
             raise ValueError(
-                f"trace step {i} removes edge {step.edge}, which does not meet "
-                f"its configuration vertex {step.config.vertex}"
+                f"trace step {i} removes edge {edge}, which does not meet "
+                f"its configuration vertex {v}"
             )
         if e not in remaining:
-            raise ValueError(f"trace replays removal of missing edge {step.edge}")
+            raise ValueError(f"trace replays removal of missing edge {edge}")
         remaining.remove(e)
+        edges.append(edge)
+        vertices.append(v)
+        tiers.append(tier)
     if remaining:
         raise ValueError(f"trace leaves {len(remaining)} edges unremoved")
-    steps = trace.steps
-    return _reinsert(
-        g, [s.edge for s in steps], [s.config.vertex for s in steps], [s.tier for s in steps]
-    )
+    return _reinsert(g, edges, vertices, tiers)

@@ -8,12 +8,11 @@ State is kept two ways at once, each serving a different access pattern:
    alternating-walk steps in O(1),
  * a canonical edge -> color dict for iteration and serialization.
 
-Beside them sit three aids to first-fit extension, which
-`PartialEdgeColoring._first_fit` reads and none of which changes an
-answer: a color floor per vertex, below which every color is used there;
-a skip map per vertex, made on first use, that jumps runs of used colors;
-and a cache of the far ends of long two-colored paths, so that the cycle
-test for an uncolored edge need not walk them again.
+Beside them sit two aids to first-fit extension, which
+`PartialEdgeColoring._first_fit` reads and neither of which changes an
+answer: a skip map per vertex, made on first use, that jumps runs of used
+colors; and a cache of the far ends of long two-colored paths, so that
+the cycle test for an uncolored edge need not walk them again.
 
 All of it takes O(n + m) memory whatever the palette size and color values.
 """
@@ -37,20 +36,12 @@ class PartialEdgeColoring:
     `violations` and keeps them out of the traversal table; validators
     report them, everything else refuses to run via them.
 
-    Each vertex v has a floor: every color below `_floor[v]` is used at
-    v.  Assigning a color keeps that true, `unassign` lowers the floor to
-    the freed color when it lies below, and `floor` raises it past the
-    colors used at v when it is read.  A first-fit scan for a color free
-    at x and y may therefore start at max(floor(x), floor(y)): at a hub
-    with colors 1..d-1 in use that skips d-1 colors.  A raise passes only
-    colors used at v, so between two lowerings the raises at v take at
-    most d(v) steps in all.
-
-    A floor cannot pass a run of used colors above a free one, so each
-    vertex that needs it also gets a skip map, `_skip[v]`: an entry
-    c -> c2 says every color in [c, c2) is used at v.  `_next_free`
-    follows and compresses it.  Keys are used colors only, so v's map
-    holds at most d(v) entries; `unassign` drops the maps of both ends.
+    A vertex at which a first-fit scan meets a used color gets a skip map,
+    `_skip[v]`: an entry c -> c2 says every color in [c, c2) is used at v.
+    `_next_free` follows and compresses it, so once a hub's map holds a
+    run of used colors a scan passes the run in one jump, not step by
+    step.  Keys are used colors only, so v's map holds at most d(v)
+    entries; `unassign` drops the maps of both ends.
 
     `_ends` caches where long two-colored paths end (see `_PathEnds`), so
     that `closes_cycle` need not walk them again.  Its entries are exact
@@ -58,13 +49,11 @@ class PartialEdgeColoring:
     their new ends, and `unassign` empties it.  It holds at most 4n
     entries, so the whole coloring takes O(n + m) memory.
 
-    `_first_fit`, the first tier of extension, is the scan that reads all
-    three aids.
+    `_first_fit`, the first tier of extension, is the scan that reads both
+    aids.
     """
 
-    __slots__ = (
-        "graph", "k", "_nbr", "_colors", "_floor", "_skip", "_ends", "violations"
-    )
+    __slots__ = ("graph", "k", "_nbr", "_colors", "_skip", "_ends", "violations")
 
     def __init__(self, graph: Graph, k: int):
         if k < 0:
@@ -73,7 +62,6 @@ class PartialEdgeColoring:
         self.k = k
         self._nbr: list[dict[Color, int]] = [{} for _ in range(graph.n)]
         self._colors: dict[tuple[int, int], int] = {}
-        self._floor = [1] * graph.n
         self._skip: dict[int, dict[Color, Color]] = {}
         self._ends = _PathEnds()
         self.violations: list[tuple[int, int, int]] = []
@@ -123,11 +111,6 @@ class PartialEdgeColoring:
             raise ValueError(f"edge {e} is not colored")
         del self._nbr[u][c]
         del self._nbr[v][c]
-        floor = self._floor
-        if c < floor[u]:
-            floor[u] = c
-        if c < floor[v]:
-            floor[v] = c
         skip = self._skip
         if skip:
             skip.pop(u, None)
@@ -149,17 +132,12 @@ class PartialEdgeColoring:
     def color_of(self, u: int, v: int) -> Optional[Color]:
         return self._colors.get(_canon(u, v))
 
-    def floor(self, v: int) -> Color:
-        """The least color not used at v; every color below it is used at v."""
-        nb = self._nbr[v]
-        c = self._floor[v]
-        while c in nb:
-            c += 1
-        self._floor[v] = c
-        return c
-
     def _next_free(self, v: int, c: Color) -> Color:
-        """The least color >= c not used at v."""
+        """The least color >= c not used at v.
+
+        A run of used colors from c is passed through v's skip map, made
+        here on first use, and each color passed then points past the run.
+        """
         nb = self._nbr[v]
         if c not in nb:
             return c
@@ -185,22 +163,15 @@ class PartialEdgeColoring:
         alternating path between them ending in d at each side, which is
         exactly the critical-path test, and `closes_cycle` runs it for every d.
 
-        Every color the scan passes is used at an endpoint, below its floor
-        or in a run its skip map jumps, or closes a cycle, and the path-end
-        cache holds only exact ends.  So the result is the color a scan from
-        1 would return.
+        The scan starts at 1.  A color used at an endpoint sends it, through
+        that endpoint's skip map, past the whole run of used colors there;
+        a color that closes a cycle sends it one step on.  The path-end
+        cache holds only exact ends, so the result is the color a plain
+        scan from 1 would return.
         """
         nbr = self._nbr
         nu, nv = nbr[u], nbr[v]
-        # a stale floor is still a valid start; it is raised, at the cost of a
-        # call, only when its own color has been taken since it was last read
-        floor = self._floor
-        fu, fv = floor[u], floor[v]
-        if fu in nu:
-            fu = self.floor(u)
-        if fv in nv:
-            fv = self.floor(v)
-        c = fu if fu > fv else fv
+        c = 1
         k = self.k
         ends = self._ends
         while c <= k:
@@ -217,8 +188,7 @@ class PartialEdgeColoring:
     def free_colors(self, x: int, y: int) -> list[Color]:
         """Ascending colors in 1..k absent at both x and y."""
         nx, ny = self._nbr[x], self._nbr[y]
-        start = max(self.floor(x), self.floor(y))
-        return [c for c in range(start, self.k + 1) if c not in nx and c not in ny]
+        return [c for c in range(1, self.k + 1) if c not in nx and c not in ny]
 
     def is_complete(self) -> bool:
         return len(self._colors) == self.graph.m

@@ -9,9 +9,7 @@ the successor of u in the rotation at v.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidRotationError, NonPlanarEmbeddingError
 from .graphs import Graph
@@ -55,11 +53,20 @@ class RotationSystem:
         return f"RotationSystem(n={self.n})"
 
 
-@dataclass(frozen=True)
 class FaceSet:
     """All faces of an embedding, each a closed dart walk."""
 
-    faces: tuple[tuple[Dart, ...], ...]
+    __slots__ = ("faces", "_darts_into")
+
+    def __init__(self, faces: tuple[tuple[Dart, ...], ...]):
+        self.faces = faces
+        self._darts_into: Optional[dict[int, list[tuple[int, int]]]] = None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FaceSet) and self.faces == other.faces
+
+    def __hash__(self) -> int:
+        return hash(self.faces)
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -73,14 +80,16 @@ class FaceSet:
     def all_triangles(self) -> bool:
         return all(len(f) == 3 for f in self.faces)
 
-    @cached_property
+    @property
     def darts_into(self) -> dict[int, list[tuple[int, int]]]:
         """Vertex v -> (face index, position) of every dart (x, v) into v,
         in face order.  Built once per face set, on first use."""
-        index: dict[int, list[tuple[int, int]]] = {}
-        for fi, walk in enumerate(self.faces):
-            for i, (_, y) in enumerate(walk):
-                index.setdefault(y, []).append((fi, i))
+        index = self._darts_into
+        if index is None:
+            index = self._darts_into = {}
+            for fi, walk in enumerate(self.faces):
+                for i, (_, y) in enumerate(walk):
+                    index.setdefault(y, []).append((fi, i))
         return index
 
 

@@ -27,13 +27,6 @@ class ImproperColoringError(AecolorError, ValueError):
     """Two equal colors meet at a vertex, or an operation requires properness."""
 
 
-class MoveRejected(AecolorError):
-    """A recoloring move would break properness or close a bichromatic cycle.
-
-    The move is rolled back before this is raised; the coloring is unchanged.
-    """
-
-
 class ConfigurationPresentError(AecolorError):
     """Discharging was asked to run on a graph violating a rule precondition."""
 

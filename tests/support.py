@@ -125,8 +125,8 @@ def first_fit_free_color(phi: PartialEdgeColoring, u: int, v: int) -> int | None
     """Reference T1 scan: the smallest color in 1..k free at u and v that
     closes no two-colored cycle through uv.
 
-    It scans from 1, ignoring the color floors, and tests each color d at
-    u, walking from u whatever the endpoints' color counts.  These are the
+    It scans from 1, ignoring the skip maps, and tests each color d at u,
+    walking from u whatever the endpoints' color counts.  These are the
     O(d(hub)) per edge costs that `PartialEdgeColoring._first_fit` avoids;
     its color is what that method must return.
     """
@@ -141,6 +141,13 @@ def first_fit_free_color(phi: PartialEdgeColoring, u: int, v: int) -> int | None
         ):
             return c
     return None
+
+
+def assert_skip_maps_exact(phi: PartialEdgeColoring) -> None:
+    """Every skip entry c -> c2 passes only colors used at its vertex."""
+    for v, jump in phi._skip.items():
+        for c, c2 in jump.items():
+            assert c < c2 and all(x in phi._nbr[v] for x in range(c, c2))
 
 
 def all_proper_colorings(g: Graph, k: int):

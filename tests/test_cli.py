@@ -505,16 +505,16 @@ class TestUsage:
 
     # the aecolor modules each call imports, beyond the package itself
     # and what every subcommand needs
-    COMMON = {"aecolor", "aecolor.cli", "aecolor.coloring", "aecolor.errors", "aecolor.graphs"}
+    COMMON = {"aecolor", "aecolor.cli", "aecolor.errors", "aecolor.graphs"}
 
     @pytest.mark.parametrize(
         "argv, extra",
         [
-            (["verify", "--in", "doc.json"], set()),
-            (["color", "--in", "k4.txt"], {"colorer", "scanner"}),
+            (["verify", "--in", "doc.json"], {"coloring"}),
+            (["color", "--in", "k4.txt"], {"colorer", "coloring", "scanner"}),
             (["gen", "--apollonian", "20"], {"embedding"}),
             (["gen", "--platonic", "cube"], {"embedding", "families"}),
-            (["chi-a", "--in", "k4.txt", "--k", "4"], {"oracle"}),
+            (["chi-a", "--in", "k4.txt", "--k", "4"], {"coloring", "oracle"}),
             (["find-config", "--in", "k4.txt"], {"scanner"}),
             (["audit", "--in", "g.txt", "--rot", "g.rot"], {"discharge", "embedding", "scanner"}),
         ],
@@ -540,7 +540,8 @@ class TestUsage:
 
     def test_verify_loads_no_dataclasses(self, tmp_path):
         # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`, so the
-        # records `verify` and `color` build are NamedTuples
+        # records `verify`, `color` and `gen` build are NamedTuples or
+        # slotted classes
         (tmp_path / "doc.json").write_text(coloring_doc(3, [(0, 1, 1), (1, 2, 2), (2, 0, 3)]))
         (tmp_path / "g.txt").write_text(format_edge_list(generate_apollonian(12, 0)[0]))
         probe = (
@@ -553,6 +554,7 @@ class TestUsage:
         for argv in (
             ["verify", "--in", "doc.json"],
             ["color", "--in", "g.txt", "--trace", "trace.json"],
+            ["gen", "--apollonian", "50", "--out", "g50.txt"],
         ):
             res = python(probe, *argv, cwd=tmp_path, check=True)
             assert res.stdout == "0 []\n", argv

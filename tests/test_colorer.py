@@ -12,20 +12,15 @@ from aecolor.colorer import (
     TraceStep,
     _RECHECK,
     _Reducer,
+    _try_swap,
     acolor,
     choose_reduction_edge,
     extend_at_edge,
-    move_swap_pair,
     replay_trace,
 )
 from aecolor.coloring import PartialEdgeColoring, validate_acyclic
 from aecolor.embedding import generate_apollonian
-from aecolor.errors import (
-    ExtensionFailed,
-    ImproperColoringError,
-    MoveRejected,
-    NotPlanarEvidence,
-)
+from aecolor.errors import ExtensionFailed, ImproperColoringError, NotPlanarEvidence
 from aecolor.families import (
     complete_graph,
     cube,
@@ -42,7 +37,7 @@ from aecolor.graphs import Graph
 from aecolor.oracle import SearchBudget, search_acyclic_coloring
 from aecolor.scanner import Configuration
 
-from support import first_fit_free_color
+from support import assert_skip_maps_exact, first_fit_free_color
 
 
 def colored(g, k, triples):
@@ -316,28 +311,27 @@ class TestTryFreeColor:
         assert phi._first_fit(0, 3) is None
 
     def test_starts_above_the_hub_floor(self):
-        # colors 1..3 fill the hub, so its floor passes them; unassigning 2
-        # lowers the floor again and 2 is the first fit once more
+        # colors 1..3 fill the hub, so the scan passes 2 and 3 in its skip
+        # map; unassigning 2 drops that map and 2 is the first fit once more
         g = star_graph(5)
         phi = colored(g, 15, [(0, 1, 1), (0, 2, 2), (0, 3, 3)])
         assert phi._first_fit(0, 4) == 4
-        assert phi._floor[0] == 4
+        assert phi._skip[0] == {2: 4, 3: 4}
         phi.unassign(0, 2)
-        assert phi._floor[0] == 2
+        assert 0 not in phi._skip
         assert phi._first_fit(0, 4) == 2
 
     def test_jumps_a_run_of_hub_colors(self):
-        # the hub holds 2..d-1 but not 1, so its floor stays at 1; spokes
-        # d-1 and d have pendant edges in color 1, so T1's first candidate
-        # past their floors is 2, and the hub's skip map passes the rest of
-        # the run in one jump; the second spoke follows it and one step more
+        # the hub holds 2..d-1 but not 1; spokes d-1 and d have pendant
+        # edges in color 1, so T1's first candidate past them is 2, and the
+        # hub's skip map passes the rest of the run in one jump; the second
+        # spoke follows it and one step more
         d = 12
         spokes = [(0, j) for j in range(1, d + 1)]
         g = Graph(d + 3, spokes + [(d - 1, d + 1), (d, d + 2)])
         hub = [(0, j, j + 1) for j in range(1, d - 1)]
         phi = colored(g, d + 5, hub + [(d - 1, d + 1, 1), (d, d + 2, 1)])
         assert phi._first_fit(0, d - 1) == d
-        assert phi.floor(0) == 1
         assert phi._skip[0] == {c: d for c in range(3, d)}
         phi.assign(0, d - 1, d)
         assert phi._first_fit(0, d) == d + 1
@@ -351,8 +345,8 @@ class TestTryFreeColor:
     @settings(max_examples=60, deadline=None)
     def test_matches_first_fit_reference(self, family, slack, seed):
         # random assign / unassign / recolor sequences; after each step the
-        # floors still lie below every free color, and on an uncolored edge
-        # T1 and the free palette agree with scans from color 1
+        # skip maps pass only used colors, and on an uncolored edge T1 and
+        # the free palette agree with scans from color 1
         rng = random.Random(seed)
         g = {
             "star": lambda: star_graph(rng.randint(3, 12)),
@@ -385,8 +379,7 @@ class TestTryFreeColor:
                 options = free(x, y)
                 if options:
                     phi.recolor(x, y, rng.choice(options))
-            for v in g.vertices():
-                assert all(c in phi._nbr[v] for c in range(1, phi._floor[v]))
+            assert_skip_maps_exact(phi)
 
     def test_star_work_is_linear(self, monkeypatch):
         # the T1 scan and the `closes_cycle` loop must stay O(n) on a star,
@@ -408,21 +401,20 @@ class TestTryFreeColor:
         assert work > 0
 
 
-class TestMoveSwapPair:
+class TestTrySwap:
     def test_wide_open_swap_accepted(self):
         g = star_graph(3)
         phi = colored(g, 13, [(0, 1, 1), (0, 2, 2)])
-        ctx = ExtensionContext(g, phi, 3, 0)
-        move_swap_pair(ctx, (0, 1), (0, 2))
+        assert _try_swap(phi, (0, 1), (0, 2))
         assert phi.color_of(0, 1) == 2 and phi.color_of(0, 2) == 1
 
     def test_far_endpoint_properness_rejected(self):
+        # vertex 2 already has color 1, which (1, 2) would take
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         phi = colored(g, 13, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
-        ctx = ExtensionContext(g, phi, 0, 3)
-        with pytest.raises(MoveRejected, match="properness"):
-            move_swap_pair(ctx, (0, 1), (1, 2))
-        assert phi.color_of(0, 1) == 1 and phi.color_of(1, 2) == 2
+        before = phi.items()
+        assert not _try_swap(phi, (0, 1), (1, 2))
+        assert phi.items() == before
 
     def test_cycle_closing_swap_rejected(self):
         # swapping (0,3) and (0,4) would leave the square alternating 1,2
@@ -430,26 +422,9 @@ class TestMoveSwapPair:
         phi = colored(
             g, 13, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 4), (0, 4, 2)]
         )
-        ctx = ExtensionContext(g, phi, 1, 3)
-        with pytest.raises(MoveRejected, match="cycle"):
-            move_swap_pair(ctx, (0, 3), (0, 4))
-        assert phi.color_of(0, 3) == 4 and phi.color_of(0, 4) == 2
-
-    def test_uncolored_edge_rejected(self):
-        g = star_graph(3)
-        phi = colored(g, 13, [(0, 1, 1)])
-        ctx = ExtensionContext(g, phi, 3, 0)
-        with pytest.raises(ValueError, match="colored"):
-            move_swap_pair(ctx, (0, 1), (0, 2))
-
-    def test_disjoint_edges_rejected(self):
-        g = path_graph(4)
-        phi = colored(g, 13, [(0, 1, 1), (2, 3, 2), (1, 2, 3)])
-        g2 = Graph(4, g.edges() + [(0, 3)])
-        phi2 = colored(g2, 13, [(0, 1, 1), (2, 3, 2), (1, 2, 3)])
-        ctx = ExtensionContext(g2, phi2, 0, 3)
-        with pytest.raises(ValueError, match="exactly one endpoint"):
-            move_swap_pair(ctx, (0, 1), (2, 3))
+        before = phi.items()
+        assert not _try_swap(phi, (0, 3), (0, 4))
+        assert phi.items() == before
 
 
 class TestExtendTiers:

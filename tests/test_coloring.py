@@ -29,7 +29,12 @@ from aecolor.families import (
 from aecolor.graphs import Graph
 from aecolor.oracle import enumerate_cycles
 
-from support import all_pairs_bichromatic_cycle, random_proper_coloring, small_graphs
+from support import (
+    all_pairs_bichromatic_cycle,
+    assert_skip_maps_exact,
+    random_proper_coloring,
+    small_graphs,
+)
 
 
 def colored(g, k, triples, strict=True):
@@ -291,10 +296,7 @@ class TestExtensionAids:
                 back = (f, q, p) if p in nbr[f] else (f, p, q)
                 assert ends.get(back[:2], {}).get(back[2]) == z
                 comparisons += 1
-        # every skip entry c -> c2 passes only colors used at its vertex
-        for v, jump in phi._skip.items():
-            for c, c2 in jump.items():
-                assert c < c2 and all(x in nbr[v] for x in range(c, c2))
+        assert_skip_maps_exact(phi)
         return comparisons
 
     @given(

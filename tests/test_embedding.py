@@ -162,3 +162,12 @@ class TestFaceSetBasics:
         fs = FaceSet((((0, 1), (1, 2), (2, 0)),))
         assert fs.lengths() == [3] and len(fs) == 1
         assert list(fs)[0][0] == (0, 1)
+
+    def test_equality_hashing_and_dart_index(self):
+        walk = ((0, 1), (1, 2), (2, 0))
+        fs, same = FaceSet((walk,)), FaceSet((walk,))
+        assert fs == same and hash(fs) == hash(same) and len({fs, same}) == 1
+        assert fs != FaceSet((walk[::-1],)) and fs != (walk,)
+        assert fs.darts_into == {1: [(0, 0)], 2: [(0, 1)], 0: [(0, 2)]}
+        assert fs.darts_into is fs.darts_into
+        assert fs == same  # the built index takes no part in equality
