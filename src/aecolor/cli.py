@@ -121,9 +121,18 @@ def _build(n: int, k: int, triples) -> tuple[Graph, PartialEdgeColoring]:
 def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
     """Rebuild graph and coloring on the document's own ids, 0..max id;
     properness violations are collected, not raised, so the verifier can
-    classify them."""
+    classify them.
+
+    The graph takes a row per id up to the largest, so an id that would
+    need more than MAX_VERTICES vertices is refused before anything is
+    built.
+    """
     k, triples = _coloring_rows(doc)
     n = max((max(u, v) + 1 for u, v, _ in triples), default=0)
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"vertex id {n - 1} needs n={n}, above the limit of {MAX_VERTICES} vertices"
+        )
     return _build(n, k, triples)
 
 

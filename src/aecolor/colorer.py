@@ -260,10 +260,12 @@ def _try_swap(phi: PartialEdgeColoring, e1: tuple[int, int], e2: tuple[int, int]
 
 
 def _finish(ctx: ExtensionContext) -> bool:
-    c = ctx.phi._first_fit(ctx.u, ctx.v)
+    u, v = ctx.u, ctx.v
+    c = ctx.phi._first_fit(u, v)
     if c is None:
         return False
-    ctx.phi.assign(ctx.u, ctx.v, c)
+    # the context holds uv as an uncolored edge, and c is free at both ends
+    ctx.phi._put(u, v, _canon(u, v), c)
     return True
 
 
@@ -373,6 +375,29 @@ def _tier4(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> PartialEdge
     )
 
 
+def _check_max_tier(max_tier: int) -> None:
+    if not 1 <= max_tier <= 4:
+        raise ValueError(f"max_tier must be in 1..4, got {max_tier}")
+
+
+def _escalate(
+    ctx: ExtensionContext,
+    max_tier: int,
+    t3_budget: int,
+    t4_budget: Optional[SearchBudget],
+) -> tuple[PartialEdgeColoring, str]:
+    # tiers T2 to T4 for an edge on which T1 has just failed
+    if max_tier >= 2 and _tier2(ctx):
+        return ctx.phi, "T2"
+    if max_tier >= 3 and _tier3(ctx, t3_budget):
+        return ctx.phi, "T3"
+    if max_tier >= 4:
+        return _tier4(ctx, t4_budget), "T4"
+    raise ExtensionFailed(
+        f"edge ({ctx.u}, {ctx.v}) not extendable within tier cap T{max_tier}"
+    )
+
+
 def extend_at_edge(
     ctx: ExtensionContext,
     *,
@@ -386,19 +411,14 @@ def extend_at_edge(
     fresh one for the same graph.  A failed tier always restores the
     coloring it started from before the next tier runs.
     """
-    if not 1 <= max_tier <= 4:
-        raise ValueError(f"max_tier must be in 1..4, got {max_tier}")
+    _check_max_tier(max_tier)
     if _finish(ctx):
         return ctx.phi, "T1"
-    if max_tier >= 2 and _tier2(ctx):
-        return ctx.phi, "T2"
-    if max_tier >= 3 and _tier3(ctx, t3_budget):
-        return ctx.phi, "T3"
-    if max_tier >= 4:
-        return _tier4(ctx, t4_budget), "T4"
-    raise ExtensionFailed(
-        f"edge ({ctx.u}, {ctx.v}) not extendable within tier cap T{max_tier}"
-    )
+    return _escalate(ctx, max_tier, t3_budget, t4_budget)
+
+
+class _TierMismatch(Exception):
+    """Re-insertion step i landed on `got`, not on its recorded tier."""
 
 
 def _reinsert(
@@ -410,18 +430,38 @@ def _reinsert(
 ) -> PartialEdgeColoring:
     # the one re-insertion loop: palette Δ+10, last removal first, edges[i]
     # extended from its far end u toward vertices[i]; tiers[i] is the tier
-    # it must land on, or None to record it.  (A pair per step, kept for the
-    # loop, made replay about 20% slower in the garbage collector.)
+    # it must land on (else _TierMismatch), or None to record it.  (A pair
+    # per step, kept for the loop, made replay about 20% slower in the
+    # garbage collector.)
+    #
+    # A first-fit color is written with the unchecked `_put`, and an
+    # ExtensionContext, with its guards, is built only on escalation.  The
+    # checks `assign` would make hold because (1) the edges are canonical
+    # edges of g, from `_Reducer(g)` or from `replay_trace`'s pass over
+    # g's edge set; (2) each is re-inserted once, so it is uncolored when
+    # reached; (3) the coloring is built only by proper writes, so it stays
+    # proper; (4) `_first_fit` returns only a color in 1..k free at both ends.
+    if edges:
+        _check_max_tier(max_tier)
     phi = PartialEdgeColoring(g, g.max_degree() + 10)
+    # bound methods of phi: T4 returns a fresh coloring, so they are bound
+    # again after every escalation
+    first_fit, put = phi._first_fit, phi._put
     for i in range(len(edges) - 1, -1, -1):
-        edge, v = edges[i], vertices[i]
-        u = edge[0] if edge[1] == v else edge[1]
-        phi, tier = extend_at_edge(ExtensionContext(g, phi, u, v), max_tier=max_tier)
+        e, v = edges[i], vertices[i]
+        u = e[0] if e[1] == v else e[1]
+        c = first_fit(u, v)
+        if c is not None:
+            put(u, v, e, c)
+            tier = "T1"
+        else:
+            phi, tier = _escalate(
+                ExtensionContext(g, phi, u, v), max_tier, T3_STATE_BUDGET, None
+            )
+            first_fit, put = phi._first_fit, phi._put
         if tier != tiers[i]:
             if tiers[i] is not None:
-                raise ValueError(
-                    f"trace mismatch at edge {edge}: recorded {tiers[i]}, got {tier}"
-                )
+                raise _TierMismatch(i, tier)
             tiers[i] = tier
     return phi
 
@@ -473,9 +513,15 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
         if e not in remaining:
             raise ValueError(f"trace replays removal of missing edge {edge}")
         remaining.remove(e)
-        edges.append(edge)
+        edges.append(e)
         vertices.append(v)
         tiers.append(tier)
     if remaining:
         raise ValueError(f"trace leaves {len(remaining)} edges unremoved")
-    return _reinsert(g, edges, vertices, tiers)
+    try:
+        return _reinsert(g, edges, vertices, tiers)
+    except _TierMismatch as exc:
+        i, got = exc.args
+        raise ValueError(
+            f"trace mismatch at edge {trace.steps[i].edge}: recorded {tiers[i]}, got {got}"
+        ) from None

@@ -30,8 +30,9 @@ Color = int
 class PartialEdgeColoring:
     """Proper partial edge coloring over palette [1..k].
 
-    `assign` rejects any color clash, so instances are proper by
-    construction.  The only way to hold an improper coloring is
+    `assign` rejects any color clash, and its unchecked core `_put` is
+    called only where its checks are known to hold, so instances are
+    proper by construction.  The only way to hold an improper coloring is
     `from_pairs(strict=False)`, which records the clashing edges in
     `violations` and keeps them out of the traversal table; validators
     report them, everything else refuses to run via them.
@@ -87,6 +88,12 @@ class PartialEdgeColoring:
         return phi
 
     def assign(self, u: int, v: int, c: Color) -> None:
+        """Color the uncolored edge uv with c: the public, checked write.
+
+        Refuses a non-edge, a color outside 1..k or an edge already colored
+        (ValueError) and a color already at u or v (ImproperColoringError),
+        then writes through `_put`.
+        """
         if not self.graph.has_edge(u, v):
             raise ValueError(f"({u},{v}) is not an edge")
         if not 1 <= c <= self.k:
@@ -98,11 +105,21 @@ class PartialEdgeColoring:
             raise ImproperColoringError(f"color {c} already at vertex {u}")
         if c in self._nbr[v]:
             raise ImproperColoringError(f"color {c} already at vertex {v}")
-        self._nbr[u][c] = v
-        self._nbr[v][c] = u
+        self._put(u, v, e, c)
+
+    def _put(self, u: int, v: int, e: tuple[int, int], c: Color) -> None:
+        """The writes of `assign` without its checks; private.
+
+        The caller guarantees what `assign` checks: uv is an uncolored edge
+        of the graph, e is its canonical form, and c is in 1..k and free at
+        both ends.  A color from `_first_fit` is all of that.
+        """
+        nbr = self._nbr
+        nbr[u][c] = v
+        nbr[v][c] = u
         self._colors[e] = c
         if self._ends:
-            self._ends.join(self._nbr, u, v, c)
+            self._ends.join(nbr, u, v, c)
 
     def unassign(self, u: int, v: int) -> Color:
         e = _canon(u, v)

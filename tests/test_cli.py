@@ -13,7 +13,7 @@ import pytest
 
 import aecolor
 from aecolor import families
-from aecolor.cli import main
+from aecolor.cli import coloring_from_json, main
 from aecolor.embedding import format_rotation, generate_apollonian
 from aecolor.families import complete_graph, cycle_graph
 from aecolor.graphs import MAX_VERTICES, format_edge_list
@@ -344,6 +344,23 @@ class TestVerify:
         assert code == 0 and json.loads(out)["status"] == "acyclic"
         assert "Traceback" not in err
         assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("top", [MAX_VERTICES, 10**9])
+    def test_rebuild_refuses_an_id_past_the_vertex_limit(self, top):
+        # `coloring_from_json` keeps the document's ids, so it would take a
+        # row per id up to the largest; it refuses before building anything
+        doc = json.loads(coloring_doc(1, [(0, top, 1)]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                coloring_from_json(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            f"vertex id {top} needs n={top + 1}, above the limit of {MAX_VERTICES} vertices"
+        )
+        assert peak < 2**20
 
     def test_sparse_ids_reported_as_given(self, capsys, monkeypatch):
         # the alternating square and its pendant edge on ids x 1000: the

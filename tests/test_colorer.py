@@ -613,9 +613,12 @@ class TestTrace:
         _, trace = acolor(g)
         steps = list(trace.steps)
         victim = next(i for i, s in enumerate(steps) if s.tier == "T1")
-        steps[victim] = TraceStep(steps[victim].edge, steps[victim].config, "T2")
-        with pytest.raises(ValueError, match="mismatch"):
+        # the message names the edge as the trace gives it, reversed here
+        u, v = steps[victim].edge
+        steps[victim] = TraceStep((v, u), steps[victim].config, "T2")
+        with pytest.raises(ValueError) as exc:
             replay_trace(g, ReductionTrace(tuple(steps)))
+        assert str(exc.value) == f"trace mismatch at edge {(v, u)}: recorded T2, got T1"
 
     def test_replay_rejects_vertex_off_its_edge(self):
         # a vertex off the edge would pick the wrong u, and the replay would
@@ -628,3 +631,104 @@ class TestTrace:
         steps[2] = TraceStep(step.edge, step.config._replace(vertex=off), step.tier)
         with pytest.raises(ValueError, match=f"trace step 2 .* vertex {off}$"):
             replay_trace(g, ReductionTrace(tuple(steps)))
+
+
+def refuse_first_fit(monkeypatch, target, until):
+    """Make `_first_fit` answer None for the edge `target` until tier
+    `until` runs ("T4": always), and record each `_put` as (coloring, edge)
+    in the returned list."""
+    stage = ["T1"]
+    for name, tier in (("_tier2", "T2"), ("_tier3", "T3")):
+
+        def staged(*args, real=getattr(colorer, name), tier=tier):
+            stage[0] = tier
+            try:
+                return real(*args)
+            finally:
+                stage[0] = "T1"
+
+        monkeypatch.setattr(colorer, name, staged)
+    first_fit, put = PartialEdgeColoring._first_fit, PartialEdgeColoring._put
+    puts = []
+
+    def refusing(phi, u, v):
+        if (min(u, v), max(u, v)) == target and stage[0] < until:
+            return None
+        return first_fit(phi, u, v)
+
+    def recorded(phi, u, v, e, c):
+        puts.append((phi, e))
+        put(phi, u, v, e, c)
+
+    monkeypatch.setattr(PartialEdgeColoring, "_first_fit", refusing)
+    monkeypatch.setattr(PartialEdgeColoring, "_put", recorded)
+    return puts
+
+
+class TestReinsertEscalation:
+    """The escalation branch of the re-insertion loop, which no input
+    reaches at Δ+10: first fit refuses one edge of the icosahedron until
+    the wanted tier runs."""
+
+    @pytest.mark.parametrize("want", ["T2", "T3", "T4"])
+    def test_acolor_and_replay_escalate(self, monkeypatch, want):
+        g = icosahedron()[0]
+        _, plain = acolor(g)
+        # at this step's edge some spoke swap lets first fit in again, so
+        # each tier is the first to succeed; twelve steps come after it
+        at = 12
+        target = plain.steps[at].edge
+        later = {s.edge for s in plain.steps[:at]}
+        puts = refuse_first_fit(monkeypatch, target, want)
+        phi, trace = acolor(g)
+        assert [s.tier for s in trace] == [want if i == at else "T1" for i in range(len(trace))]
+        assert [s.edge for s in trace] == [s.edge for s in plain]
+        assert validate_acyclic(g, phi).ok and phi.is_complete()
+        # after the step, T4's fresh coloring included, every write lands
+        # in the coloring that is returned
+        assert all(obj is phi for obj, e in puts if e in later)
+        puts.clear()
+        again = replay_trace(g, trace)
+        assert again.items() == phi.items()
+        assert all(obj is again for obj, e in puts if e in later)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=f"recorded {want}, got T1"):
+            replay_trace(g, trace)
+
+
+class TestFirstFitWork:
+    """Re-insertion builds an ExtensionContext and calls the checked
+    `assign` only on escalation, which these inputs never need."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: generate_apollonian(3000, seed=11)[0],
+            lambda: star_graph(5000),
+            lambda: wheel_graph(3000),
+            lambda: grid_graph(60, 60),
+        ],
+        ids=["apollonian3000", "star5000", "wheel3000", "grid60x60"],
+    )
+    def test_t1_steps_build_no_context(self, monkeypatch, build):
+        g = build()
+        calls = {"contexts": 0, "assigns": 0}
+
+        def counted(key, f):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return f(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(
+            ExtensionContext, "__init__", counted("contexts", ExtensionContext.__init__)
+        )
+        monkeypatch.setattr(
+            PartialEdgeColoring, "assign", counted("assigns", PartialEdgeColoring.assign)
+        )
+        phi, trace = acolor(g)
+        escalated = len(trace) - trace.tier_counts().get("T1", 0)
+        assert calls == {"contexts": escalated, "assigns": escalated} and escalated == 0
+        assert replay_trace(g, trace).items() == phi.items()
+        assert calls == {"contexts": 0, "assigns": 0}
