@@ -221,3 +221,206 @@ def embedded_corpus() -> list[tuple[str, Graph, RotationSystem]]:
             g, rot = generate_apollonian(n, seed)
             out.append((f"apollonian{n}s{seed}", g, rot))
     return out
+
+
+# --- the reference load path for coloring documents ----------------------
+#
+# `cli.coloring_from_json` and `aecolor verify` read a document in one pass
+# per row.  What follows is the plain path they must agree with, step by
+# step: every field through one type check, the graph's rows through the
+# general edge loop with `_canon`, and every color through
+# `PartialEdgeColoring.assign`.
+
+
+def _json_int(x, key: str) -> int:
+    from aecolor.cli import _UsageError
+
+    if type(x) is not int:
+        raise _UsageError(
+            f"malformed coloring document: {key} must be an integer, "
+            f"got {type(x).__name__}"
+        )
+    return x
+
+
+def reference_rows(doc: dict) -> tuple[int, list[tuple[int, int, int | None]]]:
+    """The palette size and the (u, v, color) rows, every field checked."""
+    from aecolor.cli import _UsageError
+
+    try:
+        k = _json_int(doc["k"], "k")
+        triples = []
+        for row in doc["edges"]:
+            u, v = _json_int(row["u"], "u"), _json_int(row["v"], "v")
+            c = row["color"]
+            triples.append((u, v, None if c is None else _json_int(c, "color")))
+    except KeyError as exc:
+        raise _UsageError(f"malformed coloring document: missing key {exc}") from exc
+    except TypeError as exc:
+        raise _UsageError(f"malformed coloring document: {exc}") from exc
+    return k, triples
+
+
+def reference_graph(n: int, edges) -> Graph:
+    """A `Graph` built by the general edge loop, one `_canon` per row."""
+    from aecolor.graphs import _canon
+
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    canon: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = _canon(u, v)
+        if e in canon:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        canon.add(e)
+        adj[u].append(v)
+        adj[v].append(u)
+    g = object.__new__(Graph)
+    g._n = n
+    g._edges = frozenset(canon)
+    g._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+    return g
+
+
+def reference_coloring(g: Graph, k: int, triples) -> PartialEdgeColoring:
+    """Every color through `assign`; clashes collected in `violations`."""
+    from aecolor.errors import ImproperColoringError
+
+    phi = PartialEdgeColoring(g, k)
+    for u, v, c in triples:
+        if c is None:
+            continue
+        try:
+            phi.assign(u, v, c)
+        except ImproperColoringError:
+            phi.violations.append((u, v, c))
+    return phi
+
+
+def reference_coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
+    from aecolor.graphs import MAX_VERTICES
+
+    k, triples = reference_rows(doc)
+    n = max((max(u, v) + 1 for u, v, _ in triples), default=0)
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"vertex id {n - 1} needs n={n}, above the limit of {MAX_VERTICES} vertices"
+        )
+    g = reference_graph(n, [(u, v) for u, v, _ in triples])
+    return g, reference_coloring(g, k, triples)
+
+
+def reference_ranked(triples):
+    """The document's ids ascending, and the rows on their ranks; rows no
+    graph accepts are refused in the document's own ids."""
+    seen: set[tuple[int, int]] = set()
+    for u, v, _ in triples:
+        if u < 0 or v < 0:
+            raise ValueError(f"edge ({u},{v}) has a negative vertex id")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        seen.add(e)
+    ids = sorted({x for e in seen for x in e})
+    rank = {x: i for i, x in enumerate(ids)}
+    return ids, [(rank[u], rank[v], c) for u, v, c in triples]
+
+
+def reference_verify(doc: dict) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `aecolor verify` in JSON format on doc."""
+    import json
+
+    from aecolor.cli import SCHEMA, _UsageError
+    from aecolor.coloring import validate_acyclic
+
+    try:
+        k, triples = reference_rows(doc)
+        ids, ranked = reference_ranked(triples)
+        g = reference_graph(len(ids), [(u, v) for u, v, _ in ranked])
+        phi = reference_coloring(g, k, ranked)
+    except (_UsageError, ValueError) as exc:
+        return 1, "", f"aecolor: {exc}\n"
+    if phi.violations:
+        code = 2
+        body: dict = {
+            "status": "improper",
+            "violations": [
+                {"u": ids[u], "v": ids[v], "color": c} for u, v, c in phi.violations
+            ],
+        }
+    else:
+        report = validate_acyclic(g, phi)
+        if report.cycle is not None:
+            code = 3
+            body = {
+                "status": "cycle",
+                "cycle": {
+                    "vertices": [ids[x] for x in report.cycle.vertices],
+                    "colors": list(report.cycle.colors),
+                },
+            }
+        elif not report.all_edges_colored:
+            code = 4
+            body = {"status": "incomplete", "colored": phi.colored_edge_count(), "edges": g.m}
+        else:
+            code = 0
+            body = {"status": "acyclic", "max_color": report.max_color}
+    return code, json.dumps({"schema": SCHEMA, **body}, indent=2) + "\n", ""
+
+
+@st.composite
+def coloring_documents(draw) -> dict:
+    """Coloring documents on a small simple graph: sparse ids, rows in any
+    order and either orientation, and colors mostly free at both ends, so
+    that two-colored cycles form, but some clashing and some missing; now
+    and then one row out of the palette, with a negative id, a self-loop
+    or a repeated edge."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    possible = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
+    pairs = [e for e, kept in zip(possible, keep) if kept]
+    ids = draw(st.lists(st.integers(0, 3000), min_size=n, max_size=n, unique=True))
+    k = draw(st.integers(min_value=0, max_value=6))
+    used: list[set[int]] = [set() for _ in range(n)]
+    rows = []
+    for a, b in pairs:
+        kind = draw(st.sampled_from(["free"] * 6 + ["any", "none"]))
+        free = [c for c in range(1, k + 1) if c not in used[a] and c not in used[b]]
+        if kind == "any" and k:
+            c = draw(st.integers(1, k))
+        elif kind == "free" and free:
+            c = draw(st.sampled_from(free))
+        else:
+            c = None
+        if c is not None:
+            used[a].add(c)
+            used[b].add(c)
+        u, v = ids[a], ids[b]
+        if draw(st.booleans()):
+            u, v = v, u
+        rows.append([u, v, c])
+    rows = draw(st.permutations(rows))
+    defect = draw(st.sampled_from([None] * 6 + ["palette", "negative", "self-loop", "repeat"]))
+    if rows and defect is not None:
+        i = draw(st.integers(0, len(rows) - 1))
+        u, v, c = rows[i]
+        if defect == "palette":
+            rows[i] = [u, v, draw(st.sampled_from([0, k + 1, -4]))]
+        elif defect == "negative":
+            rows[i] = [-1 - u, v, c]
+        elif defect == "self-loop":
+            rows[i] = [u, u, c]
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [v, u, c])
+    return {
+        "schema": "aecolor/1",
+        "k": k,
+        "edges": [{"u": u, "v": v, "color": c} for u, v, c in rows],
+    }

@@ -7,16 +7,20 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 import aecolor
 from aecolor import families
-from aecolor.cli import coloring_from_json, main
+from aecolor.cli import _UsageError, coloring_from_json, main
 from aecolor.embedding import format_rotation, generate_apollonian
 from aecolor.families import complete_graph, cycle_graph
 from aecolor.graphs import MAX_VERTICES, format_edge_list
+from support import coloring_documents, reference_coloring_from_json, reference_verify
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -49,6 +53,14 @@ def python(probe, *argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, **kwargs
     )
+
+
+def verify_outcome(text):
+    """(exit code, stdout, stderr) of `aecolor verify` with text on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--in", "-"])
+    return code, out.getvalue(), err.getvalue()
 
 
 # the names of the aecolor modules a probe has loaded, space-separated
@@ -615,3 +627,137 @@ class TestPipeline:
             monkeypatch=monkeypatch,
         )
         assert code == 0 and json.loads(out)["status"] == "acyclic"
+
+
+def load_outcome(load, doc):
+    """What a document loader makes of doc: the graph, its adjacency, the
+    colors and violations in order; or the error it raises."""
+    try:
+        g, phi = load(doc)
+    except (_UsageError, ValueError) as exc:
+        return type(exc), str(exc)
+    return g, [g.neighbors(x) for x in g.vertices()], phi.k, phi.items(), phi.violations
+
+
+class TestLoadEquivalence:
+    """The one-pass load of a coloring document agrees with the reference
+    path in tests/support.py: rows, graph and coloring built step by step."""
+
+    @given(coloring_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_coloring_from_json_matches_reference(self, doc):
+        got = load_outcome(coloring_from_json, doc)
+        assert got == load_outcome(reference_coloring_from_json, doc)
+
+    @given(coloring_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_verify_matches_reference(self, doc):
+        assert verify_outcome(json.dumps(doc)) == reference_verify(doc)
+
+
+def raw_doc(k, rows):
+    """A document whose rows are given as JSON text, so they may be malformed."""
+    return '{"schema": "aecolor/1", "k": %s, "edges": [%s]}' % (k, ", ".join(rows))
+
+
+class TestDefectPrecedence:
+    """Which defect a document with two reports, by `verify` and by
+    `coloring_from_json`: every field is type-checked before any row is
+    built, and the graph is built before any color is read."""
+
+    @pytest.mark.parametrize(
+        "text, verify_err, load_err",
+        [
+            (
+                raw_doc("3", ['{"u": 0, "v": 1, "color": 1}', '{"u": 1, "v": 0, "color": 2}',
+                              '{"u": 2, "v": 3, "color": 1}', '{"u": true, "v": 4, "color": 2}']),
+                "malformed coloring document: u must be an integer, got bool",
+                (_UsageError, "malformed coloring document: u must be an integer, got bool"),
+            ),
+            (
+                raw_doc("3", ['{"u": 0, "v": 1, "color": 1}', '{"u": 1, "v": 0, "color": 2}',
+                              '{"u": 1, "v": 2, "color": 7}']),
+                "duplicate edge (1,0)",
+                (ValueError, "duplicate edge (1,0)"),
+            ),
+            (
+                raw_doc("3", ['{"u": 1, "v": 2, "color": 7}', '{"u": 0, "v": 1, "color": 1}',
+                              '{"u": 1, "v": 0, "color": 2}']),
+                "duplicate edge (1,0)",
+                (ValueError, "duplicate edge (1,0)"),
+            ),
+            (
+                raw_doc("3", ['{"u": 0, "v": 1, "color": 1}', '{"u": 2, "v": 2, "color": 2}',
+                              '{"u": 1, "v": 3}']),
+                "malformed coloring document: missing key 'color'",
+                (_UsageError, "malformed coloring document: missing key 'color'"),
+            ),
+            (
+                raw_doc("3", ['{"u": -1, "v": 1, "color": 1}', '{"u": 1, "v": 2, "color": 2.0}']),
+                "malformed coloring document: color must be an integer, got float",
+                (_UsageError, "malformed coloring document: color must be an integer, got float"),
+            ),
+            (
+                raw_doc('"3"', ['{"u": 0, "v": 0, "color": 9}']),
+                "malformed coloring document: k must be an integer, got str",
+                (_UsageError, "malformed coloring document: k must be an integer, got str"),
+            ),
+            (
+                coloring_doc(3, [(0, 1, 1), (-1, 2, 2), (1, 0, 3)]),
+                "edge (-1,2) has a negative vertex id",
+                (ValueError, "edge (-1,2) out of range for n=3"),
+            ),
+            (
+                coloring_doc(3, [(0, 1, 1), (1, 0, 3), (-1, 2, 2)]),
+                "duplicate edge (1,0)",
+                (ValueError, "duplicate edge (1,0)"),
+            ),
+            (
+                coloring_doc(3, [(-3, -2, 1)]),
+                "edge (-3,-2) has a negative vertex id",
+                (ValueError, "vertex count must be nonnegative, got -1"),
+            ),
+            (
+                coloring_doc(3, [(0, 1, 1), (1, 0, 2), (5, 10**7, 1)]),
+                "duplicate edge (1,0)",
+                (ValueError, f"vertex id {10**7} needs n={10**7 + 1}, above the limit of {MAX_VERTICES} vertices"),
+            ),
+            (
+                coloring_doc(3, [(0, 1, 1), (4, 4, 1), (1, 0, 2)]),
+                "self-loop at vertex 4",
+                (ValueError, "self-loop at vertex 4"),
+            ),
+            (
+                coloring_doc(-1, [(0, 1, 1), (1, 2, 1)]),
+                "palette size must be nonnegative, got -1",
+                (ValueError, "palette size must be nonnegative, got -1"),
+            ),
+            (
+                coloring_doc(3, [(0, 1, 1), (1, 2, 1), (2, 3, 4)]),
+                "color 4 outside palette [1..3]",
+                (ValueError, "color 4 outside palette [1..3]"),
+            ),
+        ],
+        ids=[
+            "late-bool-u-early-duplicate",
+            "duplicate-and-palette",
+            "palette-then-duplicate",
+            "self-loop-then-missing-color",
+            "negative-id-and-float-color",
+            "string-k",
+            "negative-then-duplicate",
+            "duplicate-then-negative",
+            "all-ids-negative",
+            "duplicate-then-id-past-limit",
+            "self-loop-then-duplicate",
+            "negative-k-and-clash",
+            "clash-then-palette",
+        ],
+    )
+    def test_first_defect_wins(self, text, verify_err, load_err):
+        code, out, err = verify_outcome(text)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == f"aecolor: {verify_err}"
+        with pytest.raises((_UsageError, ValueError)) as exc:
+            coloring_from_json(json.loads(text))
+        assert (type(exc.value), str(exc.value)) == load_err
