@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
@@ -79,43 +80,77 @@ def _load_graph(path: str) -> Graph:
 
 
 def coloring_to_json(phi: PartialEdgeColoring) -> dict:
-    edges = []
-    for u, v in phi.graph.edges():
-        edges.append({"u": u, "v": v, "color": phi.color_of(u, v)})
+    color = phi._colors.get  # one lookup per edge, keyed by its canonical form
+    edges = [{"u": e[0], "v": e[1], "color": color(e)} for e in phi.graph.edges()]
     return {"schema": SCHEMA, "k": phi.k, "edges": edges}
 
 
-def _json_int(x, key: str) -> int:
-    # bool is an int subclass, and a float such as 2.7 or 1e400 is no id
-    if type(x) is not int:
-        raise _UsageError(
-            f"malformed coloring document: {key} must be an integer, "
-            f"got {type(x).__name__}"
-        )
-    return x
+def _not_int(key: str, x) -> _UsageError:
+    return _UsageError(
+        f"malformed coloring document: {key} must be an integer, got {type(x).__name__}"
+    )
 
 
-def _coloring_rows(doc: dict) -> tuple[int, list[tuple[int, int, Optional[int]]]]:
-    """The palette size and the (u, v, color) rows of a coloring document."""
+def _coloring_rows(
+    doc: dict, seen: Optional[set[tuple[int, int]]] = None
+) -> tuple[int, list[tuple[int, int, Optional[int]]], float]:
+    """The palette size, the (u, v, color) rows and the largest vertex id
+    of a coloring document, in one pass over the rows.
+
+    Each field must be an integer, color may also be null; bool is an int
+    subclass, and a float such as 2.7 or 1e400 is no id.  The fields are
+    checked in the order k, then row by row u, v and color, and the first
+    that is missing or malformed is refused.
+
+    Given a set `seen`, the pass also files each row's edge there in
+    canonical form, and refuses the first row, in row order, with a
+    negative id, a self-loop or an edge already filed (ValueError), naming
+    it in the document's own ids.  That refusal comes only after every
+    field has passed, so a malformed field anywhere outranks it.
+
+    The largest id is -inf for a document without rows.
+    """
+    top = float("-inf")
+    defect = None
+    triples = []
+    append = triples.append
     try:
-        k = _json_int(doc["k"], "k")
-        triples = []
+        k = doc["k"]
+        if type(k) is not int:
+            raise _not_int("k", k)
         for row in doc["edges"]:
-            u, v = _json_int(row["u"], "u"), _json_int(row["v"], "v")
+            u = row["u"]
+            if type(u) is not int:
+                raise _not_int("u", u)
+            v = row["v"]
+            if type(v) is not int:
+                raise _not_int("v", v)
             c = row["color"]
-            triples.append((u, v, None if c is None else _json_int(c, "color")))
+            if c is not None and type(c) is not int:
+                raise _not_int("color", c)
+            append((u, v, c))
+            if u > top:
+                top = u
+            if v > top:
+                top = v
+            if seen is not None and defect is None:
+                if u < 0 or v < 0:
+                    defect = f"edge ({u},{v}) has a negative vertex id"
+                elif u == v:
+                    defect = f"self-loop at vertex {u}"
+                else:
+                    e = (u, v) if u < v else (v, u)
+                    if e in seen:
+                        defect = f"duplicate edge ({u},{v})"
+                    else:
+                        seen.add(e)
     except KeyError as exc:
         raise _UsageError(f"malformed coloring document: missing key {exc}") from exc
     except TypeError as exc:
         raise _UsageError(f"malformed coloring document: {exc}") from exc
-    return k, triples
-
-
-def _build(n: int, k: int, triples) -> tuple[Graph, PartialEdgeColoring]:
-    from .coloring import PartialEdgeColoring
-
-    g = Graph(n, [(u, v) for u, v, _ in triples])
-    return g, PartialEdgeColoring.from_pairs(g, k, triples, strict=False)
+    if defect is not None:
+        raise ValueError(defect)
+    return k, triples, top
 
 
 def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
@@ -123,48 +158,34 @@ def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
     properness violations are collected, not raised, so the verifier can
     classify them.
 
-    The graph takes a row per id up to the largest, so an id that would
-    need more than MAX_VERTICES vertices is refused before anything is
-    built.
+    The checks run in this order, and the first that fails is raised:
+    every field's type, row by row (`_coloring_rows`, a usage error); the
+    largest id, which may need at most MAX_VERTICES vertices, since the
+    graph takes a row per id up to it; the edges, row by row, as `Graph`
+    checks them (an id out of range, a self-loop, a duplicate); the
+    palette size; and the colors, row by row, as `from_pairs` checks
+    them.  All but the first raise ValueError.
     """
-    k, triples = _coloring_rows(doc)
-    n = max((max(u, v) + 1 for u, v, _ in triples), default=0)
+    from .coloring import PartialEdgeColoring
+
+    k, triples, top = _coloring_rows(doc)
+    n = top + 1 if triples else 0
     if n > MAX_VERTICES:
         raise ValueError(
             f"vertex id {n - 1} needs n={n}, above the limit of {MAX_VERTICES} vertices"
         )
-    return _build(n, k, triples)
-
-
-def _ranked(triples) -> tuple[list[int], list[tuple[int, int, Optional[int]]]]:
-    """The document's vertex ids ascending, and the rows on their ranks.
-
-    Ranks keep the order of the ids, so the cycle witness rule picks the
-    same cycle, and a graph on ranks takes memory by the number of edges
-    rather than by the largest id.  Rows that no graph accepts are refused
-    here, in the document's own ids.
-    """
-    seen: set[tuple[int, int]] = set()
-    for u, v, _ in triples:
-        if u < 0 or v < 0:
-            raise ValueError(f"edge ({u},{v}) has a negative vertex id")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise ValueError(f"duplicate edge ({u},{v})")
-        seen.add(e)
-    ids = sorted({x for e in seen for x in e})
-    rank = {x: i for i, x in enumerate(ids)}
-    return ids, [(rank[u], rank[v], c) for u, v, c in triples]
+    g = Graph(n, [(u, v) for u, v, _ in triples])
+    return g, PartialEdgeColoring.from_pairs(g, k, triples, strict=False)
 
 
 def _dot(phi: PartialEdgeColoring) -> str:
     # palette index drives the hue so renders are stable across runs
     lines = ["graph aecolor {"]
     k = max(phi.k, 1)
-    for u, v in phi.graph.edges():
-        c = phi.color_of(u, v)
+    color = phi._colors.get
+    for e in phi.graph.edges():
+        u, v = e
+        c = color(e)
         if c is None:
             lines.append(f'  {u} -- {v} [style=dashed label="?"];')
         else:
@@ -211,7 +232,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .coloring import validate_acyclic
+    from .coloring import PartialEdgeColoring, validate_acyclic
 
     try:
         doc = json.loads(_read(getattr(args, "in")))
@@ -219,9 +240,17 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"input is not JSON: {exc}") from exc
     except RecursionError as exc:
         raise _UsageError("input is nested too deeply to read as JSON") from exc
-    k, triples = _coloring_rows(doc)
-    ids, ranked = _ranked(triples)
-    g, phi = _build(len(ids), k, ranked)
+    # the graph is built on the ranks of the ids, in the ids' order, so the
+    # cycle witness rule picks the same cycle, and memory follows the number
+    # of edges rather than the largest id; the row pass refuses, in the
+    # document's own ids, the rows that no graph accepts
+    seen: set[tuple[int, int]] = set()
+    k, triples, _ = _coloring_rows(doc, seen)
+    ids = sorted(set(chain.from_iterable(seen)))
+    rank = {x: i for i, x in enumerate(ids)}
+    triples = [(rank[u], rank[v], c) for u, v, c in triples]
+    g = Graph(len(ids), [(u, v) for u, v, _ in triples])
+    phi = PartialEdgeColoring.from_pairs(g, k, triples, strict=False)
     if phi.violations:
         status, code = "improper", EXIT_IMPROPER
         detail: dict = {

@@ -75,16 +75,47 @@ class PartialEdgeColoring:
         pairs: Iterable[tuple[int, int, Optional[int]]],
         strict: bool = True,
     ) -> "PartialEdgeColoring":
+        """A coloring of graph with the colored (u, v, color) rows; a color
+        of None leaves the edge uncolored.
+
+        Each row gets `assign`'s checks, in its order and with its
+        messages: a non-edge, a color outside 1..k and an edge already
+        colored raise ValueError, and a color already at u, then at v,
+        raises ImproperColoringError, or with `strict=False` puts the row
+        in `violations`, in row order, and leaves the edge uncolored.
+        """
         phi = cls(graph, k)
+        # `assign`, inlined: this loop colors every edge of a loaded
+        # document.  `_put`'s path-end join is skipped, as the cache of a
+        # fresh coloring is empty and only `closes_cycle` fills it.
+        edges = graph._edges
+        nbr = phi._nbr
+        colors = phi._colors
+        violations = phi.violations
         for u, v, c in pairs:
             if c is None:
                 continue
-            try:
-                phi.assign(u, v, c)
-            except ImproperColoringError:
-                if strict:
-                    raise
-                phi.violations.append((u, v, c))
+            e = (u, v) if u < v else (v, u)
+            if e not in edges:
+                raise ValueError(f"({u},{v}) is not an edge")
+            if not 1 <= c <= k:
+                raise ValueError(f"color {c} outside palette [1..{k}]")
+            if e in colors:
+                raise ValueError(f"edge {e} already colored; unassign first")
+            nu = nbr[u]
+            nv = nbr[v]
+            if c in nu:
+                clash = u
+            elif c in nv:
+                clash = v
+            else:
+                nu[c] = v
+                nv[c] = u
+                colors[e] = c
+                continue
+            if strict:
+                raise ImproperColoringError(f"color {c} already at vertex {clash}")
+            violations.append((u, v, c))
         return phi
 
     def assign(self, u: int, v: int, c: Color) -> None:
@@ -214,7 +245,9 @@ class PartialEdgeColoring:
         return len(self._colors)
 
     def items(self) -> list[tuple[tuple[int, int], Color]]:
-        return sorted(self._colors.items())
+        # edge keys are distinct, so sorting them alone gives the same order
+        colors = self._colors
+        return [(e, colors[e]) for e in sorted(colors)]
 
     def max_color_used(self) -> int:
         return max(self._colors.values(), default=0)

@@ -26,7 +26,11 @@ def _canon(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """Immutable simple graph on vertices 0..n-1."""
+    """Immutable simple graph on vertices 0..n-1.
+
+    The constructor checks the edges in the order given and refuses the
+    first that is out of range, a self-loop or a duplicate (ValueError).
+    """
 
     __slots__ = ("_n", "_edges", "_adj")
 
@@ -35,15 +39,21 @@ class Graph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         adj: list[list[int]] = [[] for _ in range(n)]
         canon: set[Edge] = set()
+        add = canon.add
+        # every graph is built here, one row per edge, so the canonical
+        # form is made inline rather than by a `_canon` call
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
+            if u < v:
+                e = (u, v)
+            elif u > v:
+                e = (v, u)
+            else:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = _canon(u, v)
             if e in canon:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            canon.add(e)
+            add(e)
             adj[u].append(v)
             adj[v].append(u)
         self._n = n

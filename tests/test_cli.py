@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 import aecolor
 from aecolor import families
-from aecolor.cli import _UsageError, coloring_from_json, main
+from aecolor.cli import _UsageError, coloring_from_json, coloring_to_json, main
 from aecolor.embedding import format_rotation, generate_apollonian
 from aecolor.families import complete_graph, cycle_graph
 from aecolor.graphs import MAX_VERTICES, format_edge_list
@@ -373,6 +373,23 @@ class TestVerify:
             f"vertex id {top} needs n={top + 1}, above the limit of {MAX_VERTICES} vertices"
         )
         assert peak < 2**20
+
+    def test_rebuild_peaks_under_420_bytes_per_edge(self):
+        # the graph and the coloring take about 400 B per edge together
+        # (Python 3.11); the load may add no list of its own to that peak
+        from aecolor.colorer import acolor
+
+        g, _ = generate_apollonian(10_000, seed=11)
+        phi, _ = acolor(g)
+        doc = json.loads(json.dumps(coloring_to_json(phi)))
+        tracemalloc.start()
+        try:
+            g2, phi2 = coloring_from_json(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g2 == g and phi2.items() == phi.items()
+        assert peak / g.m < 420
 
     def test_sparse_ids_reported_as_given(self, capsys, monkeypatch):
         # the alternating square and its pendant edge on ids x 1000: the
