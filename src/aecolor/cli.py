@@ -247,6 +247,9 @@ def cmd_verify(args) -> int:
     seen: set[tuple[int, int]] = set()
     k, triples, _ = _coloring_rows(doc, seen)
     ids = sorted(set(chain.from_iterable(seen)))
+    # the rows hold all that is read from here on; freeing the document and
+    # the edge set lets the graph and the coloring reuse their memory
+    del doc, seen
     rank = {x: i for i, x in enumerate(ids)}
     triples = [(rank[u], rank[v], c) for u, v, c in triples]
     g = Graph(len(ids), [(u, v) for u, v, _ in triples])

@@ -224,6 +224,17 @@ class TestColor:
         assert code == 1 and "aecolor:" in err
 
 
+@pytest.fixture(scope="module")
+def apollonian_10k():
+    """An Apollonian graph on 10000 vertices (seed 11), its coloring by
+    `acolor` and that coloring's JSON document."""
+    from aecolor.colorer import acolor
+
+    g, _ = generate_apollonian(10_000, seed=11)
+    phi, _ = acolor(g)
+    return g, phi, json.dumps(coloring_to_json(phi))
+
+
 class TestVerify:
     def verify(self, capsys, monkeypatch, doc, fmt="json"):
         return run(
@@ -374,14 +385,11 @@ class TestVerify:
         )
         assert peak < 2**20
 
-    def test_rebuild_peaks_under_420_bytes_per_edge(self):
+    def test_rebuild_peaks_under_420_bytes_per_edge(self, apollonian_10k):
         # the graph and the coloring take about 400 B per edge together
         # (Python 3.11); the load may add no list of its own to that peak
-        from aecolor.colorer import acolor
-
-        g, _ = generate_apollonian(10_000, seed=11)
-        phi, _ = acolor(g)
-        doc = json.loads(json.dumps(coloring_to_json(phi)))
+        g, phi, text = apollonian_10k
+        doc = json.loads(text)
         tracemalloc.start()
         try:
             g2, phi2 = coloring_from_json(doc)
@@ -390,6 +398,21 @@ class TestVerify:
             tracemalloc.stop()
         assert g2 == g and phi2.items() == phi.items()
         assert peak / g.m < 420
+
+    def test_verify_peaks_under_800_bytes_per_edge(self, apollonian_10k):
+        # verify frees the parsed document and its edge set once the rows
+        # are read, so the graph and the coloring reuse that memory: about
+        # 730 B per edge with the document text (Python 3.11), against
+        # 1030 when the document lived to the end
+        g, _, text = apollonian_10k
+        tracemalloc.start()
+        try:
+            code, out, err = verify_outcome(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "") and json.loads(out)["status"] == "acyclic"
+        assert peak / g.m < 800
 
     def test_sparse_ids_reported_as_given(self, capsys, monkeypatch):
         # the alternating square and its pendant edge on ids x 1000: the
