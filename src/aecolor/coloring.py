@@ -123,7 +123,8 @@ class PartialEdgeColoring:
 
         Refuses a non-edge, a color outside 1..k or an edge already colored
         (ValueError) and a color already at u or v (ImproperColoringError),
-        then writes through `_put`.
+        then writes through `_put`.  `from_pairs` makes the same checks
+        inline, in the same order: change both together.
         """
         if not self.graph.has_edge(u, v):
             raise ValueError(f"({u},{v}) is not an edge")
