@@ -302,8 +302,8 @@ def _zone_edges(ctx: ExtensionContext) -> list[tuple[int, int]]:
                     dist[y] = d
                     nxt.append(y)
         frontier = nxt
-    # items() is already sorted
-    return [e for e, _ in ctx.phi.items() if e[0] in dist or e[1] in dist]
+    nbr = ctx.phi._nbr
+    return sorted({_canon(x, w) for x in dist for w in nbr[x].values()})
 
 
 def _tier3(ctx: ExtensionContext, budget: int) -> bool:
@@ -438,7 +438,7 @@ def _reinsert(
     # ExtensionContext, with its guards, is built only on escalation.  The
     # checks `assign` would make hold because (1) the edges are canonical
     # edges of g, from `_Reducer(g)` or from `replay_trace`'s pass over
-    # g's edge set; (2) each is re-inserted once, so it is uncolored when
+    # g's edges; (2) each is re-inserted once, so it is uncolored when
     # reached; (3) the coloring is built only by proper writes, so it stays
     # proper; (4) `_first_fit` returns only a color in 1..k free at both ends.
     if edges:
@@ -493,14 +493,14 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
     """Re-run the extension along a recorded trace; returns the coloring.
 
     Each step's configuration vertex must lie on its edge, the removals
-    must empty the graph's edge set and each extension must land on the
-    recorded tier, or the trace does not belong to this graph and a
+    must take each edge of the graph once and each extension must land on
+    the recorded tier, or the trace does not belong to this graph and a
     ValueError is raised: for a tier, at the first step that misses it in
     re-insertion order, before any later step runs.  Replay needs no tier
     cap: the tiers run in order, so a trace recorded under any cap lands
     on the same tiers without one.
     """
-    remaining = set(g.edge_set())
+    remaining = set(g.edges())
     edges, vertices, tiers = [], [], []
     for i, (edge, config, tier) in enumerate(trace.steps):
         v = config.vertex

@@ -88,16 +88,16 @@ class PartialEdgeColoring:
         # `assign`, inlined: this loop colors every edge of a loaded
         # document.  `_put`'s path-end join is skipped, as the cache of a
         # fresh coloring is empty and only `closes_cycle` fills it.
-        edges = graph._edges
+        has_edge = graph.has_edge
         nbr = phi._nbr
         colors = phi._colors
         violations = phi.violations
         for u, v, c in pairs:
             if c is None:
                 continue
-            e = (u, v) if u < v else (v, u)
-            if e not in edges:
+            if not has_edge(u, v):
                 raise ValueError(f"({u},{v}) is not an edge")
+            e = (u, v) if u < v else (v, u)
             if not 1 <= c <= k:
                 raise ValueError(f"color {c} outside palette [1..{k}]")
             if e in colors:

@@ -99,20 +99,9 @@ class _Corner(NamedTuple):
     next: int  # neighbor leaving the corner
 
 
-def _corners(faces: FaceSet, n: int) -> list[list[_Corner]]:
-    """Vertex-face incidences: vertex v has exactly d(v) corners."""
-    corners: list[list[_Corner]] = [[] for _ in range(n)]
-    for fi, walk in enumerate(faces):
-        L = len(walk)
-        for i, (x, y) in enumerate(walk):
-            z = walk[(i + 1) % L][1]
-            corners[y].append(_Corner(fi, x, z))
-    return corners
-
-
 def _corners_at(faces: FaceSet, v: int) -> list[_Corner]:
-    """v's corners alone, in the order `_corners` lists them, read through
-    the face set's index of the darts into each vertex."""
+    """v's vertex-face incidences, exactly d(v) of them, in face order,
+    read through the face set's index of the darts into each vertex."""
     out: list[_Corner] = []
     for fi, i in faces.darts_into.get(v, ()):
         walk = faces.faces[fi]
@@ -189,12 +178,11 @@ def apply_discharging(g: Graph, faces: FaceSet, ledger: ChargeLedger) -> ChargeL
     """Run every rule once; total charge is conserved transfer-by-transfer."""
     if ledger.phase != "initial":
         raise ValueError(f"expected an initial-phase ledger, got {ledger.phase!r}")
-    corner_map = _corners(faces, g.n)
     vc = list(ledger.vertex_charges)
     fc = list(ledger.face_charges)
     log: list[Transfer] = []
     for v in g.vertices():
-        for t in _transfers(g, v, corner_map[v]):
+        for t in _transfers(g, v, _corners_at(faces, v)):
             vc[t.vertex] -= t.amount
             fc[t.face] += t.amount
             log.append(t)

@@ -223,6 +223,112 @@ def embedded_corpus() -> list[tuple[str, Graph, RotationSystem]]:
     return out
 
 
+def reference_corners(faces, n: int) -> list[list]:
+    """Every vertex's corners, one full pass over the faces: vertex v gets
+    its d(v) vertex-face incidences in face order, as `_corners_at` must
+    read them through the face set's dart index."""
+    from aecolor.discharge import _Corner
+
+    corners: list[list] = [[] for _ in range(n)]
+    for fi, walk in enumerate(faces):
+        L = len(walk)
+        for i, (x, y) in enumerate(walk):
+            z = walk[(i + 1) % L][1]
+            corners[y].append(_Corner(fi, x, z))
+    return corners
+
+
+# --- the reference edge-list parse ----------------------------------------
+#
+# `parse_edge_list` checks a row's tokens and range and leaves self-loops
+# and repeats to `Graph`.  This is the parse it must agree with: it makes
+# every row check itself, with its own set, before `reference_graph`
+# checks the rows again.
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    from aecolor.errors import EdgeListParseError
+    from aecolor.graphs import MAX_VERTICES, _canon
+
+    lines = text.splitlines()
+    idx = 0
+    while idx < len(lines) and not lines[idx].strip():
+        idx += 1
+    if idx >= len(lines):
+        raise EdgeListParseError("missing header line `n m`", idx + 1)
+    header = lines[idx].split()
+    if len(header) != 2:
+        raise EdgeListParseError(f"expected header `n m`, got {lines[idx].strip()!r}", idx + 1)
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise EdgeListParseError(f"non-integer header fields {lines[idx].strip()!r}", idx + 1) from None
+    if n < 0 or m < 0:
+        raise EdgeListParseError("n and m must be nonnegative", idx + 1)
+    if n > MAX_VERTICES:
+        raise EdgeListParseError(
+            f"header declares n={n}, above the limit of {MAX_VERTICES} vertices", idx + 1
+        )
+    edges: list[tuple[int, int]] = []
+    canon: set[tuple[int, int]] = set()
+    lineno = idx + 1
+    for raw in lines[idx + 1:]:
+        lineno += 1
+        if not raw.strip():
+            continue
+        parts = raw.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(f"expected `u v`, got {raw.strip()!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(f"non-integer vertex ids {raw.strip()!r}", lineno) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeListParseError(f"vertex id out of range in ({u},{v})", lineno)
+        if u == v:
+            raise EdgeListParseError(f"self-loop at vertex {u}", lineno)
+        e = _canon(u, v)
+        if e in canon:
+            raise EdgeListParseError(f"duplicate edge ({u},{v})", lineno)
+        canon.add(e)
+        edges.append(e)
+    if len(edges) != m:
+        raise EdgeListParseError(f"header declares m={m} but {len(edges)} edges were given", lineno)
+    return reference_graph(n, edges)
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge-list texts on a small graph, rows in any order and either
+    orientation, with blank lines anywhere; now and then a header m off by
+    one, or a row that is a repeat in either orientation, a self-loop, out
+    of range or not two integers."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    possible = list(itertools.combinations(range(n), 2))
+    rows = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    rows = [(v, u) if draw(st.booleans()) else (u, v) for u, v in rows]
+    good = list(rows)
+    rows = [f"{u} {v}" for u, v in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["repeat", "reverse", "self-loop", "range", "token"]))
+        if kind in ("repeat", "reverse") and good:
+            u, v = draw(st.sampled_from(good))
+            row = f"{u} {v}" if kind == "repeat" else f"{v} {u}"
+        elif kind == "self-loop" and n:
+            x = draw(st.integers(0, n - 1))
+            row = f"{x} {x}"
+        elif kind == "range":
+            row = f"{draw(st.integers(-2, n + 2))} {n + draw(st.integers(0, 2))}"
+        else:
+            row = draw(st.sampled_from(["0 x", "1", "0 1 2", "1.0 2", "- 3"]))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    m = len(rows) + draw(st.sampled_from([0] * 4 + [-1, 1]))
+    lines = [f"{n} {max(m, 0)}"] + rows
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
 # --- the reference load path for coloring documents ----------------------
 #
 # `cli.coloring_from_json` and `aecolor verify` read a document in one pass
@@ -282,7 +388,7 @@ def reference_graph(n: int, edges) -> Graph:
         adj[v].append(u)
     g = object.__new__(Graph)
     g._n = n
-    g._edges = frozenset(canon)
+    g._m = len(canon)
     g._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
     return g
 

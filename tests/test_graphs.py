@@ -1,12 +1,15 @@
+import tracemalloc
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from aecolor import graphs
+from aecolor.embedding import generate_apollonian
 from aecolor.errors import EdgeListParseError
 from aecolor.families import complete_graph, cycle_graph, path_graph, star_graph
 from aecolor.graphs import Graph, format_edge_list, parse_edge_list
 
-from support import small_graphs
+from support import edge_list_texts, reference_parse_edge_list, small_graphs
 
 
 class TestConstruction:
@@ -43,6 +46,58 @@ class TestConstruction:
     def test_neighbor_symmetry(self, g):
         for u, v in g.edges():
             assert v in g.neighbors(u) and u in g.neighbors(v)
+
+
+class TestHasEdge:
+    @pytest.mark.parametrize(
+        "u, v", [(-1, 0), (0, -1), (-1, 2), (-2, -1), (-1, -1), (4, 0), (0, 4), (4, 3), (9, 9)]
+    )
+    def test_ids_out_of_range(self, u, v):
+        # on the 4-cycle a negative id must not wrap round to row 3 or 2,
+        # each of which has an edge to the other id
+        assert not cycle_graph(4).has_edge(u, v)
+
+    def test_no_edge_from_a_vertex_to_itself(self):
+        g = complete_graph(4)
+        assert not any(g.has_edge(v, v) for v in g.vertices())
+
+    @given(small_graphs())
+    def test_matches_the_edge_list(self, g):
+        edges = set(g.edges())
+        for u in g.vertices():
+            for v in g.vertices():
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+
+
+class TestMemory:
+    def test_graph_keeps_under_60_bytes_per_edge(self):
+        # one store, the sorted neighbor rows: about 28 B per edge on
+        # Python 3.11, against 119 with a frozenset of edge pairs beside it
+        g, _ = generate_apollonian(10_000, seed=11)
+        rows = g.edges()
+        tracemalloc.start()
+        try:
+            h = Graph(g.n, rows)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert h == g
+        assert kept / g.m < 60
+
+    def test_parse_peaks_under_340_bytes_per_edge(self):
+        # about 235 B per edge on Python 3.11, against 451 when the parse
+        # checked the rows with a set of its own before `Graph` checked
+        # them again and the rows kept an int object per token
+        g, _ = generate_apollonian(30_000, seed=11)
+        text = format_edge_list(g)
+        tracemalloc.start()
+        try:
+            h = parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h == g
+        assert peak / g.m < 340
 
 
 class TestDegree:
@@ -150,3 +205,43 @@ class TestEdgeListFormat:
     @given(small_graphs())
     def test_round_trip_random(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+def parse_outcome(parse, text):
+    """The graph parsed from text with its edge count, or the refusal's
+    type, line and message."""
+    try:
+        g = parse(text)
+        return g, g.m
+    except EdgeListParseError as exc:
+        return type(exc), exc.line, str(exc)
+
+
+class TestParseEquivalence:
+    """`parse_edge_list` leaves self-loops and repeats to `Graph`; it must
+    agree with the reference in tests/support.py, which checks every row
+    itself before the graph checks them again."""
+
+    @given(edge_list_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, text):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(
+            reference_parse_edge_list, text
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3 2\n0 1\n\n1 0\n0 x\n",
+            "3 3\n0 1\n0 1\n0 5\n",
+            "3 2\n\n2 2\n0 1\n",
+            "3 2\n0 1\n1 2\n0 2\n\n\n",
+            "\n\n3 1\n",
+        ],
+        ids=["repeat-before-bad-token", "repeat-before-range", "self-loop-after-blank",
+             "m-too-low-trailing-blanks", "no-rows"],
+    )
+    def test_first_defect_and_its_line(self, text):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(
+            reference_parse_edge_list, text
+        )
