@@ -109,12 +109,6 @@ class ReductionTrace:
     def __iter__(self) -> Iterator[TraceStep]:
         return iter(self.steps)
 
-    def tier_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for s in self.steps:
-            out[s.tier] = out.get(s.tier, 0) + 1
-        return out
-
     def to_json_dict(self) -> dict:
         return {"steps": [s.to_json_dict() for s in self.steps]}
 
@@ -161,11 +155,13 @@ class _Reducer:
     (the smallest-last bookkeeping of Matula & Beck, J. ACM 30, 1983):
     `low` holds every vertex of degree 1-2 and `cand` every vertex of
     degree 3-5 that may classify.  Entries go stale as degrees fall and are
-    checked again when popped.
+    checked again when popped.  A vertex from `low` is A1 by its degree and
+    gets its configuration from its (degree, id) pairs without `_match`.
 
     After uv is removed, u and v are pushed by their new degrees, and a
     neighbor w of either is pushed only when that endpoint's degree has
-    just fallen onto a cap of w's kind (`_RECHECK`).  That is enough: w's
+    just fallen onto a cap of w's kind (`_RECHECK`; every cap is 6 or more,
+    so a degree of 5 or less is not looked up).  That is enough: w's
     cap test asks, for each cap c_j of its kind, whether at least j of its
     neighbors have degree <= c_j.  When a neighbor's degree falls from c+1
     to c, only the count at cap c grows (the counts at caps above c held it
@@ -175,16 +171,15 @@ class _Reducer:
     `cand`.
     """
 
-    __slots__ = ("n", "m", "_adj", "_deg")
+    __slots__ = ("m", "_adj", "_deg")
 
     def __init__(self, g: Graph):
-        self.n = g.n
         self.m = g.m
         self._adj = [set(g.neighbors(v)) for v in g.vertices()]
         self._deg = [len(a) for a in self._adj]
 
     def __iter__(self) -> Iterator[tuple[tuple[int, int], Configuration]]:
-        adj, deg = self._adj, self._deg
+        adj, deg, new = self._adj, self._deg, tuple.__new__
         # ascending lists are already heaps
         low = [v for v, d in enumerate(deg) if 1 <= d <= 2]
         cand = [v for v, d in enumerate(deg) if 3 <= d <= 5]
@@ -193,8 +188,10 @@ class _Reducer:
                 heappop(low)
             if low:
                 v = heappop(low)
-                cfg = _match(v, sorted([(deg[w], w) for w in adj[v]]))
-                u = min(adj[v])
+                u, w = min(adj[v]), max(adj[v])
+                a, b = (u, deg[u]), (w, deg[w])
+                nb = (a,) if u == w else (b, a) if b[1] < a[1] else (a, b)
+                cfg = new(Configuration, ("A1", v, nb))
             else:
                 cfg = None
                 while cand and cfg is None:
@@ -203,7 +200,7 @@ class _Reducer:
                         cfg = _match(v, sorted([(deg[w], w) for w in adj[v]]))
                 if cfg is None:
                     raise NotPlanarEvidence(
-                        f"no reducible configuration in a graph with n={self.n}, "
+                        f"no reducible configuration in a graph with n={len(adj)}, "
                         f"m={self.m}; a planar graph always has one"
                     )
                 u = cfg.neighbors[0][0]
@@ -213,12 +210,12 @@ class _Reducer:
             self.m -= 1
             for x in (v, u):
                 d = deg[x] = deg[x] - 1
-                if 1 <= d <= 2:
-                    heappush(low, x)
-                elif 3 <= d <= 5:
+                if d < 3:
+                    if d:
+                        heappush(low, x)
+                elif d < 6:
                     heappush(cand, x)
-                kinds = _RECHECK.get(d)
-                if kinds:
+                elif kinds := _RECHECK.get(d):
                     for w in adj[x]:
                         if deg[w] in kinds:
                             heappush(cand, w)
@@ -476,13 +473,15 @@ def acolor(g: Graph, *, max_tier: int = 4) -> tuple[PartialEdgeColoring, Reducti
     calling `choose_reduction_edge` and `Graph.remove_edge` in a loop.  The
     result is validated before it is returned.  On inputs that are not
     actually planar this either still succeeds (the bound is one-sided) or
-    raises NotPlanarEvidence.
+    raises NotPlanarEvidence.  Each trace step is made by `tuple.__new__`,
+    which skips TraceStep's Python-level `__new__` but keeps its type.
     """
     removals = list(_Reducer(g))
     tiers: list[Optional[str]] = [None] * len(removals)
     edges = [e for e, _ in removals]
     phi = _reinsert(g, edges, [c.vertex for _, c in removals], tiers, max_tier)
-    trace = ReductionTrace(tuple(TraceStep(*r, t) for r, t in zip(removals, tiers)))
+    new = tuple.__new__
+    trace = ReductionTrace(tuple([new(TraceStep, (e, c, t)) for (e, c), t in zip(removals, tiers)]))
     report = validate_acyclic(g, phi)
     if not report.ok:
         raise AssertionError(f"final coloring failed validation: {report}")

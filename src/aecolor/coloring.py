@@ -504,9 +504,7 @@ def exists_critical_path(
     return not closed and seq[-1] == v and len(seq) % 2 == 0
 
 
-def find_bichromatic_cycle(
-    g: Graph, phi: PartialEdgeColoring
-) -> Optional[CycleWitness]:
+def find_bichromatic_cycle(g: Graph, phi: PartialEdgeColoring) -> Optional[CycleWitness]:
     """A cycle whose edges use exactly two colors, or None.
 
     The witness is fixed by a rule, not by the search: among all
@@ -525,11 +523,13 @@ def find_bichromatic_cycle(
     left only when none may.  t never exceeds the degeneracy, so a planar
     graph has at most 5 forward edges per vertex, hence at most 10 pairs,
     and any graph at most degeneracy * m / 2 pairs in all.
+
+    A pair (a, b) is walked only if v's a-neighbor has a b-edge whose far
+    end has an a-edge: otherwise the walk stops open within 3 vertices,
+    where no two-colored cycle fits and `covered` would gain no vertex.
     """
     if phi.violations:
-        raise ImproperColoringError(
-            f"coloring has {len(phi.violations)} properness violations"
-        )
+        raise ImproperColoringError(f"coloring has {len(phi.violations)} properness violations")
     nbr = phi._nbr
     deg = [len(d) for d in nbr]
     removed = [False] * len(nbr)
@@ -562,10 +562,12 @@ def find_bichromatic_cycle(
                         stack.append(w)
             fwd.sort()
             for i, a in enumerate(fwd):
+                second = nbr[nbr[v][a]]  # the colors at v's a-neighbor
                 for b in fwd[i + 1:]:
                     if best is not None and (a, b) >= best:
                         break
-                    if v in covered.get((a, b), ()):
+                    x = second.get(b)  # the walk's third vertex, if any
+                    if x is None or a not in nbr[x] or v in covered.get((a, b), ()):
                         continue
                     seq, closed = alternating_walk(nbr, v, a, b)
                     if closed:
@@ -574,8 +576,7 @@ def find_bichromatic_cycle(
                     # seq[0] is v, gone; seq[1]'s a-edge leads to v; seq[-1]
                     # misses a or b: none of them can start an {a, b}-walk
                     # later, so they are not kept
-                    if len(seq) > 3:
-                        covered.setdefault((a, b), set()).update(seq[2:-1])
+                    covered.setdefault((a, b), set()).update(seq[2:-1])
         rest = [v for v in rest if not removed[v]]
         if not rest:
             break

@@ -42,8 +42,8 @@ class Configuration(NamedTuple):
 
 
 def _match(v: int, nd: list[tuple[int, int]]) -> Optional[Configuration]:
-    # the one pattern test: v's configuration, or None, from its neighbors
-    # as sorted (degree, id) pairs
+    # the one pattern test: v's configuration, or None, from its neighbors as
+    # sorted (degree, id) pairs; tuple.__new__ skips NamedTuple's __new__
     d = len(nd)
     if d <= 2:
         kind = "A1"
@@ -54,7 +54,7 @@ def _match(v: int, nd: list[tuple[int, int]]) -> Optional[Configuration]:
         for (du, _), cap in zip(nd, _CAPS[kind]):
             if du > cap:
                 return None
-    return Configuration(kind, v, tuple([(u, du) for du, u in nd]))
+    return tuple.__new__(Configuration, (kind, v, tuple([(u, du) for du, u in nd])))
 
 
 def classify_vertex(g: Graph, v: int) -> Optional[Configuration]:

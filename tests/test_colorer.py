@@ -204,11 +204,40 @@ class TestReducer:
                     seen.update((len(adj[x]), len(adj[w])) for w in adj[x])
         assert want <= seen
 
+    @pytest.mark.parametrize(
+        "edges, first",
+        [
+            # a degree-2 vertex whose neighbors tie on degree: smaller id first
+            (
+                [(0, 2), (0, 1), (1, 3), (1, 4), (2, 3), (2, 4)],
+                ((0, 1), Configuration("A1", 0, ((1, 3), (2, 3)))),
+            ),
+            # the smaller-id neighbor has the larger degree: it is peeled, and
+            # comes second among the neighbors
+            (
+                [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)],
+                ((0, 1), Configuration("A1", 0, ((2, 3), (1, 4)))),
+            ),
+            # a degree-1 vertex
+            (
+                [(0, 3), (1, 2), (1, 3), (2, 3)],
+                ((0, 3), Configuration("A1", 0, ((3, 3),))),
+            ),
+        ],
+        ids=["tied-degrees", "min-id-has-larger-degree", "degree-1"],
+    )
+    def test_a1_steps(self, edges, first):
+        g = Graph(1 + max(max(e) for e in edges), edges)
+        got = list(_Reducer(g))
+        assert got[0] == first and got == reference_reduction(g, [])
+        assert all(type(cfg) is Configuration for _, cfg in got)
+
     def test_reduction_work_is_linear(self, monkeypatch):
         # heap pushes plus pattern tests: re-pushing every degree 3-5
         # neighbor of an endpoint left below degree 12 cost about 3.9 m on
         # this triangulation and 5.4 m on the grid; re-pushing only on cap
-        # crossings costs about 2.5 m on both
+        # crossings costs about 2.5 m on both.  An A1 step builds its
+        # configuration without `_match`, and counts one unit for it
         work = 0
 
         def counted(f):
@@ -223,7 +252,9 @@ class TestReducer:
         monkeypatch.setattr(colorer, "_match", counted(colorer._match))
         for g in (generate_apollonian(10000, seed=11)[0], grid_graph(100, 100)):
             work = 0
-            assert len(list(_Reducer(g))) == g.m
+            steps = list(_Reducer(g))
+            assert len(steps) == g.m
+            work += sum(cfg.kind == "A1" for _, cfg in steps)
             assert work <= 3 * g.m
 
     def test_refutes_at_the_same_step(self):
@@ -516,7 +547,7 @@ class TestAcolor:
         phi, trace = acolor(g)
         assert validate_acyclic(g, phi).ok
         assert sorted(c for _, c in phi.items()) == [1, 2, 3, 4, 5, 6]
-        assert trace.tier_counts() == {"T1": 6}
+        assert [s.tier for s in trace] == ["T1"] * 6
 
     def test_k4_within_oracle_sandwich(self):
         g = complete_graph(4)
@@ -569,11 +600,18 @@ class TestAcolor:
         phi, trace = acolor(g)
         rep = validate_acyclic(g, phi)
         assert rep.ok and rep.max_color <= g.max_degree() + 10
-        assert set(trace.tier_counts()) <= {"T1", "T2", "T3", "T4"}
+        assert {s.tier for s in trace} <= {"T1", "T2", "T3", "T4"}
         assert len(trace) == g.m
 
 
 class TestTrace:
+    def test_steps_keep_their_types(self):
+        g, _ = generate_apollonian(200, seed=1)
+        _, trace = acolor(g)
+        assert len(trace) == g.m
+        assert all(type(step) is TraceStep for step in trace)
+        assert all(type(step.config) is Configuration for step in trace)
+
     def test_json_puts_config_vertex_second(self):
         g = complete_graph(4)
         _, trace = acolor(g)
@@ -728,7 +766,7 @@ class TestFirstFitWork:
             PartialEdgeColoring, "assign", counted("assigns", PartialEdgeColoring.assign)
         )
         phi, trace = acolor(g)
-        escalated = len(trace) - trace.tier_counts().get("T1", 0)
+        escalated = sum(s.tier != "T1" for s in trace)
         assert calls == {"contexts": escalated, "assigns": escalated} and escalated == 0
         assert replay_trace(g, trace).items() == phi.items()
         assert calls == {"contexts": 0, "assigns": 0}
