@@ -20,7 +20,7 @@ which refutes the caller's planarity assertion.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .coloring import (
@@ -121,7 +121,7 @@ def choose_reduction_edge(g: Graph) -> tuple[tuple[int, int], Configuration]:
     2-vertices deleted, mapped back, and returns the edge from the
     configuration vertex to its minimum-(degree, id) neighbor.  Vertices
     isolated at the current stage are skipped: they admit no edge.  This
-    is the reference rule; `acolor` peels with `_Reducer`, which yields
+    is the reference rule; `acolor` peels with `_peel`, which records
     the same sequence incrementally.
     """
     if g.m == 0:
@@ -146,79 +146,107 @@ def choose_reduction_edge(g: Graph) -> tuple[tuple[int, int], Configuration]:
     )
 
 
-class _Reducer:
+def _peel(
+    g: Graph,
+    edges: list[tuple[int, int]],
+    vertices: list[int],
+    configs: list[Configuration],
+) -> None:
     """The `choose_reduction_edge` + `remove_edge` loop, run incrementally.
 
-    Iterating yields the same (edge, configuration) sequence as that loop
-    and mutates the reducer's own adjacency sets and degree list, never the
-    graph.  Two min-heaps of vertex ids replace the rescan from vertex 0
-    (the smallest-last bookkeeping of Matula & Beck, J. ACM 30, 1983):
-    `low` holds every vertex of degree 1-2 and `cand` every vertex of
-    degree 3-5 that may classify.  Entries go stale as degrees fall and are
-    checked again when popped.  A vertex from `low` is A1 by its degree and
-    gets its configuration from its (degree, id) pairs without `_match`.
+    Appends each removal's canonical edge, configuration vertex and
+    configuration to the three lists, in that loop's order, so a refutation
+    leaves the steps made so far.  The graph is not touched.  Two min-heaps
+    of vertex ids replace the rescan from vertex 0 (the smallest-last
+    bookkeeping of Matula & Beck, J. ACM 30, 1983): `low` holds every
+    vertex of degree 1-2 and `cand` every vertex of degree 3-5 that may
+    classify.  Entries go stale as degrees fall and are checked when popped.
 
-    After uv is removed, u and v are pushed by their new degrees, and a
-    neighbor w of either is pushed only when that endpoint's degree has
-    just fallen onto a cap of w's kind (`_RECHECK`; every cap is 6 or more,
-    so a degree of 5 or less is not looked up).  That is enough: w's
-    cap test asks, for each cap c_j of its kind, whether at least j of its
-    neighbors have degree <= c_j.  When a neighbor's degree falls from c+1
-    to c, only the count at cap c grows (the counts at caps above c held it
-    already, those below c still do not), so a test that failed can start
-    to pass only when c is one of w's caps; w's own degree changes only
-    when w is an endpoint.  Every vertex that classifies is therefore in
-    `cand`.
+    A vertex v from `low` is A1 by its degree and gets its configuration
+    from its (degree, id) pairs without `_match`.  It goes on peeling its
+    edges without the heap: removing vu changes only the degrees of v and
+    u, so v stays the least vertex of degree 1-2 unless it is left isolated,
+    which ends its run, or u < v falls to degree 1 or 2, which puts v back
+    on `low`.
+
+    After any removal, u is pushed by its new degree, and a neighbor w of u
+    only when u's degree has just fallen onto a cap of w's kind
+    (`_RECHECK`; every cap is 6 or more, so a degree of 5 or less is not
+    looked up).  That is enough: w's cap test asks, for each cap c_j of its
+    kind, whether at least j of its neighbors have degree <= c_j.  When a
+    neighbor's degree falls from c+1 to c, only the count at cap c grows
+    (the counts at caps above c held it already, those below c still do
+    not), so a test that failed can start to pass only when c is one of w's
+    caps; w's own degree changes only when w is an endpoint.  v itself had
+    degree 5 or less, so its fall crosses no cap.  Every vertex that
+    classifies is therefore in `cand`.
     """
-
-    __slots__ = ("m", "_adj", "_deg")
-
-    def __init__(self, g: Graph):
-        self.m = g.m
-        self._adj = [set(g.neighbors(v)) for v in g.vertices()]
-        self._deg = [len(a) for a in self._adj]
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], Configuration]]:
-        adj, deg, new = self._adj, self._deg, tuple.__new__
-        # ascending lists are already heaps
-        low = [v for v, d in enumerate(deg) if 1 <= d <= 2]
-        cand = [v for v, d in enumerate(deg) if 3 <= d <= 5]
-        while self.m:
+    adj = list(map(set, g._adj))
+    deg = [len(a) for a in adj]
+    m = g.m
+    new, at = tuple.__new__, deg.__getitem__
+    add_edge, add_vertex, add_config = edges.append, vertices.append, configs.append
+    # ascending lists are already heaps
+    low = [v for v, d in enumerate(deg) if 1 <= d <= 2]
+    cand = [v for v, d in enumerate(deg) if 3 <= d <= 5]
+    run = -1  # the A1 vertex that peels again without the heap, or -1
+    while m:
+        if run < 0:
             while low and not 1 <= deg[low[0]] <= 2:
                 heappop(low)
             if low:
-                v = heappop(low)
-                u, w = min(adj[v]), max(adj[v])
-                a, b = (u, deg[u]), (w, deg[w])
-                nb = (a,) if u == w else (b, a) if b[1] < a[1] else (a, b)
-                cfg = new(Configuration, ("A1", v, nb))
+                run = heappop(low)
+        if run >= 0:
+            v = run
+            a = adj[v]
+            if len(a) == 1:
+                (u,) = a
+                nb = ((u, deg[u]),)
             else:
-                cfg = None
-                while cand and cfg is None:
-                    v = heappop(cand)
-                    if 3 <= deg[v] <= 5:
-                        cfg = _match(v, sorted([(deg[w], w) for w in adj[v]]))
-                if cfg is None:
-                    raise NotPlanarEvidence(
-                        f"no reducible configuration in a graph with n={len(adj)}, "
-                        f"m={self.m}; a planar graph always has one"
-                    )
-                u = cfg.neighbors[0][0]
-            yield _canon(v, u), cfg
-            adj[v].remove(u)
-            adj[u].remove(v)
-            self.m -= 1
-            for x in (v, u):
-                d = deg[x] = deg[x] - 1
-                if d < 3:
-                    if d:
-                        heappush(low, x)
-                elif d < 6:
-                    heappush(cand, x)
-                elif kinds := _RECHECK.get(d):
-                    for w in adj[x]:
-                        if deg[w] in kinds:
-                            heappush(cand, w)
+                u, w = a
+                if w < u:
+                    u, w = w, u
+                du, dw = deg[u], deg[w]
+                nb = ((w, dw), (u, du)) if dw < du else ((u, du), (w, dw))
+            cfg = new(Configuration, ("A1", v, nb))
+        else:
+            cfg = None
+            while cand and cfg is None:
+                v = heappop(cand)
+                if 3 <= deg[v] <= 5:
+                    a = adj[v]
+                    cfg = _match(v, sorted(zip(map(at, a), a)))
+            if cfg is None:
+                raise NotPlanarEvidence(
+                    f"no reducible configuration in a graph with n={len(adj)}, "
+                    f"m={m}; a planar graph always has one"
+                )
+            u = cfg.neighbors[0][0]
+        add_edge((u, v) if u < v else (v, u))
+        add_vertex(v)
+        add_config(cfg)
+        a.remove(u)
+        adj[u].remove(v)
+        m -= 1
+        dv = deg[v] = deg[v] - 1
+        d = deg[u] = deg[u] - 1
+        if d < 3:
+            if d:
+                heappush(low, u)
+        elif d < 6:
+            heappush(cand, u)
+        elif kinds := _RECHECK.get(d):
+            for w in adj[u]:
+                if deg[w] in kinds:
+                    heappush(cand, w)
+        if run < 0:
+            heappush(low if dv < 3 else cand, v)
+        elif not dv:
+            run = -1
+        elif u < v and 0 < d < 3:
+            # u is now the least vertex of degree 1-2
+            heappush(low, v)
+            run = -1
 
 
 def _recolor(phi: PartialEdgeColoring, e: tuple[int, int], a: int) -> bool:
@@ -434,7 +462,7 @@ def _reinsert(
     # A first-fit color is written with the unchecked `_put`, and an
     # ExtensionContext, with its guards, is built only on escalation.  The
     # checks `assign` would make hold because (1) the edges are canonical
-    # edges of g, from `_Reducer(g)` or from `replay_trace`'s pass over
+    # edges of g, from `_peel(g, ...)` or from `replay_trace`'s pass over
     # g's edges; (2) each is re-inserted once, so it is uncolored when
     # reached; (3) the coloring is built only by proper writes, so it stays
     # proper; (4) `_first_fit` returns only a color in 1..k free at both ends.
@@ -468,20 +496,21 @@ def acolor(g: Graph, *, max_tier: int = 4) -> tuple[PartialEdgeColoring, Reducti
 
     Peels configuration edges until none remain, then re-inserts them in
     reverse, extending the coloring across each with tiers up to `max_tier`
-    (ExtensionFailed past it).  The peeling runs incrementally, in
-    near-linear time, and removes the same edges in the same order as
-    calling `choose_reduction_edge` and `Graph.remove_edge` in a loop.  The
-    result is validated before it is returned.  On inputs that are not
-    actually planar this either still succeeds (the bound is one-sided) or
-    raises NotPlanarEvidence.  Each trace step is made by `tuple.__new__`,
-    which skips TraceStep's Python-level `__new__` but keeps its type.
+    (ExtensionFailed past it).  The peeling (`_peel`) runs incrementally,
+    in near-linear time, and removes the same edges in the same order as
+    calling `choose_reduction_edge` and `Graph.remove_edge` in a loop; its
+    edge and vertex lists go straight to re-insertion.  The result is
+    validated before it is returned.  On inputs that are not actually
+    planar this either still succeeds (the bound is one-sided) or raises
+    NotPlanarEvidence.  Each trace step is made by `tuple.__new__` mapped
+    over the three lists, which skips TraceStep's Python-level `__new__`
+    but keeps its type.
     """
-    removals = list(_Reducer(g))
-    tiers: list[Optional[str]] = [None] * len(removals)
-    edges = [e for e, _ in removals]
-    phi = _reinsert(g, edges, [c.vertex for _, c in removals], tiers, max_tier)
-    new = tuple.__new__
-    trace = ReductionTrace(tuple([new(TraceStep, (e, c, t)) for (e, c), t in zip(removals, tiers)]))
+    edges, vertices, configs = [], [], []
+    _peel(g, edges, vertices, configs)
+    tiers: list[Optional[str]] = [None] * len(edges)
+    phi = _reinsert(g, edges, vertices, tiers, max_tier)
+    trace = ReductionTrace(tuple(map(tuple.__new__, repeat(TraceStep), zip(edges, configs, tiers))))
     report = validate_acyclic(g, phi)
     if not report.ok:
         raise AssertionError(f"final coloring failed validation: {report}")
@@ -500,18 +529,21 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
     on the same tiers without one.
     """
     remaining = set(g.edges())
+    remove = remaining.remove
     edges, vertices, tiers = [], [], []
     for i, (edge, config, tier) in enumerate(trace.steps):
         v = config.vertex
-        e = _canon(*edge)
-        if v not in e:
+        a, b = edge
+        if v != a and v != b:
             raise ValueError(
                 f"trace step {i} removes edge {edge}, which does not meet "
                 f"its configuration vertex {v}"
             )
-        if e not in remaining:
-            raise ValueError(f"trace replays removal of missing edge {edge}")
-        remaining.remove(e)
+        e = edge if a < b else (b, a)  # a canonical edge is kept as it is
+        try:
+            remove(e)
+        except KeyError:
+            raise ValueError(f"trace replays removal of missing edge {edge}") from None
         edges.append(e)
         vertices.append(v)
         tiers.append(tier)

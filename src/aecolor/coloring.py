@@ -340,6 +340,10 @@ def _end_slot(
     return ((z, q), p) if p in nbr[z] else ((z, p), q)
 
 
+# read-only stand-in for a missing `_PathEnds` row
+_NO_ROW: dict = {}
+
+
 class _PathEnds(dict):
     """Far ends of maximal two-colored paths, for `closes_cycle`.
 
@@ -390,8 +394,10 @@ class _PathEnds(dict):
         there, or joins the path from there, or closes a cycle.  Where the
         other side's path is not cached, the joined path is dropped.
         """
-        rx = self.pop((x, c), None) or {}
-        ry = self.pop((y, c), None) or {}
+        rx = self.pop((x, c), _NO_ROW)
+        ry = self.pop((y, c), _NO_ROW)
+        if rx is ry:
+            return  # neither end has a cached path; rows are never empty
         for q, f in rx.items():
             if f == y:
                 continue  # a {c, q}-cycle; y's mirror entry left with ry

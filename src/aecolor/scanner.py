@@ -22,7 +22,7 @@ from .graphs import Graph
 
 # Sorted-neighbor-degree caps per kind; a prefix check against these decides
 # membership.  A1 has no neighbor condition.  `discharge` picks its rules by
-# these caps and `colorer._Reducer` re-checks a vertex when a neighbor's
+# these caps and `colorer._peel` re-checks a vertex when a neighbor's
 # degree falls onto one of them, so the patterns live here only.
 _CAPS = {"A2": (11,), "A3": (7, 9), "A4": (6, 7, 8)}
 _KIND_BY_DEGREE = {3: "A2", 4: "A3", 5: "A4"}

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -11,7 +12,7 @@ from aecolor.colorer import (
     ReductionTrace,
     TraceStep,
     _RECHECK,
-    _Reducer,
+    _peel,
     _try_swap,
     acolor,
     choose_reduction_edge,
@@ -181,10 +182,19 @@ def reduction_cases():
     yield "grid-20x20-subgraph", subgraph(grid_graph(20, 20), 0.6, 0)
 
 
+def peeled(g):
+    """`_peel(g)` as (edge, configuration) pairs, after checking that its
+    vertex list names each configuration's vertex."""
+    edges, vertices, configs = [], [], []
+    _peel(g, edges, vertices, configs)
+    assert vertices == [cfg.vertex for cfg in configs]
+    return list(zip(edges, configs))
+
+
 class TestReducer:
     @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in reduction_cases()])
     def test_matches_reference_loop(self, g):
-        got = list(_Reducer(g))
+        got = peeled(g)
         assert got == reference_reduction(g, [])
         assert all(type(cfg) is Configuration for _, cfg in got)
 
@@ -197,7 +207,9 @@ class TestReducer:
         seen = set()
         for _, g in reduction_cases():
             adj = [set(g.neighbors(v)) for v in g.vertices()]
-            for (a, b), _ in _Reducer(g):
+            edges: list = []
+            _peel(g, edges, [], [])
+            for a, b in edges:
                 adj[a].remove(b)
                 adj[b].remove(a)
                 for x in (a, b):
@@ -228,16 +240,45 @@ class TestReducer:
     )
     def test_a1_steps(self, edges, first):
         g = Graph(1 + max(max(e) for e in edges), edges)
-        got = list(_Reducer(g))
+        got = peeled(g)
         assert got[0] == first and got == reference_reduction(g, [])
         assert all(type(cfg) is Configuration for _, cfg in got)
+
+    def test_a1_run_continues(self, monkeypatch):
+        # 0 has degree 2 and the least id; its edge to 1 goes first and 1
+        # falls from degree 4 to 3, so 0 peels its edge to 2 next without a
+        # return to the heap, and is never pushed
+        g = Graph(5, [(0, 1), (0, 2)] + [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
+        pushed = []
+
+        def push(heap, x):
+            pushed.append(x)
+            heapq.heappush(heap, x)
+
+        monkeypatch.setattr(colorer, "heappush", push)
+        got = peeled(g)
+        assert [e for e, _ in got[:2]] == [(0, 1), (0, 2)]
+        assert got == reference_reduction(g, [])
+        assert pushed and 0 not in pushed
+
+    def test_a1_run_yields_to_a_smaller_vertex(self):
+        # 1 is the least vertex of degree 2 and peels its edge to 0, which
+        # falls from degree 3 to 2: 0 is now the least such vertex and peels
+        # next, before 1's edge to 4
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+        got = peeled(g)
+        assert [(e, cfg.vertex) for e, cfg in got[:3]] == [((0, 1), 1), ((0, 2), 0), ((0, 3), 0)]
+        assert got == reference_reduction(g, [])
 
     def test_reduction_work_is_linear(self, monkeypatch):
         # heap pushes plus pattern tests: re-pushing every degree 3-5
         # neighbor of an endpoint left below degree 12 cost about 3.9 m on
         # this triangulation and 5.4 m on the grid; re-pushing only on cap
-        # crossings costs about 2.5 m on both.  An A1 step builds its
-        # configuration without `_match`, and counts one unit for it
+        # crossings cost about 2.5 m on both (73 526 and 49 400).  An A1
+        # step builds its configuration without `_match`, and counts one
+        # unit for it.  An A1 vertex that peels its next edge without a
+        # return to the heap brings them to 63 762 (2.13 m) and 39 599
+        # (2.00 m)
         work = 0
 
         def counted(f):
@@ -252,10 +293,10 @@ class TestReducer:
         monkeypatch.setattr(colorer, "_match", counted(colorer._match))
         for g in (generate_apollonian(10000, seed=11)[0], grid_graph(100, 100)):
             work = 0
-            steps = list(_Reducer(g))
+            steps = peeled(g)
             assert len(steps) == g.m
             work += sum(cfg.kind == "A1" for _, cfg in steps)
-            assert work <= 3 * g.m
+            assert work <= 2.25 * g.m
 
     def test_refutes_at_the_same_step(self):
         # the path is peeled away first; then only K7 is left, with no
@@ -265,10 +306,14 @@ class TestReducer:
         ref: list = []
         with pytest.raises(NotPlanarEvidence) as want:
             reference_reduction(g, ref)
-        got: list = []
+        edges: list = []
+        vertices: list = []
+        configs: list = []
         with pytest.raises(NotPlanarEvidence) as have:
-            got.extend(_Reducer(g))
+            _peel(g, edges, vertices, configs)
+        got = list(zip(edges, configs))
         assert len(got) == 4 and got == ref
+        assert vertices == [cfg.vertex for cfg in configs]
         assert str(have.value) == str(want.value)
         assert "n=12, m=21" in str(have.value)
 
