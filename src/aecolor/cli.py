@@ -174,7 +174,7 @@ def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
         raise ValueError(
             f"vertex id {n - 1} needs n={n}, above the limit of {MAX_VERTICES} vertices"
         )
-    g = Graph(n, [(u, v) for u, v, _ in triples])
+    g = Graph(n, ((u, v) for u, v, _ in triples))
     return g, PartialEdgeColoring.from_pairs(g, k, triples, strict=False)
 
 
@@ -252,7 +252,7 @@ def cmd_verify(args) -> int:
     del doc, seen
     rank = {x: i for i, x in enumerate(ids)}
     triples = [(rank[u], rank[v], c) for u, v, c in triples]
-    g = Graph(len(ids), [(u, v) for u, v, _ in triples])
+    g = Graph(len(ids), ((u, v) for u, v, _ in triples))
     phi = PartialEdgeColoring.from_pairs(g, k, triples, strict=False)
     if phi.violations:
         status, code = "improper", EXIT_IMPROPER

@@ -11,9 +11,10 @@ Extension escalates through four tiers:
       edges within distance 2, explicit state budget)
   T4  exhaustive recoloring of the current subgraph over the full palette
 
-Every move is verified against the coloring before it is accepted; the
-recoloring scripts are treated as heuristics, not as trusted proofs.  T4
-failing exhaustively is a certificate that the palette bound is violated,
+All four tiers edit the one coloring they are given, in place.  Every move
+is verified against the coloring before it is accepted; the recoloring
+scripts are treated as heuristics, not as trusted proofs.  T4 failing
+exhaustively is a certificate that the palette bound is violated,
 which refutes the caller's planarity assertion.
 """
 
@@ -252,9 +253,11 @@ def _peel(
 def _recolor(phi: PartialEdgeColoring, e: tuple[int, int], a: int) -> bool:
     # recolor e with a, free at both of its ends, so properness is immediate;
     # undone, and False, when it closes a bichromatic cycle
-    old = phi.recolor(e[0], e[1], a)
+    old = phi.unassign(*e)
+    phi.assign(e[0], e[1], a)
     if closes_cycle(phi._nbr, e[0], e[1], a):
-        phi.recolor(e[0], e[1], old)
+        phi.unassign(*e)
+        phi.assign(e[0], e[1], old)
         return False
     return True
 
@@ -300,11 +303,7 @@ def _tier2(ctx: ExtensionContext) -> bool:
     # tried here: the spoke lies in T3's zone and T3's first level tries
     # every free color on it
     for center in (ctx.v, ctx.u):
-        spokes = [
-            _canon(center, x)
-            for x in phi.graph.neighbors(center)
-            if phi.color_of(center, x) is not None
-        ]
+        spokes = [_canon(center, x) for x in sorted(phi._nbr[center].values())]
         for e1, e2 in combinations(spokes, 2):
             if not _try_swap(phi, e1, e2):
                 continue
@@ -357,7 +356,8 @@ def _tier3(ctx: ExtensionContext, budget: int) -> bool:
                 res = dfs(depth + 1)
                 if res:
                     return True
-                phi.recolor(e[0], e[1], old)
+                phi.unassign(*e)
+                phi.assign(e[0], e[1], old)
                 if res is None:
                     return None
         for e1, e2 in pairs:
@@ -377,13 +377,13 @@ def _tier3(ctx: ExtensionContext, budget: int) -> bool:
     return dfs(0) is True
 
 
-def _tier4(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> PartialEdgeColoring:
+def _tier4(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> None:
     # the only use of the oracle here, so a run that never reaches T4
     # never imports it
     from .oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
 
     phi = ctx.phi
-    colored = [(u, v) for (u, v), _ in phi.items()]
+    colored = list(phi._colors)
     sub = Graph(phi.graph.n, colored + [(ctx.u, ctx.v)])
     found = search_acyclic_coloring(sub, phi.k, budget or SearchBudget())
     if found is EXHAUSTED:
@@ -395,9 +395,11 @@ def _tier4(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> PartialEdge
             f"no acyclic edge coloring with {phi.k} colors exists for the current "
             f"subgraph (n={sub.n}, m={sub.m}); the palette bound refutes planarity"
         )
-    return PartialEdgeColoring.from_pairs(
-        phi.graph, phi.k, [(u, v, c) for (u, v), c in found.items()]
-    )
+    # the search colored every edge of sub, so its coloring replaces phi's
+    for e in colored:
+        phi.unassign(*e)
+    for (u, v), c in found.items():
+        phi.assign(u, v, c)
 
 
 def _check_max_tier(max_tier: int) -> None:
@@ -410,14 +412,15 @@ def _escalate(
     max_tier: int,
     t3_budget: int,
     t4_budget: Optional[SearchBudget],
-) -> tuple[PartialEdgeColoring, str]:
-    # tiers T2 to T4 for an edge on which T1 has just failed
+) -> str:
+    # tiers T2 to T4 for an edge on which T1 has just failed; returns the tier
     if max_tier >= 2 and _tier2(ctx):
-        return ctx.phi, "T2"
+        return "T2"
     if max_tier >= 3 and _tier3(ctx, t3_budget):
-        return ctx.phi, "T3"
+        return "T3"
     if max_tier >= 4:
-        return _tier4(ctx, t4_budget), "T4"
+        _tier4(ctx, t4_budget)
+        return "T4"
     raise ExtensionFailed(
         f"edge ({ctx.u}, {ctx.v}) not extendable within tier cap T{max_tier}"
     )
@@ -432,14 +435,14 @@ def extend_at_edge(
 ) -> tuple[PartialEdgeColoring, str]:
     """Color the edge uv, escalating through the tiers; returns (phi, tier).
 
-    Tiers T1 to T3 mutate and return the context's coloring; T4 returns a
-    fresh one for the same graph.  A failed tier always restores the
-    coloring it started from before the next tier runs.
+    Every tier edits the context's coloring in place, and phi is that
+    coloring.  A failed tier always restores the coloring it started from
+    before the next tier runs.
     """
     _check_max_tier(max_tier)
     if _finish(ctx):
         return ctx.phi, "T1"
-    return _escalate(ctx, max_tier, t3_budget, t4_budget)
+    return ctx.phi, _escalate(ctx, max_tier, t3_budget, t4_budget)
 
 
 class _TierMismatch(Exception):
@@ -469,8 +472,7 @@ def _reinsert(
     if edges:
         _check_max_tier(max_tier)
     phi = PartialEdgeColoring(g, g.max_degree() + 10)
-    # bound methods of phi: T4 returns a fresh coloring, so they are bound
-    # again after every escalation
+    # every tier edits phi in place, so its bound methods hold throughout
     first_fit, put = phi._first_fit, phi._put
     for i in range(len(edges) - 1, -1, -1):
         e, v = edges[i], vertices[i]
@@ -480,10 +482,7 @@ def _reinsert(
             put(u, v, e, c)
             tier = "T1"
         else:
-            phi, tier = _escalate(
-                ExtensionContext(g, phi, u, v), max_tier, T3_STATE_BUDGET, None
-            )
-            first_fit, put = phi._first_fit, phi._put
+            tier = _escalate(ExtensionContext(g, phi, u, v), max_tier, T3_STATE_BUDGET, None)
         if tier != tiers[i]:
             if tiers[i] is not None:
                 raise _TierMismatch(i, tier)

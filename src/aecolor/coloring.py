@@ -79,20 +79,33 @@ class PartialEdgeColoring:
         of None leaves the edge uncolored.
 
         Each row gets `assign`'s checks, in its order and with its
-        messages: a non-edge, a color outside 1..k and an edge already
-        colored raise ValueError, and a color already at u, then at v,
-        raises ImproperColoringError, or with `strict=False` puts the row
-        in `violations`, in row order, and leaves the edge uncolored.
+        messages; with `strict=False` a row whose color is already at u or
+        v goes to `violations`, in row order, and leaves the edge uncolored.
         """
         phi = cls(graph, k)
-        # `assign`, inlined: this loop colors every edge of a loaded
-        # document.  `_put`'s path-end join is skipped, as the cache of a
-        # fresh coloring is empty and only `closes_cycle` fills it.
-        has_edge = graph.has_edge
-        nbr = phi._nbr
-        colors = phi._colors
-        violations = phi.violations
-        for u, v, c in pairs:
+        phi._write(pairs, strict)
+        return phi
+
+    def assign(self, u: int, v: int, c: Color) -> None:
+        """Color the uncolored edge uv with c: the public, checked write.
+
+        Refuses a non-edge, a color outside 1..k or an edge already colored
+        (ValueError) and a color already at u, then at v
+        (ImproperColoringError).
+        """
+        if c is None:
+            raise TypeError("assign needs a color; unassign uncolors an edge")
+        self._write(((u, v, c),), True)
+
+    def _write(self, rows: Iterable[tuple[int, int, Optional[int]]], strict: bool) -> None:
+        # the one checked row loop, behind both `assign` and `from_pairs`;
+        # a row colored None is skipped
+        has_edge = self.graph.has_edge
+        nbr = self._nbr
+        colors = self._colors
+        k = self.k
+        ends = self._ends
+        for u, v, c in rows:
             if c is None:
                 continue
             if not has_edge(u, v):
@@ -112,39 +125,20 @@ class PartialEdgeColoring:
                 nu[c] = v
                 nv[c] = u
                 colors[e] = c
+                if ends:
+                    ends.join(nbr, u, v, c)
                 continue
             if strict:
                 raise ImproperColoringError(f"color {c} already at vertex {clash}")
-            violations.append((u, v, c))
-        return phi
-
-    def assign(self, u: int, v: int, c: Color) -> None:
-        """Color the uncolored edge uv with c: the public, checked write.
-
-        Refuses a non-edge, a color outside 1..k or an edge already colored
-        (ValueError) and a color already at u or v (ImproperColoringError),
-        then writes through `_put`.  `from_pairs` makes the same checks
-        inline, in the same order: change both together.
-        """
-        if not self.graph.has_edge(u, v):
-            raise ValueError(f"({u},{v}) is not an edge")
-        if not 1 <= c <= self.k:
-            raise ValueError(f"color {c} outside palette [1..{self.k}]")
-        e = _canon(u, v)
-        if e in self._colors:
-            raise ValueError(f"edge {e} already colored; unassign first")
-        if c in self._nbr[u]:
-            raise ImproperColoringError(f"color {c} already at vertex {u}")
-        if c in self._nbr[v]:
-            raise ImproperColoringError(f"color {c} already at vertex {v}")
-        self._put(u, v, e, c)
+            self.violations.append((u, v, c))
 
     def _put(self, u: int, v: int, e: tuple[int, int], c: Color) -> None:
         """The writes of `assign` without its checks; private.
 
         The caller guarantees what `assign` checks: uv is an uncolored edge
         of the graph, e is its canonical form, and c is in 1..k and free at
-        both ends.  A color from `_first_fit` is all of that.
+        both ends.  A color from `_first_fit` is all of that.  `_write`
+        makes the same writes inline.
         """
         nbr = self._nbr
         nbr[u][c] = v
@@ -167,16 +161,6 @@ class PartialEdgeColoring:
         if self._ends:
             self._ends = _PathEnds()
         return c
-
-    def recolor(self, u: int, v: int, c: Color) -> Color:
-        """Replace the color of a colored edge, atomically; returns the old color."""
-        old = self.unassign(u, v)
-        try:
-            self.assign(u, v, c)
-        except (ImproperColoringError, ValueError):
-            self.assign(u, v, old)
-            raise
-        return old
 
     def color_of(self, u: int, v: int) -> Optional[Color]:
         return self._colors.get(_canon(u, v))
@@ -236,6 +220,8 @@ class PartialEdgeColoring:
 
     def free_colors(self, x: int, y: int) -> list[Color]:
         """Ascending colors in 1..k absent at both x and y."""
+        self.graph._check(x)
+        self.graph._check(y)
         nx, ny = self._nbr[x], self._nbr[y]
         return [c for c in range(1, self.k + 1) if c not in nx and c not in ny]
 

@@ -56,88 +56,9 @@ class Exhausted:
 
 EXHAUSTED = Exhausted()
 
-_FOUND, _NO, _OUT = 0, 1, 2
-
-
-def _ordered_edges(g: Graph, order: str) -> list[tuple[int, int]]:
-    edges = g.edges()
-    if order == "input":
-        return edges
-    if order == "degree_sum":
-        # Descending endpoint degree sum, then edge id: strongest pruning first.
-        ids = sorted(
-            range(len(edges)),
-            key=lambda i: (-(g.degree(edges[i][0]) + g.degree(edges[i][1])), i),
-        )
-        return [edges[i] for i in ids]
-    raise ValueError(f"unknown edge order {order!r}")
-
-
-class _Searcher:
-    def __init__(self, g: Graph, k: int, budget: SearchBudget, order: str):
-        self.g = g
-        self.k = k
-        self.edges = _ordered_edges(g, order)
-        # same color -> neighbor table format as PartialEdgeColoring, kept
-        # here so the hot loop skips its edge and palette checks
-        self.nbr: list[dict[int, int]] = [{} for _ in range(g.n)]
-        self.assigned: list[int] = []
-        self.nodes = 0
-        self.max_nodes = budget.max_nodes
-        self.deadline = (
-            time.monotonic() + budget.wall_seconds
-            if budget.wall_seconds is not None
-            else None
-        )
-
-    def run(self) -> int:
-        # Depth-first over edges in order, colors ascending, with an
-        # explicit stack: `assigned` holds the colors on the path so far and
-        # used[i] is the largest color among the first i edges.  Every color
-        # tried counts one node, free or not.
-        edges, nbr, assigned = self.edges, self.nbr, self.assigned
-        used = [0]
-        c = 1
-        while True:
-            idx = len(assigned)
-            if idx == len(edges):
-                return _FOUND
-            u, v = edges[idx]
-            nu, nv = nbr[u], nbr[v]
-            cap = min(self.k, used[idx] + 1)
-            while c <= cap:
-                self.nodes += 1
-                if self.nodes > self.max_nodes:
-                    return _OUT
-                if self.deadline is not None and not self.nodes & 2047:
-                    if time.monotonic() > self.deadline:
-                        return _OUT
-                if c not in nu and c not in nv and not closes_cycle(nbr, u, v, c):
-                    break
-                c += 1
-            if c <= cap:
-                nu[c] = v
-                nv[c] = u
-                assigned.append(c)
-                used.append(max(used[idx], c))
-                c = 1
-                continue
-            # every color failed here: undo the previous edge, try its next
-            if idx == 0:
-                return _NO
-            used.pop()
-            c = assigned.pop()
-            u, v = edges[idx - 1]
-            del nbr[u][c]
-            del nbr[v][c]
-            c += 1
-
 
 def search_acyclic_coloring(
-    g: Graph,
-    k: int,
-    budget: Optional[SearchBudget] = None,
-    order: str = "degree_sum",
+    g: Graph, k: int, budget: Optional[SearchBudget] = None
 ) -> Union[dict[tuple[int, int], int], None, Exhausted]:
     """Exact search for an acyclic edge k-coloring.
 
@@ -150,25 +71,65 @@ def search_acyclic_coloring(
         return {}
     if k == 0:
         return None
-    s = _Searcher(g, k, budget or SearchBudget(), order)
-    res = s.run()
-    if res == _FOUND:
-        return dict(zip(s.edges, s.assigned))
-    if res == _OUT:
-        return EXHAUSTED
-    return None
+    budget = budget or SearchBudget()
+    max_nodes = budget.max_nodes
+    deadline = None if budget.wall_seconds is None else time.monotonic() + budget.wall_seconds
+    # descending endpoint degree sum, then edge id (the sort is stable):
+    # strongest pruning first
+    deg = g.degree
+    edges = sorted(g.edges(), key=lambda e: -(deg(e[0]) + deg(e[1])))
+    # the color -> neighbor table of PartialEdgeColoring, kept here so the
+    # loop skips its edge and palette checks
+    nbr: list[dict[int, int]] = [{} for _ in range(g.n)]
+    # depth-first over edges in order, colors ascending, with an explicit
+    # stack: `assigned` holds the colors on the path so far and used[i] is
+    # the largest color among the first i edges.  Every color tried counts
+    # one node, free or not.
+    assigned: list[int] = []
+    used = [0]
+    nodes = 0
+    c = 1
+    while True:
+        idx = len(assigned)
+        if idx == len(edges):
+            return dict(zip(edges, assigned))
+        u, v = edges[idx]
+        nu, nv = nbr[u], nbr[v]
+        cap = min(k, used[idx] + 1)
+        while c <= cap:
+            nodes += 1
+            if nodes > max_nodes:
+                return EXHAUSTED
+            if deadline is not None and not nodes & 2047 and time.monotonic() > deadline:
+                return EXHAUSTED
+            if c not in nu and c not in nv and not closes_cycle(nbr, u, v, c):
+                break
+            c += 1
+        if c <= cap:
+            nu[c] = v
+            nv[c] = u
+            assigned.append(c)
+            used.append(max(used[idx], c))
+            c = 1
+            continue
+        # every color failed here: undo the previous edge, try its next
+        if idx == 0:
+            return None
+        used.pop()
+        c = assigned.pop()
+        u, v = edges[idx - 1]
+        del nbr[u][c]
+        del nbr[v][c]
+        c += 1
 
 
 def is_acyclically_k_colorable(
-    g: Graph,
-    k: int,
-    budget: Optional[SearchBudget] = None,
-    order: str = "degree_sum",
+    g: Graph, k: int, budget: Optional[SearchBudget] = None
 ) -> Union[bool, Exhausted]:
     """Exact decision; EXHAUSTED (never a bool) when the budget ran out."""
     if k < 1:
         raise ValueError(f"palette size must be >= 1, got {k}")
-    found = search_acyclic_coloring(g, k, budget, order)
+    found = search_acyclic_coloring(g, k, budget)
     if found is EXHAUSTED:
         return EXHAUSTED
     return found is not None

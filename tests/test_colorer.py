@@ -454,7 +454,8 @@ class TestTryFreeColor:
                 x, y = rng.choice(colored_edges)
                 options = free(x, y)
                 if options:
-                    phi.recolor(x, y, rng.choice(options))
+                    phi.unassign(x, y)
+                    phi.assign(x, y, rng.choice(options))
             assert_skip_maps_exact(phi)
 
     def test_star_work_is_linear(self, monkeypatch):
@@ -525,6 +526,22 @@ class TestExtendTiers:
     def test_icosahedron_t3_instance(self):
         _, tier = extend_at_edge(context_for(icosahedron()[0], (1, 7), 7))
         assert tier == "T3"
+
+    @pytest.mark.parametrize(
+        "g, e, k, t3_budget, want",
+        [
+            (path_graph(3), (0, 1), 12, colorer.T3_STATE_BUDGET, "T1"),
+            (octahedron()[0], (0, 4), 6, colorer.T3_STATE_BUDGET, "T2"),
+            (octahedron()[0], (0, 2), 6, colorer.T3_STATE_BUDGET, "T3"),
+            (octahedron()[0], (0, 2), 6, 0, "T4"),
+        ],
+        ids=["T1", "T2", "T3", "T4"],
+    )
+    def test_every_tier_edits_the_context_coloring(self, g, e, k, t3_budget, want):
+        ctx = context_for(g, e, k)
+        phi, tier = extend_at_edge(ctx, t3_budget=t3_budget)
+        assert tier == want
+        assert phi is ctx.phi and validate_acyclic(g, phi).ok
 
     def test_t4_reached_when_t3_starved(self):
         ctx = context_for(octahedron()[0], (0, 2), 6)

@@ -59,20 +59,55 @@ class TestPartialColoring:
         assert phi.unassign(0, 1) == 2
         assert phi.color_of(0, 1) is None
 
-    def test_failed_recolor_keeps_the_old_color(self):
+    def test_refused_assign_keeps_the_coloring(self):
         g = path_graph(3)
-        phi = colored(g, 3, [(0, 1, 1), (1, 2, 2)])
+        phi = colored(g, 3, [(0, 1, 1)])
         with pytest.raises(ImproperColoringError):
-            phi.recolor(0, 1, 2)
+            phi.assign(1, 2, 1)
         with pytest.raises(ValueError):
-            phi.recolor(0, 1, 4)
-        assert phi.items() == [((0, 1), 1), ((1, 2), 2)]
-        assert phi._nbr[0] == {1: 1} and phi._nbr[1] == {1: 0, 2: 2}
+            phi.assign(1, 2, 4)
+        with pytest.raises(ValueError):
+            phi.assign(0, 1, 2)
+        assert phi.items() == [((0, 1), 1)]
+        assert phi._nbr == [{1: 1}, {1: 0}, {}]
 
     def test_rejects_out_of_palette(self):
         phi = PartialEdgeColoring(path_graph(2), 2)
         with pytest.raises(ValueError):
             phi.assign(0, 1, 3)
+        with pytest.raises(TypeError):
+            phi.assign(0, 1, None)
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ((0, 2, 1), ValueError),
+            ((1, 2, 4), ValueError),
+            ((1, 0, 2), ValueError),
+            ((1, 2, 1), ImproperColoringError),
+            ((1, 2, 2), ImproperColoringError),
+        ],
+        ids=["non-edge", "palette", "already-colored", "clash-at-u", "clash-at-v"],
+    )
+    def test_assign_and_strict_rows_refuse_alike(self, row, error):
+        # the one checked write: the same defect gives the same exception
+        # and message whether it comes through `assign` or a row
+        g = path_graph(4)
+        base = [(0, 1, 1), (2, 3, 2)]
+        with pytest.raises(error) as by_assign:
+            colored(g, 3, base).assign(*row)
+        with pytest.raises(error) as by_row:
+            colored(g, 3, base + [row])
+        assert type(by_assign.value) is type(by_row.value)
+        assert str(by_assign.value) == str(by_row.value)
+
+    def test_free_colors_checks_vertex_ids(self):
+        # a negative id must not wrap round to the last vertex
+        phi = colored(path_graph(3), 4, [(1, 2, 1)])
+        assert phi.free_colors(0, 1) == [2, 3, 4]
+        for x, y in [(-1, 0), (5, 0), (0, -1), (0, 5)]:
+            with pytest.raises(ValueError, match="out of range"):
+                phi.free_colors(x, y)
 
     def test_completeness_flag(self):
         g = path_graph(3)
@@ -336,7 +371,8 @@ class TestExtensionAids:
                     x, y = rng.choice(colored_edges)
                     free = phi.free_colors(x, y)
                     if free:
-                        phi.recolor(x, y, rng.choice(free))
+                        phi.unassign(x, y)
+                        phi.assign(x, y, rng.choice(free))
                 comparisons += self.check(phi, rng)
         assert comparisons > 0
 
