@@ -2,9 +2,11 @@
 
 Backtracking over edges with properness pruning, incremental bichromatic-
 cycle detection, and color symmetry breaking (the i-th newly introduced
-color is at most i).  Intended for graphs up to roughly 15 edges; beyond
-that the search budget turns results into the explicit EXHAUSTED outcome,
-never a silent wrong answer.
+color is at most i).  A palette below `_lower_bound` (Δ, and the forest
+bound of each component) is refused before the search counts a node.
+What the bound does not settle is searched exhaustively, in time that can
+grow exponentially with m; the search budget turns an unfinished search
+into the explicit EXHAUSTED outcome, never a silent wrong answer.
 
 The module also houses the independent brute-force cycle enumerator the
 test suite compares the bichromatic-cycle scan against.
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Union
 
 from .coloring import closes_cycle
@@ -57,19 +58,40 @@ class Exhausted:
 EXHAUSTED = Exhausted()
 
 
+def _lower_bound(g: Graph) -> int:
+    """The least palette that an acyclic edge coloring of g could use.
+
+    It is max(Δ, ⌈2m(H)/(n(H)−1)⌉ over the components H with at least 2
+    vertices).  Any two color classes of an acyclic coloring form a forest,
+    so on H each pair of classes holds at most n(H)−1 edges; summed over
+    the k(k−1)/2 pairs, (k−1)·m(H) ≤ k(k−1)/2·(n(H)−1).  That needs a
+    pair, k ≥ 2, which Δ ≥ 2 forces.  A matching (Δ ≤ 1) takes Δ colors.
+    """
+    delta = g.max_degree()
+    if delta <= 1:
+        return delta
+    bound = delta
+    for comp in g.connected_components():
+        if len(comp) > 1:
+            degree_sum = sum(g.degree(v) for v in comp)
+            bound = max(bound, -(-degree_sum // (len(comp) - 1)))
+    return bound
+
+
 def search_acyclic_coloring(
     g: Graph, k: int, budget: Optional[SearchBudget] = None
 ) -> Union[dict[tuple[int, int], int], None, Exhausted]:
     """Exact search for an acyclic edge k-coloring.
 
     Returns an edge -> color dict, None when provably impossible, or
-    EXHAUSTED when the budget ran out first.
+    EXHAUSTED when the budget ran out first.  A k below `_lower_bound(g)`
+    is None at once, before any node is counted.
     """
     if k < 0:
         raise ValueError(f"palette size must be nonnegative, got {k}")
     if g.m == 0:
         return {}
-    if k == 0:
+    if k < _lower_bound(g):
         return None
     budget = budget or SearchBudget()
     max_nodes = budget.max_nodes
@@ -140,12 +162,13 @@ def exact_chi_a(
 ) -> Union[int, Exhausted]:
     """Smallest palette admitting an acyclic edge coloring.
 
-    Searched upward from the trivial lower bound max degree; all-distinct
+    Searched upward from `_lower_bound(g)`, so a graph whose index is that
+    bound is settled by one search that finds a coloring; all-distinct
     colors are always acyclic, so the search stops by k = m.
     """
     if g.m == 0:
         return 0
-    for k in range(max(g.max_degree(), 1), g.m + 1):
+    for k in range(_lower_bound(g), g.m + 1):
         res = is_acyclically_k_colorable(g, k, budget)
         if res is EXHAUSTED:
             return EXHAUSTED
@@ -155,39 +178,38 @@ def exact_chi_a(
 
 
 def enumerate_cycles(g: Graph) -> list[frozenset[tuple[int, int]]]:
-    """Every simple cycle, as an edge set, by brute force over edge subsets.
+    """Every simple cycle, as an edge set, sorted by (size, sorted edges).
 
-    Exponential in m by design: this is the independent oracle the
-    bichromatic-cycle scan is validated against, so it shares no code with it.
+    Each cycle is found from its least vertex s, by extending paths from s
+    through vertices above s until the path's end is adjacent to s.  Both
+    directions of a cycle close; the one whose second vertex is below its
+    last is kept.  The work grows with the number of paths, exponentially
+    in m on dense graphs, so m is capped at 20.  This is the independent
+    oracle the bichromatic-cycle scan is validated against, so it shares
+    no code with it.
     """
-    edges = g.edges()
-    if len(edges) > 20:
-        raise ValueError(f"cycle enumeration is exponential; m={len(edges)} is too big")
-    cycles = []
-    for size in range(3, len(edges) + 1):
-        for subset in combinations(edges, size):
-            deg: dict[int, int] = {}
-            for u, v in subset:
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-            if any(d != 2 for d in deg.values()):
-                continue
-            # connectivity: walk the subset from any vertex
-            adj: dict[int, list[int]] = {v: [] for v in deg}
-            for u, v in subset:
-                adj[u].append(v)
-                adj[v].append(u)
-            start = next(iter(deg))
-            seen = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) == len(deg):
-                cycles.append(frozenset(subset))
+    if g.m > 20:
+        raise ValueError(f"cycle enumeration is exponential; m={g.m} is too big")
+    nbrs = [g.neighbors(v) for v in g.vertices()]
+    cycles: list[frozenset[tuple[int, int]]] = []
+
+    def extend(path: list[int]) -> None:
+        s, x = path[0], path[-1]
+        for y in nbrs[x]:
+            if y == s:
+                if len(path) > 2 and path[1] < x:
+                    ring = path + [s]
+                    cycles.append(frozenset(
+                        (a, b) if a < b else (b, a) for a, b in zip(ring, ring[1:])
+                    ))
+            elif y > s and y not in path:
+                path.append(y)
+                extend(path)
+                path.pop()
+
+    for s in g.vertices():
+        extend([s])
+    cycles.sort(key=lambda c: (len(c), sorted(c)))
     return cycles
 
 

@@ -165,6 +165,40 @@ def all_proper_colorings(g: Graph, k: int):
             yield phi
 
 
+def subset_enumerate_cycles(g: Graph) -> list[frozenset[tuple[int, int]]]:
+    """Reference cycle enumerator: every edge subset, by size and then in
+    `combinations` order over the sorted edges, that is 2-regular and
+    connected.  Exponential in m; `enumerate_cycles` must return its list,
+    in its order."""
+    edges = g.edges()
+    cycles = []
+    for size in range(3, len(edges) + 1):
+        for subset in itertools.combinations(edges, size):
+            deg: dict[int, int] = {}
+            for u, v in subset:
+                deg[u] = deg.get(u, 0) + 1
+                deg[v] = deg.get(v, 0) + 1
+            if any(d != 2 for d in deg.values()):
+                continue
+            # connectivity: walk the subset from any vertex
+            adj: dict[int, list[int]] = {v: [] for v in deg}
+            for u, v in subset:
+                adj[u].append(v)
+                adj[v].append(u)
+            start = next(iter(deg))
+            seen = {start}
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            if len(seen) == len(deg):
+                cycles.append(frozenset(subset))
+    return cycles
+
+
 def all_trees(max_n: int) -> list[Graph]:
     """Every tree on 1..max_n vertices, one per isomorphism class."""
     out = [Graph(1, [])]

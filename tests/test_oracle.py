@@ -1,12 +1,18 @@
 import time
+from collections import Counter
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
+from aecolor.colorer import acolor
 from aecolor.coloring import PartialEdgeColoring, validate_acyclic
 from aecolor.families import (
     complete_graph,
+    cube,
     cycle_graph,
     grid_graph,
+    icosahedron,
     octahedron,
     path_graph,
     star_graph,
@@ -15,12 +21,14 @@ from aecolor.graphs import Graph
 from aecolor.oracle import (
     EXHAUSTED,
     SearchBudget,
+    _lower_bound,
     bichromatic_cycle_exists_brute,
     enumerate_cycles,
     exact_chi_a,
     is_acyclically_k_colorable,
     search_acyclic_coloring,
 )
+from support import all_trees, small_graphs, subset_enumerate_cycles
 
 
 def as_coloring(g, k, witness):
@@ -104,6 +112,49 @@ class TestExactChiA:
             assert exact_chi_a(g) >= g.max_degree()
 
 
+class TestLowerBound:
+    @pytest.mark.parametrize(
+        "g", [complete_graph(2), Graph(4, [(0, 1), (2, 3)])], ids=["K2", "2K2"]
+    )
+    def test_matching_needs_one(self, g):
+        assert _lower_bound(g) == 1
+        assert is_acyclically_k_colorable(g, 1) is True
+
+    def test_largest_component_bound_wins(self):
+        # K2 plus a triangle: Δ = 2, the triangle's 2·3/2 = 3
+        assert _lower_bound(Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])) == 3
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cycles_give_three(self, n):
+        assert _lower_bound(cycle_graph(n)) == 3
+
+    def test_trees_give_delta_or_two(self):
+        # from 2 edges on; K2 is a matching
+        for t in all_trees(8):
+            if t.m > 1:
+                assert _lower_bound(t) == max(t.max_degree(), 2)
+
+    def test_k4_gives_four(self):
+        assert _lower_bound(complete_graph(4)) == 4
+
+    def test_icosahedron_gives_six(self):
+        # Δ = 5, but ⌈2·30/11⌉ = 6
+        g, _ = icosahedron()
+        assert _lower_bound(g) == 6
+
+    def test_isolated_vertices_are_ignored(self):
+        assert _lower_bound(Graph(6, [(0, 1), (1, 2), (0, 2)])) == 3
+
+    def test_below_the_bound_costs_no_node(self):
+        g, _ = icosahedron()
+        assert is_acyclically_k_colorable(g, 5, SearchBudget(max_nodes=1)) is False
+
+    def test_bound_that_does_not_settle_still_searches(self):
+        # K4's bound is 4 and its index 5: proving k = 4 infeasible takes nodes
+        out = is_acyclically_k_colorable(complete_graph(4), 4, SearchBudget(max_nodes=1))
+        assert out is EXHAUSTED
+
+
 class TestBudget:
     def test_exhaustion_is_not_false(self):
         g = complete_graph(6)
@@ -147,9 +198,27 @@ class TestEnumerateCycles:
         assert len(enumerate_cycles(cycle_graph(6))) == 1
 
     def test_too_large_rejected(self):
-        g, _ = octahedron()  # 12 edges fine; force the guard with K7
+        assert len(enumerate_cycles(octahedron()[0])) == 63  # 12 edges fine
         with pytest.raises(ValueError):
             enumerate_cycles(complete_graph(7))
+
+    @pytest.mark.parametrize(
+        "g, count",
+        [
+            (complete_graph(5), 37),
+            (complete_graph(6), 197),
+            (cube()[0], 28),
+            (grid_graph(3, 3), 13),
+        ],
+        ids=["K5", "K6", "cube", "grid3x3"],
+    )
+    def test_cycle_counts(self, g, count):
+        assert len(enumerate_cycles(g)) == count
+
+    @given(small_graphs(max_n=8, max_m=12))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_subset_enumeration(self, g):
+        assert enumerate_cycles(g) == subset_enumerate_cycles(g)
 
 
 class TestBruteCycleCheck:
@@ -168,3 +237,26 @@ class TestBruteCycleCheck:
         cycles = enumerate_cycles(g)
         w = {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3, (1, 2): 3}
         assert bichromatic_cycle_exists_brute(g, w, cycles) is True
+
+
+class TestAtlasCensus:
+    """Every connected planar graph with an edge in networkx's graph atlas
+    (Read and Wilson, all graphs on up to 7 vertices): 774 of them."""
+
+    def test_bounds_and_sandwich(self):
+        graphs = [
+            Graph(h.number_of_nodes(), list(h.edges()))
+            for h in nx.graph_atlas_g()
+            if h.number_of_edges() and nx.is_connected(h) and nx.check_planarity(h)[0]
+        ]
+        assert len(graphs) == 774
+        above_delta, above_chi = Counter(), Counter()
+        for g in graphs:
+            chi = exact_chi_a(g)
+            used = validate_acyclic(g, acolor(g)[0]).max_color
+            delta = g.max_degree()
+            assert _lower_bound(g) <= chi <= used <= delta + 10
+            above_delta[chi - delta] += 1
+            above_chi[used - chi] += 1
+        assert above_delta == {0: 668, 1: 104, 2: 2}
+        assert above_chi == {0: 546, 1: 227, 2: 1}
