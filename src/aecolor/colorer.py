@@ -31,7 +31,7 @@ from .coloring import (
 )
 from .errors import ExtensionFailed, ImproperColoringError, NotPlanarEvidence
 from .graphs import Graph, _canon
-from .scanner import _CAPS, _KIND_BY_DEGREE, Configuration, _match, classify_vertex
+from .scanner import _CAPS, _KIND_BY_DEGREE, Configuration, _kind, _match, classify_vertex
 
 if TYPE_CHECKING:
     from .oracle import SearchBudget
@@ -72,26 +72,91 @@ class ExtensionContext:
         self.v = v
 
 
+def _step_row(edge: tuple[int, int], v: int, kind: str, tier: str) -> dict:
+    # the JSON row of one trace step; the second endpoint is the
+    # configuration vertex, so replay can reconstruct the context without
+    # re-scanning
+    u = edge[0] if edge[1] == v else edge[1]
+    return {"edge": [u, v], "config": kind, "tier": tier}
+
+
 class TraceStep(NamedTuple):
     edge: tuple[int, int]
     config: Configuration
     tier: str
 
     def to_json_dict(self) -> dict:
-        v = self.config.vertex
-        u = self.edge[0] if self.edge[1] == v else self.edge[1]
-        # second endpoint is the configuration vertex, so replay can
-        # reconstruct the context without re-scanning
-        return {"edge": [u, v], "config": self.config.kind, "tier": self.tier}
+        return _step_row(self.edge, self.config.vertex, self.config.kind, self.tier)
+
+
+def _configurations(
+    g: Graph, edges: list[tuple[int, int]], vertices: list[int], kinds: list[str]
+) -> list[Configuration]:
+    # each step's configuration, re-derived by replaying the removals on
+    # adjacency sets and matching the step's vertex at its stage: O(m), as
+    # every configuration vertex has degree 5 or less
+    adj = list(map(set, g._adj))
+    configs = []
+    for i, ((a, b), v, kind) in enumerate(zip(edges, vertices, kinds)):
+        cfg = _match(v, sorted([(len(adj[u]), u) for u in adj[v]]))
+        if cfg is None or cfg.kind != kind:
+            got = None if cfg is None else cfg.kind
+            raise AssertionError(
+                f"trace step {i} records {kind} at vertex {v}, but the graph there gives {got}"
+            )
+        configs.append(cfg)
+        adj[a].remove(b)
+        adj[b].remove(a)
+    return configs
 
 
 class ReductionTrace:
-    """Removal-ordered log of (edge, configuration, extension tier)."""
+    """Removal-ordered log of (edge, configuration, extension tier).
 
-    __slots__ = ("steps",)
+    The log is four flat lists, one entry per step: the edge, the
+    configuration vertex, the configuration kind and the tier.  `len`,
+    `to_json_dict` and `replay_trace` read only those.  `steps`, iteration,
+    equality, hashing and repr read the `TraceStep` tuple, which a trace
+    from `acolor` builds on first read: it replays the removals on the
+    graph and re-derives each configuration, O(m) in all, and raises
+    AssertionError where a re-derived kind differs from the recorded one.
+    """
+
+    __slots__ = ("_edges", "_vertices", "_kinds", "_tiers", "_graph", "_steps")
 
     def __init__(self, steps: tuple[TraceStep, ...]):
-        self.steps = steps
+        self._steps = steps = tuple(steps)
+        self._graph = None
+        self._edges = [s.edge for s in steps]
+        self._vertices = [s.config.vertex for s in steps]
+        self._kinds = [s.config.kind for s in steps]
+        self._tiers = [s.tier for s in steps]
+
+    @classmethod
+    def _peeled(
+        cls,
+        g: Graph,
+        edges: list[tuple[int, int]],
+        vertices: list[int],
+        kinds: list[str],
+        tiers: list[str],
+    ) -> ReductionTrace:
+        # the trace of `_peel(g, edges, vertices, kinds)` re-inserted on
+        # `tiers`: it keeps the lists, and g to build its steps from
+        trace = cls.__new__(cls)
+        trace._edges, trace._vertices, trace._kinds, trace._tiers = edges, vertices, kinds, tiers
+        trace._graph, trace._steps = g, None
+        return trace
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        if self._steps is None:
+            configs = _configurations(self._graph, self._edges, self._vertices, self._kinds)
+            # tuple.__new__ skips TraceStep's Python-level __new__ but keeps its type
+            self._steps = tuple(
+                map(tuple.__new__, repeat(TraceStep), zip(self._edges, configs, self._tiers))
+            )
+        return self._steps
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReductionTrace):
@@ -105,13 +170,15 @@ class ReductionTrace:
         return f"ReductionTrace(steps={self.steps!r})"
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._edges)
 
     def __iter__(self) -> Iterator[TraceStep]:
         return iter(self.steps)
 
     def to_json_dict(self) -> dict:
-        return {"steps": [s.to_json_dict() for s in self.steps]}
+        return {
+            "steps": list(map(_step_row, self._edges, self._vertices, self._kinds, self._tiers))
+        }
 
 
 def choose_reduction_edge(g: Graph) -> tuple[tuple[int, int], Configuration]:
@@ -151,24 +218,27 @@ def _peel(
     g: Graph,
     edges: list[tuple[int, int]],
     vertices: list[int],
-    configs: list[Configuration],
+    kinds: list[str],
 ) -> None:
     """The `choose_reduction_edge` + `remove_edge` loop, run incrementally.
 
     Appends each removal's canonical edge, configuration vertex and
-    configuration to the three lists, in that loop's order, so a refutation
-    leaves the steps made so far.  The graph is not touched.  Two min-heaps
-    of vertex ids replace the rescan from vertex 0 (the smallest-last
-    bookkeeping of Matula & Beck, J. ACM 30, 1983): `low` holds every
-    vertex of degree 1-2 and `cand` every vertex of degree 3-5 that may
-    classify.  Entries go stale as degrees fall and are checked when popped.
+    configuration kind to the three lists, in that loop's order, so a
+    refutation leaves the steps made so far.  It builds no `Configuration`:
+    `ReductionTrace.steps` re-derives them when it is first read.  The
+    graph is not touched.  Two min-heaps of vertex ids replace the rescan
+    from vertex 0 (the smallest-last bookkeeping of Matula & Beck, J. ACM
+    30, 1983): `low` holds every vertex of degree 1-2 and `cand` every
+    vertex of degree 3-5 that may classify.  Entries go stale as degrees
+    fall and are checked when popped.
 
-    A vertex v from `low` is A1 by its degree and gets its configuration
-    from its (degree, id) pairs without `_match`.  It goes on peeling its
-    edges without the heap: removing vu changes only the degrees of v and
-    u, so v stays the least vertex of degree 1-2 unless it is left isolated,
-    which ends its run, or u < v falls to degree 1 or 2, which puts v back
-    on `low`.
+    A vertex v from `low` is A1 by its degree, with no cap test, and peels
+    its edge toward its smaller-id neighbor.  It goes on peeling its edges
+    without the heap: removing vu changes only the degrees of v and u, so v
+    stays the least vertex of degree 1-2 unless it is left isolated, which
+    ends its run, or u < v falls to degree 1 or 2, which puts v back on
+    `low`.  A vertex v from `cand` takes the one cap test, `_kind`, and
+    peels its edge toward its least (degree, id) neighbor.
 
     After any removal, u is pushed by its new degree, and a neighbor w of u
     only when u's degree has just fallen onto a cap of w's kind
@@ -185,8 +255,8 @@ def _peel(
     adj = list(map(set, g._adj))
     deg = [len(a) for a in adj]
     m = g.m
-    new, at = tuple.__new__, deg.__getitem__
-    add_edge, add_vertex, add_config = edges.append, vertices.append, configs.append
+    at = deg.__getitem__
+    add_edge, add_vertex, add_kind = edges.append, vertices.append, kinds.append
     # ascending lists are already heaps
     low = [v for v, d in enumerate(deg) if 1 <= d <= 2]
     cand = [v for v, d in enumerate(deg) if 3 <= d <= 5]
@@ -202,30 +272,28 @@ def _peel(
             a = adj[v]
             if len(a) == 1:
                 (u,) = a
-                nb = ((u, deg[u]),)
             else:
                 u, w = a
                 if w < u:
-                    u, w = w, u
-                du, dw = deg[u], deg[w]
-                nb = ((w, dw), (u, du)) if dw < du else ((u, du), (w, dw))
-            cfg = new(Configuration, ("A1", v, nb))
+                    u = w
+            kind = "A1"
         else:
-            cfg = None
-            while cand and cfg is None:
+            kind = None
+            while cand and kind is None:
                 v = heappop(cand)
                 if 3 <= deg[v] <= 5:
                     a = adj[v]
-                    cfg = _match(v, sorted(zip(map(at, a), a)))
-            if cfg is None:
+                    nd = sorted(zip(map(at, a), a))
+                    kind = _kind(nd)
+            if kind is None:
                 raise NotPlanarEvidence(
                     f"no reducible configuration in a graph with n={len(adj)}, "
                     f"m={m}; a planar graph always has one"
                 )
-            u = cfg.neighbors[0][0]
+            u = nd[0][1]
         add_edge((u, v) if u < v else (v, u))
         add_vertex(v)
-        add_config(cfg)
+        add_kind(kind)
         a.remove(u)
         adj[u].remove(v)
         m -= 1
@@ -236,9 +304,9 @@ def _peel(
                 heappush(low, u)
         elif d < 6:
             heappush(cand, u)
-        elif kinds := _RECHECK.get(d):
+        elif recheck := _RECHECK.get(d):
             for w in adj[u]:
-                if deg[w] in kinds:
+                if deg[w] in recheck:
                     heappush(cand, w)
         if run < 0:
             heappush(low if dv < 3 else cand, v)
@@ -501,19 +569,18 @@ def acolor(g: Graph, *, max_tier: int = 4) -> tuple[PartialEdgeColoring, Reducti
     edge and vertex lists go straight to re-insertion.  The result is
     validated before it is returned.  On inputs that are not actually
     planar this either still succeeds (the bound is one-sided) or raises
-    NotPlanarEvidence.  Each trace step is made by `tuple.__new__` mapped
-    over the three lists, which skips TraceStep's Python-level `__new__`
-    but keeps its type.
+    NotPlanarEvidence.  The trace keeps the edge, vertex and kind lists of
+    the peel and the tiers of re-insertion; it builds its `TraceStep`s,
+    with their configurations, only when they are first read.
     """
-    edges, vertices, configs = [], [], []
-    _peel(g, edges, vertices, configs)
+    edges, vertices, kinds = [], [], []
+    _peel(g, edges, vertices, kinds)
     tiers: list[Optional[str]] = [None] * len(edges)
     phi = _reinsert(g, edges, vertices, tiers, max_tier)
-    trace = ReductionTrace(tuple(map(tuple.__new__, repeat(TraceStep), zip(edges, configs, tiers))))
     report = validate_acyclic(g, phi)
     if not report.ok:
         raise AssertionError(f"final coloring failed validation: {report}")
-    return phi, trace
+    return phi, ReductionTrace._peeled(g, edges, vertices, kinds, tiers)
 
 
 def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
@@ -525,13 +592,13 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
     ValueError is raised: for a tier, at the first step that misses it in
     re-insertion order, before any later step runs.  Replay needs no tier
     cap: the tiers run in order, so a trace recorded under any cap lands
-    on the same tiers without one.
+    on the same tiers without one.  It reads the trace's edge, vertex and
+    tier lists, and builds no `Configuration`.
     """
     remaining = set(g.edges())
     remove = remaining.remove
-    edges, vertices, tiers = [], [], []
-    for i, (edge, config, tier) in enumerate(trace.steps):
-        v = config.vertex
+    edges = []
+    for i, (edge, v) in enumerate(zip(trace._edges, trace._vertices)):
         a, b = edge
         if v != a and v != b:
             raise ValueError(
@@ -544,14 +611,14 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
         except KeyError:
             raise ValueError(f"trace replays removal of missing edge {edge}") from None
         edges.append(e)
-        vertices.append(v)
-        tiers.append(tier)
     if remaining:
         raise ValueError(f"trace leaves {len(remaining)} edges unremoved")
+    # a copy, as re-insertion fills in any tier recorded as None
+    tiers = list(trace._tiers)
     try:
-        return _reinsert(g, edges, vertices, tiers)
+        return _reinsert(g, edges, trace._vertices, tiers)
     except _TierMismatch as exc:
         i, got = exc.args
         raise ValueError(
-            f"trace mismatch at edge {trace.steps[i].edge}: recorded {tiers[i]}, got {got}"
+            f"trace mismatch at edge {trace._edges[i]}: recorded {tiers[i]}, got {got}"
         ) from None

@@ -41,19 +41,26 @@ class Configuration(NamedTuple):
         }
 
 
-def _match(v: int, nd: list[tuple[int, int]]) -> Optional[Configuration]:
-    # the one pattern test: v's configuration, or None, from its neighbors as
-    # sorted (degree, id) pairs; tuple.__new__ skips NamedTuple's __new__
+def _kind(nd: list[tuple[int, int]]) -> Optional[str]:
+    # the one cap test: the kind of a vertex whose neighbors are the sorted
+    # (degree, id) pairs nd, or None
     d = len(nd)
     if d <= 2:
-        kind = "A1"
-    else:
-        kind = _KIND_BY_DEGREE.get(d)
-        if kind is None:
-            return None
+        return "A1"
+    kind = _KIND_BY_DEGREE.get(d)
+    if kind is not None:
         for (du, _), cap in zip(nd, _CAPS[kind]):
             if du > cap:
                 return None
+    return kind
+
+
+def _match(v: int, nd: list[tuple[int, int]]) -> Optional[Configuration]:
+    # v's configuration, or None, from its neighbors as sorted (degree, id)
+    # pairs; tuple.__new__ skips NamedTuple's __new__
+    kind = _kind(nd)
+    if kind is None:
+        return None
     return tuple.__new__(Configuration, (kind, v, tuple([(u, du) for du, u in nd])))
 
 

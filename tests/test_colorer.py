@@ -1,12 +1,14 @@
 import heapq
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aecolor import colorer, coloring
+from aecolor import cli, colorer, coloring, scanner
 from aecolor.colorer import (
     ExtensionContext,
     ReductionTrace,
@@ -34,7 +36,7 @@ from aecolor.families import (
     star_graph,
     wheel_graph,
 )
-from aecolor.graphs import Graph
+from aecolor.graphs import Graph, format_edge_list
 from aecolor.oracle import SearchBudget, search_acyclic_coloring
 from aecolor.scanner import Configuration
 
@@ -182,21 +184,30 @@ def reduction_cases():
     yield "grid-20x20-subgraph", subgraph(grid_graph(20, 20), 0.6, 0)
 
 
+def records(reduction):
+    """(edge, configuration) pairs as (edge, vertex, kind) triples."""
+    return [(edge, cfg.vertex, cfg.kind) for edge, cfg in reduction]
+
+
 def peeled(g):
-    """`_peel(g)` as (edge, configuration) pairs, after checking that its
-    vertex list names each configuration's vertex."""
-    edges, vertices, configs = [], [], []
-    _peel(g, edges, vertices, configs)
-    assert vertices == [cfg.vertex for cfg in configs]
-    return list(zip(edges, configs))
+    """`_peel(g)`'s record as (edge, vertex, kind) triples, after checking
+    it against the reference loop, and the steps that `acolor(g)`'s trace
+    builds on first read against the loop's full configurations."""
+    edges, vertices, kinds = [], [], []
+    _peel(g, edges, vertices, kinds)
+    got = list(zip(edges, vertices, kinds))
+    ref = reference_reduction(g, [])
+    assert got == records(ref)
+    steps = acolor(g)[1].steps
+    assert [(s.edge, s.config) for s in steps] == ref
+    assert all(type(s.config) is Configuration for s in steps)
+    return got
 
 
 class TestReducer:
     @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in reduction_cases()])
     def test_matches_reference_loop(self, g):
-        got = peeled(g)
-        assert got == reference_reduction(g, [])
-        assert all(type(cfg) is Configuration for _, cfg in got)
+        assert len(peeled(g)) == g.m
 
     def test_corpus_lands_on_every_cap(self):
         # a degree falling onto a cap re-checks the neighbors of the kinds
@@ -239,10 +250,11 @@ class TestReducer:
         ids=["tied-degrees", "min-id-has-larger-degree", "degree-1"],
     )
     def test_a1_steps(self, edges, first):
+        # peeled(g) checks the record and the built steps against the
+        # reference loop; the first step is pinned here as well
         g = Graph(1 + max(max(e) for e in edges), edges)
-        got = peeled(g)
-        assert got[0] == first and got == reference_reduction(g, [])
-        assert all(type(cfg) is Configuration for _, cfg in got)
+        peeled(g)
+        assert acolor(g)[1].steps[0][:2] == first
 
     def test_a1_run_continues(self, monkeypatch):
         # 0 has degree 2 and the least id; its edge to 1 goes first and 1
@@ -257,8 +269,7 @@ class TestReducer:
 
         monkeypatch.setattr(colorer, "heappush", push)
         got = peeled(g)
-        assert [e for e, _ in got[:2]] == [(0, 1), (0, 2)]
-        assert got == reference_reduction(g, [])
+        assert [e for e, _, _ in got[:2]] == [(0, 1), (0, 2)]
         assert pushed and 0 not in pushed
 
     def test_a1_run_yields_to_a_smaller_vertex(self):
@@ -267,18 +278,16 @@ class TestReducer:
         # next, before 1's edge to 4
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
         got = peeled(g)
-        assert [(e, cfg.vertex) for e, cfg in got[:3]] == [((0, 1), 1), ((0, 2), 0), ((0, 3), 0)]
-        assert got == reference_reduction(g, [])
+        assert [(e, v) for e, v, _ in got[:3]] == [((0, 1), 1), ((0, 2), 0), ((0, 3), 0)]
 
     def test_reduction_work_is_linear(self, monkeypatch):
-        # heap pushes plus pattern tests: re-pushing every degree 3-5
-        # neighbor of an endpoint left below degree 12 cost about 3.9 m on
-        # this triangulation and 5.4 m on the grid; re-pushing only on cap
+        # heap pushes plus cap tests: re-pushing every degree 3-5 neighbor
+        # of an endpoint left below degree 12 cost about 3.9 m on this
+        # triangulation and 5.4 m on the grid; re-pushing only on cap
         # crossings cost about 2.5 m on both (73 526 and 49 400).  An A1
-        # step builds its configuration without `_match`, and counts one
-        # unit for it.  An A1 vertex that peels its next edge without a
-        # return to the heap brings them to 63 762 (2.13 m) and 39 599
-        # (2.00 m)
+        # step takes no cap test, and counts one unit for its edge choice.
+        # An A1 vertex that peels its next edge without a return to the
+        # heap brings them to 63 762 (2.13 m) and 39 599 (2.00 m)
         work = 0
 
         def counted(f):
@@ -290,12 +299,13 @@ class TestReducer:
             return call
 
         monkeypatch.setattr(colorer, "heappush", counted(colorer.heappush))
-        monkeypatch.setattr(colorer, "_match", counted(colorer._match))
+        monkeypatch.setattr(colorer, "_kind", counted(colorer._kind))
         for g in (generate_apollonian(10000, seed=11)[0], grid_graph(100, 100)):
             work = 0
-            steps = peeled(g)
-            assert len(steps) == g.m
-            work += sum(cfg.kind == "A1" for _, cfg in steps)
+            kinds: list = []
+            _peel(g, [], [], kinds)
+            assert len(kinds) == g.m
+            work += kinds.count("A1")
             assert work <= 2.25 * g.m
 
     def test_refutes_at_the_same_step(self):
@@ -308,12 +318,11 @@ class TestReducer:
             reference_reduction(g, ref)
         edges: list = []
         vertices: list = []
-        configs: list = []
+        kinds: list = []
         with pytest.raises(NotPlanarEvidence) as have:
-            _peel(g, edges, vertices, configs)
-        got = list(zip(edges, configs))
-        assert len(got) == 4 and got == ref
-        assert vertices == [cfg.vertex for cfg in configs]
+            _peel(g, edges, vertices, kinds)
+        got = list(zip(edges, vertices, kinds))
+        assert len(got) == 4 and got == records(ref)
         assert str(have.value) == str(want.value)
         assert "n=12, m=21" in str(have.value)
 
@@ -731,6 +740,62 @@ class TestTrace:
         steps[2] = TraceStep(step.edge, step.config._replace(vertex=off), step.tier)
         with pytest.raises(ValueError, match=f"trace step 2 .* vertex {off}$"):
             replay_trace(g, ReductionTrace(tuple(steps)))
+
+    def test_only_steps_build_configurations(self, monkeypatch, tmp_path):
+        # colouring, replay, len, the JSON document and `color --trace` read
+        # the flat record; the first read of `steps` matches each step once
+        g, _ = generate_apollonian(2000, seed=11)
+        calls = 0
+
+        def counted(f):
+            def call(*args):
+                nonlocal calls
+                calls += 1
+                return f(*args)
+
+            return call
+
+        monkeypatch.setattr(colorer, "_match", counted(colorer._match))
+        monkeypatch.setattr(scanner, "_match", counted(scanner._match))
+        phi, trace = acolor(g)
+        assert replay_trace(g, trace).items() == phi.items()
+        assert len(trace) == g.m and len(trace.to_json_dict()["steps"]) == g.m
+        src, out = tmp_path / "g.txt", tmp_path / "t.json"
+        src.write_text(format_edge_list(g))
+        code = cli.main(["color", "--in", str(src), "--out", str(tmp_path / "c.json"), "--trace", str(out)])
+        assert code == 0 and len(json.loads(out.read_text())["steps"]) == g.m
+        assert calls == 0
+        steps = trace.steps
+        assert calls == g.m and len(steps) == g.m
+        assert list(trace) == list(steps) and trace == trace and calls == g.m
+
+    def test_tampered_kind_fails_the_first_read(self):
+        g, _ = generate_apollonian(200, seed=1)
+        _, trace = acolor(g)
+        i = trace._kinds.index("A3")
+        v = trace._vertices[i]
+        trace._kinds[i] = "A2"
+        with pytest.raises(AssertionError) as exc:
+            trace.steps
+        assert str(exc.value) == f"trace step {i} records A2 at vertex {v}, but the graph there gives A3"
+
+    def test_record_stays_small(self):
+        # the live trace beyond the colouring holds four lists, a pointer
+        # per step each, plus an int object per vertex: about 35 B per edge
+        # (Python 3.11), against 331 with a Configuration per step; the
+        # peak of `acolor` itself fell from 684 to about 346 B per edge
+        g, _ = generate_apollonian(30000, seed=11)
+        tracemalloc.start()
+        try:
+            phi, trace = acolor(g)
+            live, peak = tracemalloc.get_traced_memory()
+            del trace
+            colouring = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert phi.is_complete()
+        assert (live - colouring) / g.m < 40
+        assert peak / g.m < 450
 
 
 def refuse_first_fit(monkeypatch, target, until):
