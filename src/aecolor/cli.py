@@ -15,8 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import __version__
 from .errors import (
@@ -92,7 +91,7 @@ def _not_int(key: str, x) -> _UsageError:
 
 
 def _coloring_rows(
-    doc: dict, seen: Optional[set[tuple[int, int]]] = None
+    doc: dict, ids: Optional[set[int]] = None
 ) -> tuple[int, list[tuple[int, int, Optional[int]]], float]:
     """The palette size, the (u, v, color) rows and the largest vertex id
     of a coloring document, in one pass over the rows.
@@ -100,20 +99,16 @@ def _coloring_rows(
     Each field must be an integer, color may also be null; bool is an int
     subclass, and a float such as 2.7 or 1e400 is no id.  The fields are
     checked in the order k, then row by row u, v and color, and the first
-    that is missing or malformed is refused.
-
-    Given a set `seen`, the pass also files each row's edge there in
-    canonical form, and refuses the first row, in row order, with a
-    negative id, a self-loop or an edge already filed (ValueError), naming
-    it in the document's own ids.  That refusal comes only after every
-    field has passed, so a malformed field anywhere outranks it.
+    that is missing or malformed is refused.  Given a set `ids`, the pass
+    also adds each row's two ids to it.  No row's edge is checked here:
+    `Graph` does that, and `_refusal` names a refused row.
 
     The largest id is -inf for a document without rows.
     """
     top = float("-inf")
-    defect = None
     triples = []
     append = triples.append
+    add = ids.add if ids is not None else None
     try:
         k = doc["k"]
         if type(k) is not int:
@@ -133,24 +128,31 @@ def _coloring_rows(
                 top = u
             if v > top:
                 top = v
-            if seen is not None and defect is None:
-                if u < 0 or v < 0:
-                    defect = f"edge ({u},{v}) has a negative vertex id"
-                elif u == v:
-                    defect = f"self-loop at vertex {u}"
-                else:
-                    e = (u, v) if u < v else (v, u)
-                    if e in seen:
-                        defect = f"duplicate edge ({u},{v})"
-                    else:
-                        seen.add(e)
+            if add is not None:
+                add(u)
+                add(v)
     except KeyError as exc:
         raise _UsageError(f"malformed coloring document: missing key {exc}") from exc
     except TypeError as exc:
         raise _UsageError(f"malformed coloring document: {exc}") from exc
-    if defect is not None:
-        raise ValueError(defect)
     return k, triples, top
+
+
+def _refusal(pairs: Iterable[tuple[int, int]]) -> ValueError:
+    """The refusal of the first (u, v) row, in the document's own ids and
+    in row order, with a negative id, a self-loop or an edge given before.
+    Run only once some row is known to be refused."""
+    seen = set()
+    for u, v in pairs:
+        if u < 0 or v < 0:
+            return ValueError(f"edge ({u},{v}) has a negative vertex id")
+        if u == v:
+            return ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            return ValueError(f"duplicate edge ({u},{v})")
+        seen.add(e)
+    raise AssertionError("no row to refuse")
 
 
 def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
@@ -175,7 +177,11 @@ def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
             f"vertex id {n - 1} needs n={n}, above the limit of {MAX_VERTICES} vertices"
         )
     g = Graph(n, ((u, v) for u, v, _ in triples))
-    return g, PartialEdgeColoring.from_pairs(g, k, triples, strict=False)
+    # `Graph` has accepted each row as an edge given once, which is what
+    # `from_pairs` would check again
+    phi = PartialEdgeColoring(g, k)
+    phi._write(triples, strict=False, edges_checked=True)
+    return g, phi
 
 
 def _dot(phi: PartialEdgeColoring) -> str:
@@ -242,18 +248,30 @@ def cmd_verify(args) -> int:
         raise _UsageError("input is nested too deeply to read as JSON") from exc
     # the graph is built on the ranks of the ids, in the ids' order, so the
     # cycle witness rule picks the same cycle, and memory follows the number
-    # of edges rather than the largest id; the row pass refuses, in the
-    # document's own ids, the rows that no graph accepts
-    seen: set[tuple[int, int]] = set()
-    k, triples, _ = _coloring_rows(doc, seen)
-    ids = sorted(set(chain.from_iterable(seen)))
-    # the rows hold all that is read from here on; freeing the document and
-    # the edge set lets the graph and the coloring reuse their memory
-    del doc, seen
-    rank = {x: i for i, x in enumerate(ids)}
-    triples = [(rank[u], rank[v], c) for u, v, c in triples]
-    g = Graph(len(ids), ((u, v) for u, v, _ in triples))
-    phi = PartialEdgeColoring.from_pairs(g, k, triples, strict=False)
+    # of edges rather than the largest id.  Ids already 0..n-1 are their own
+    # ranks.  A row that no graph accepts is named, in the document's own
+    # ids, by `_refusal`, which runs only then
+    present: set[int] = set()
+    k, triples, top = _coloring_rows(doc, present)
+    # the rows hold all that is read from here on; freeing the document lets
+    # the graph and the coloring reuse its memory
+    del doc
+    if min(present, default=0) < 0:
+        raise _refusal((u, v) for u, v, _ in triples)
+    if len(present) == top + 1:
+        ids: Sequence[int] = range(len(present))
+    else:
+        ids = sorted(present)
+        rank = {x: i for i, x in enumerate(ids)}
+        triples = [(rank[u], rank[v], c) for u, v, c in triples]
+        del rank
+    del present
+    try:
+        g = Graph(len(ids), ((u, v) for u, v, _ in triples))
+    except ValueError:
+        raise _refusal((ids[u], ids[v]) for u, v, _ in triples) from None
+    phi = PartialEdgeColoring(g, k)
+    phi._write(triples, strict=False, edges_checked=True)
     if phi.violations:
         status, code = "improper", EXIT_IMPROPER
         detail: dict = {

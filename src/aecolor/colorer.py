@@ -523,10 +523,12 @@ def _reinsert(
     vertices: list[int],
     tiers: list[Optional[str]],
     max_tier: int = 4,
+    record: bool = False,
 ) -> PartialEdgeColoring:
     # the one re-insertion loop: palette Δ+10, last removal first, edges[i]
-    # extended from its far end u toward vertices[i]; tiers[i] is the tier
-    # it must land on (else _TierMismatch), or None to record it.  (A pair
+    # extended from its far end u toward vertices[i].  With `record` the
+    # tier each lands on is written to tiers[i]; otherwise tiers[i] is the
+    # tier it must land on, else _TierMismatch (a None never matches).  (A pair
     # per step, kept for the loop, made replay about 20% slower in the
     # garbage collector.)
     #
@@ -552,7 +554,7 @@ def _reinsert(
         else:
             tier = _escalate(ExtensionContext(g, phi, u, v), max_tier, T3_STATE_BUDGET, None)
         if tier != tiers[i]:
-            if tiers[i] is not None:
+            if not record:
                 raise _TierMismatch(i, tier)
             tiers[i] = tier
     return phi
@@ -576,7 +578,7 @@ def acolor(g: Graph, *, max_tier: int = 4) -> tuple[PartialEdgeColoring, Reducti
     edges, vertices, kinds = [], [], []
     _peel(g, edges, vertices, kinds)
     tiers: list[Optional[str]] = [None] * len(edges)
-    phi = _reinsert(g, edges, vertices, tiers, max_tier)
+    phi = _reinsert(g, edges, vertices, tiers, max_tier, record=True)
     report = validate_acyclic(g, phi)
     if not report.ok:
         raise AssertionError(f"final coloring failed validation: {report}")
@@ -590,9 +592,10 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
     must take each edge of the graph once and each extension must land on
     the recorded tier, or the trace does not belong to this graph and a
     ValueError is raised: for a tier, at the first step that misses it in
-    re-insertion order, before any later step runs.  Replay needs no tier
-    cap: the tiers run in order, so a trace recorded under any cap lands
-    on the same tiers without one.  It reads the trace's edge, vertex and
+    re-insertion order, before any later step runs.  A step that records
+    no tier (None) misses it too, and its refusal says so.  Replay needs
+    no tier cap: the tiers run in order, so a trace recorded under any cap
+    lands on the same tiers without one.  It reads the trace's edge, vertex and
     tier lists, and builds no `Configuration`.
     """
     remaining = set(g.edges())
@@ -613,12 +616,15 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
         edges.append(e)
     if remaining:
         raise ValueError(f"trace leaves {len(remaining)} edges unremoved")
-    # a copy, as re-insertion fills in any tier recorded as None
-    tiers = list(trace._tiers)
+    tiers = trace._tiers
     try:
         return _reinsert(g, edges, trace._vertices, tiers)
     except _TierMismatch as exc:
         i, got = exc.args
+        if tiers[i] is None:
+            raise ValueError(
+                f"trace step {i} (edge {trace._edges[i]}) records no tier"
+            ) from None
         raise ValueError(
             f"trace mismatch at edge {trace._edges[i]}: recorded {tiers[i]}, got {got}"
         ) from None

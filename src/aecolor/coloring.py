@@ -33,7 +33,8 @@ class PartialEdgeColoring:
     `assign` rejects any color clash, and its unchecked core `_put` is
     called only where its checks are known to hold, so instances are
     proper by construction.  The only way to hold an improper coloring is
-    `from_pairs(strict=False)`, which records the clashing edges in
+    a non-strict write of rows (`from_pairs(strict=False)`, or the CLI's
+    document load through `_write`), which records the clashing edges in
     `violations` and keeps them out of the traversal table; validators
     report them, everything else refuses to run via them.
 
@@ -97,10 +98,20 @@ class PartialEdgeColoring:
             raise TypeError("assign needs a color; unassign uncolors an edge")
         self._write(((u, v, c),), True)
 
-    def _write(self, rows: Iterable[tuple[int, int, Optional[int]]], strict: bool) -> None:
-        # the one checked row loop, behind both `assign` and `from_pairs`;
-        # a row colored None is skipped
+    def _write(
+        self,
+        rows: Iterable[tuple[int, int, Optional[int]]],
+        strict: bool,
+        edges_checked: bool = False,
+    ) -> None:
+        # the one checked row loop, behind `assign`, `from_pairs` and the
+        # CLI's document load; a row colored None is skipped.  The checks
+        # run in the order non-edge, palette, already colored, properness.
+        # With `edges_checked` the caller vouches that the rows are edges
+        # of the graph, each given once, as when `Graph` has just been
+        # built from these rows, and the two edge checks are skipped
         has_edge = self.graph.has_edge
+        check = not edges_checked
         nbr = self._nbr
         colors = self._colors
         k = self.k
@@ -108,12 +119,12 @@ class PartialEdgeColoring:
         for u, v, c in rows:
             if c is None:
                 continue
-            if not has_edge(u, v):
+            if check and not has_edge(u, v):
                 raise ValueError(f"({u},{v}) is not an edge")
             e = (u, v) if u < v else (v, u)
             if not 1 <= c <= k:
                 raise ValueError(f"color {c} outside palette [1..{k}]")
-            if e in colors:
+            if check and e in colors:
                 raise ValueError(f"edge {e} already colored; unassign first")
             nu = nbr[u]
             nv = nbr[v]
@@ -516,9 +527,13 @@ def find_bichromatic_cycle(g: Graph, phi: PartialEdgeColoring) -> Optional[Cycle
     graph has at most 5 forward edges per vertex, hence at most 10 pairs,
     and any graph at most degeneracy * m / 2 pairs in all.
 
-    A pair (a, b) is walked only if v's a-neighbor has a b-edge whose far
-    end has an a-edge: otherwise the walk stops open within 3 vertices,
-    where no two-colored cycle fits and `covered` would gain no vertex.
+    A pair (a, b) is walked only if both of v's edges in it lead on: v's
+    a-neighbor has a b-edge whose far end has an a-edge, and v's b-neighbor
+    has an a-edge whose far end has a b-edge.  An {a, b}-cycle through v
+    has at least 4 vertices and meets both.  Without the first the walk
+    stops open within 3 vertices, where `covered` would gain no vertex;
+    without the second v's {a, b}-component is a path, so the walk cannot
+    close, however long it runs.
     """
     if phi.violations:
         raise ImproperColoringError(f"coloring has {len(phi.violations)} properness violations")
@@ -559,7 +574,10 @@ def find_bichromatic_cycle(g: Graph, phi: PartialEdgeColoring) -> Optional[Cycle
                     if best is not None and (a, b) >= best:
                         break
                     x = second.get(b)  # the walk's third vertex, if any
-                    if x is None or a not in nbr[x] or v in covered.get((a, b), ()):
+                    if x is None or a not in nbr[x]:
+                        continue
+                    y = nbr[nbr[v][b]].get(a)  # the same from v's b-edge
+                    if y is None or b not in nbr[y] or v in covered.get((a, b), ()):
                         continue
                     seq, closed = alternating_walk(nbr, v, a, b)
                     if closed:

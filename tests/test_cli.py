@@ -400,10 +400,11 @@ class TestVerify:
         assert peak / g.m < 420
 
     def test_verify_peaks_under_800_bytes_per_edge(self, apollonian_10k):
-        # verify frees the parsed document and its edge set once the rows
-        # are read, so the graph and the coloring reuse that memory: about
-        # 730 B per edge with the document text (Python 3.11), against
-        # 1030 when the document lived to the end
+        # verify frees the parsed document once the rows are read, so the
+        # graph and the coloring reuse that memory, and its row pass keeps
+        # the ids, not an edge set: about 510-530 B per edge with the
+        # document text (Python 3.11), against 595 when the row pass filed
+        # every edge in a set and 1030 when the document lived to the end
         g, _, text = apollonian_10k
         tracemalloc.start()
         try:
@@ -412,7 +413,7 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert (code, err) == (0, "") and json.loads(out)["status"] == "acyclic"
-        assert peak / g.m < 800
+        assert peak / g.m < 580
 
     def test_sparse_ids_reported_as_given(self, capsys, monkeypatch):
         # the alternating square and its pendant edge on ids x 1000: the
@@ -777,6 +778,23 @@ class TestDefectPrecedence:
                 "color 4 outside palette [1..3]",
                 (ValueError, "color 4 outside palette [1..3]"),
             ),
+            # verify ranks sparse ids and keeps dense ids as they are, and
+            # names a row its graph refuses in the document's own ids
+            (
+                coloring_doc(3, [(0, 1000, 1), (1000, 2000, 2), (2000, 1000, 3)]),
+                "duplicate edge (2000,1000)",
+                (ValueError, "duplicate edge (2000,1000)"),
+            ),
+            (
+                coloring_doc(3, [(0, 1000, 1), (-5, 1000, 2), (7000, 7000, 1)]),
+                "edge (-5,1000) has a negative vertex id",
+                (ValueError, "edge (-5,1000) out of range for n=7001"),
+            ),
+            (
+                coloring_doc(3, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2), (2, 1, 3)]),
+                "duplicate edge (2,1)",
+                (ValueError, "duplicate edge (2,1)"),
+            ),
         ],
         ids=[
             "late-bool-u-early-duplicate",
@@ -792,6 +810,9 @@ class TestDefectPrecedence:
             "self-loop-then-duplicate",
             "negative-k-and-clash",
             "clash-then-palette",
+            "sparse-reversed-duplicate",
+            "negative-then-sparse-self-loop",
+            "dense-late-duplicate",
         ],
     )
     def test_first_defect_wins(self, text, verify_err, load_err):

@@ -729,6 +729,17 @@ class TestTrace:
             replay_trace(g, ReductionTrace(tuple(steps)))
         assert str(exc.value) == f"trace mismatch at edge {(v, u)}: recorded T2, got T1"
 
+    def test_replay_rejects_missing_tiers(self):
+        # a step that records no tier is refused, not filled in: the first
+        # in re-insertion order is the trace's last step
+        g, _ = generate_apollonian(50, seed=1)
+        _, trace = acolor(g)
+        steps = tuple(TraceStep(s.edge, s.config, None) for s in trace.steps)
+        last = len(steps) - 1
+        with pytest.raises(ValueError) as exc:
+            replay_trace(g, ReductionTrace(steps))
+        assert str(exc.value) == f"trace step {last} (edge {steps[last].edge}) records no tier"
+
     def test_replay_rejects_vertex_off_its_edge(self):
         # a vertex off the edge would pick the wrong u, and the replay would
         # fail later at a non-edge or an already colored edge
