@@ -225,7 +225,7 @@ def cmd_color(args) -> int:
     from .colorer import acolor
 
     g = _load_graph(getattr(args, "in"))
-    phi, trace = acolor(g, max_tier=args.max_tier)
+    phi, trace = acolor(g)
     if args.format == "json":
         _write(args.out, _dump_json(coloring_to_json(phi)))
     elif args.format == "dot":
@@ -392,7 +392,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("color", help="acyclically edge-color with max degree + 10 colors")
     add_io(sp)
     sp.add_argument("--trace", metavar="FILE", help="write the reduction trace JSON")
-    sp.add_argument("--max-tier", type=int, default=4, choices=(1, 2, 3, 4))
     sp.add_argument("--format", choices=("json", "dot", "plain"), default="json")
     sp.set_defaults(fn=cmd_color)
 

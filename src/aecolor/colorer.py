@@ -2,33 +2,28 @@
 
 The driver peels one configuration edge at a time until no edges remain,
 then re-inserts the edges in reverse, extending the coloring across each.
-Extension escalates through four tiers:
+Extension escalates through three tiers:
 
   T1  pick a color free at both ends that closes no bichromatic cycle
-  T2  swap the colors of two spokes at the configuration vertex, then
-      at its neighbor, and retry T1 after each swap
-  T3  bounded search over move sequences near the edge (depth <= 3,
-      edges within distance 2, explicit state budget)
-  T4  exhaustive recoloring of the current subgraph over the full palette
+  T2  exact search on the distance-1 ball: uv and the colored edges with
+      both ends among u, v and their colored neighbors are recolored, and
+      every other colored edge keeps its color (a node budget, BALL_NODES)
+  T3  exact search over the whole colored subgraph and uv
 
-All four tiers edit the one coloring they are given, in place.  Every move
-is verified against the coloring before it is accepted; the recoloring
-scripts are treated as heuristics, not as trusted proofs.  T4 failing
-exhaustively is a certificate that the palette bound is violated,
-which refutes the caller's planarity assertion.
+T2 and T3 are one search, the oracle's, and both edit the one coloring
+they are given, in place.  A T2 failure proves nothing and changes
+nothing; it is skipped when the ball already holds every colored edge.
+T3 proving the palette short refutes planarity only when the palette has
+at least Δ+10 colors for the subgraph it searched.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import combinations, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
-from .coloring import (
-    PartialEdgeColoring,
-    closes_cycle,
-    validate_acyclic,
-)
+from .coloring import PartialEdgeColoring, validate_acyclic
 from .errors import ExtensionFailed, ImproperColoringError, NotPlanarEvidence
 from .graphs import Graph, _canon
 from .scanner import _CAPS, _KIND_BY_DEGREE, Configuration, _kind, _match, classify_vertex
@@ -36,8 +31,7 @@ from .scanner import _CAPS, _KIND_BY_DEGREE, Configuration, _kind, _match, class
 if TYPE_CHECKING:
     from .oracle import SearchBudget
 
-T3_STATE_BUDGET = 100_000
-T3_DEPTH = 3
+BALL_NODES = 100_000
 
 # _RECHECK[c]: the degrees of the vertices whose cap test can change when a
 # neighbor's degree falls onto c, that is, the degrees whose kind has cap c
@@ -318,43 +312,6 @@ def _peel(
             run = -1
 
 
-def _recolor(phi: PartialEdgeColoring, e: tuple[int, int], a: int) -> bool:
-    # recolor e with a, free at both of its ends, so properness is immediate;
-    # undone, and False, when it closes a bichromatic cycle
-    old = phi.unassign(*e)
-    phi.assign(e[0], e[1], a)
-    if closes_cycle(phi._nbr, e[0], e[1], a):
-        phi.unassign(*e)
-        phi.assign(e[0], e[1], old)
-        return False
-    return True
-
-
-def _swap(phi: PartialEdgeColoring, e1: tuple[int, int], e2: tuple[int, int]) -> None:
-    # exchange the colors of two edges at one center; its own inverse
-    c1 = phi.unassign(*e1)
-    c2 = phi.unassign(*e2)
-    phi.assign(e1[0], e1[1], c2)
-    phi.assign(e2[0], e2[1], c1)
-
-
-def _try_swap(phi: PartialEdgeColoring, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    # exchange the colors of two colored canonical edges sharing exactly one
-    # endpoint; False, with phi unchanged, when a far endpoint already has
-    # the incoming color or the exchange closes a bichromatic cycle
-    colors, nbr = phi._colors, phi._nbr
-    c1, c2 = colors[e1], colors[e2]
-    far1 = e1[1] if e1[0] in e2 else e1[0]
-    far2 = e2[1] if e2[0] in e1 else e2[0]
-    if c2 in nbr[far1] or c1 in nbr[far2]:
-        return False
-    _swap(phi, e1, e2)
-    if closes_cycle(nbr, *e1, c2) or closes_cycle(nbr, *e2, c1):
-        _swap(phi, e1, e2)
-        return False
-    return True
-
-
 def _finish(ctx: ExtensionContext) -> bool:
     u, v = ctx.u, ctx.v
     c = ctx.phi._first_fit(u, v)
@@ -365,152 +322,68 @@ def _finish(ctx: ExtensionContext) -> bool:
     return True
 
 
-def _tier2(ctx: ExtensionContext) -> bool:
-    phi = ctx.phi
-    # swap two spokes at v, then at u.  A single spoke recoloring is not
-    # tried here: the spoke lies in T3's zone and T3's first level tries
-    # every free color on it
-    for center in (ctx.v, ctx.u):
-        spokes = [_canon(center, x) for x in sorted(phi._nbr[center].values())]
-        for e1, e2 in combinations(spokes, 2):
-            if not _try_swap(phi, e1, e2):
-                continue
-            if _finish(ctx):
-                return True
-            _swap(phi, e1, e2)
-    return False
-
-
-def _zone_edges(ctx: ExtensionContext) -> list[tuple[int, int]]:
-    # colored edges with an endpoint within distance 2 of {u, v}
-    g = ctx.phi.graph
-    dist = {ctx.u: 0, ctx.v: 0}
-    frontier = [ctx.u, ctx.v]
-    for d in (1, 2):
-        nxt = []
-        for x in frontier:
-            for y in g.neighbors(x):
-                if y not in dist:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    nbr = ctx.phi._nbr
-    return sorted({_canon(x, w) for x in dist for w in nbr[x].values()})
-
-
-def _tier3(ctx: ExtensionContext, budget: int) -> bool:
-    phi = ctx.phi
-    zone = _zone_edges(ctx)
-    # two distinct edges of a simple graph share at most one endpoint
-    pairs = [(a, b) for a, b in combinations(zone, 2) if a[0] in b or a[1] in b]
-    used = 0
-
-    def dfs(depth: int) -> Optional[bool]:
-        # after `depth` moves: True once uv is colored, False when every
-        # move below is tried, None when the budget is spent
-        nonlocal used
-        if depth and _finish(ctx):
-            return True
-        if depth == T3_DEPTH:
-            return False
-        for e in zone:
-            old = phi.color_of(*e)
-            for a in phi.free_colors(*e):
-                if used >= budget:
-                    return None
-                used += 1
-                if not _recolor(phi, e, a):
-                    continue
-                res = dfs(depth + 1)
-                if res:
-                    return True
-                phi.unassign(*e)
-                phi.assign(e[0], e[1], old)
-                if res is None:
-                    return None
-        for e1, e2 in pairs:
-            if used >= budget:
-                return None
-            used += 1
-            if not _try_swap(phi, e1, e2):
-                continue
-            res = dfs(depth + 1)
-            if res:
-                return True
-            _swap(phi, e1, e2)
-            if res is None:
-                return None
-        return False
-
-    return dfs(0) is True
-
-
-def _tier4(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> None:
-    # the only use of the oracle here, so a run that never reaches T4
-    # never imports it
-    from .oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
-
-    phi = ctx.phi
-    colored = list(phi._colors)
-    sub = Graph(phi.graph.n, colored + [(ctx.u, ctx.v)])
-    found = search_acyclic_coloring(sub, phi.k, budget or SearchBudget())
-    if found is EXHAUSTED:
-        raise ExtensionFailed(
-            f"exhaustive recoloring ran out of budget at edge ({ctx.u}, {ctx.v})"
-        )
-    if found is None:
-        raise NotPlanarEvidence(
-            f"no acyclic edge coloring with {phi.k} colors exists for the current "
-            f"subgraph (n={sub.n}, m={sub.m}); the palette bound refutes planarity"
-        )
-    # the search colored every edge of sub, so its coloring replaces phi's
-    for e in colored:
-        phi.unassign(*e)
+def _write_found(phi: PartialEdgeColoring, found: dict[tuple[int, int], int]) -> None:
+    # write a search result over phi: every edge it colored, uv among them,
+    # is cleared first, so no write meets a color the search has moved
+    colors = phi._colors
+    for e in found:
+        if e in colors:
+            phi.unassign(*e)
     for (u, v), c in found.items():
         phi.assign(u, v, c)
 
 
-def _check_max_tier(max_tier: int) -> None:
-    if not 1 <= max_tier <= 4:
-        raise ValueError(f"max_tier must be in 1..4, got {max_tier}")
+def _escalate(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> str:
+    # T2, then T3, for an edge on which T1 has just failed; returns the
+    # tier.  The only use of the oracle here, so a run that never
+    # escalates never imports it
+    from .oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
 
-
-def _escalate(
-    ctx: ExtensionContext,
-    max_tier: int,
-    t3_budget: int,
-    t4_budget: Optional[SearchBudget],
-) -> str:
-    # tiers T2 to T4 for an edge on which T1 has just failed; returns the tier
-    if max_tier >= 2 and _tier2(ctx):
-        return "T2"
-    if max_tier >= 3 and _tier3(ctx, t3_budget):
-        return "T3"
-    if max_tier >= 4:
-        _tier4(ctx, t4_budget)
-        return "T4"
-    raise ExtensionFailed(
-        f"edge ({ctx.u}, {ctx.v}) not extendable within tier cap T{max_tier}"
-    )
+    phi, u, v = ctx.phi, ctx.u, ctx.v
+    n, k, nbr = phi.graph.n, phi.k, phi._nbr
+    ball = {u, v, *nbr[u].values(), *nbr[v].values()}
+    inner, fixed = [(u, v)], {}
+    for e, c in phi._colors.items():
+        if e[0] in ball and e[1] in ball:
+            inner.append(e)
+        else:
+            fixed[e] = c
+    if fixed:
+        found = search_acyclic_coloring(Graph(n, inner), k, SearchBudget(BALL_NODES), fixed)
+        if isinstance(found, dict):
+            _write_found(phi, found)
+            return "T2"
+    sub = Graph(n, list(phi._colors) + [(u, v)])
+    found = search_acyclic_coloring(sub, k, budget or SearchBudget())
+    if found is EXHAUSTED:
+        raise ExtensionFailed(f"exhaustive recoloring ran out of budget at edge ({u}, {v})")
+    if found is None:
+        short = (
+            f"no acyclic edge coloring with {k} colors exists for the current "
+            f"subgraph (n={sub.n}, m={sub.m})"
+        )
+        bound = sub.max_degree() + 10
+        if k >= bound:
+            raise NotPlanarEvidence(f"{short}; the palette bound refutes planarity")
+        raise ExtensionFailed(
+            f"{short}; the palette is below its Δ+10 = {bound}, so this refutes nothing"
+        )
+    _write_found(phi, found)
+    return "T3"
 
 
 def extend_at_edge(
-    ctx: ExtensionContext,
-    *,
-    max_tier: int = 4,
-    t3_budget: int = T3_STATE_BUDGET,
-    t4_budget: Optional[SearchBudget] = None,
+    ctx: ExtensionContext, *, budget: Optional[SearchBudget] = None
 ) -> tuple[PartialEdgeColoring, str]:
     """Color the edge uv, escalating through the tiers; returns (phi, tier).
 
     Every tier edits the context's coloring in place, and phi is that
-    coloring.  A failed tier always restores the coloring it started from
-    before the next tier runs.
+    coloring; a tier that fails leaves it as it was.  `budget` bounds T3's
+    search (ExtensionFailed when it runs out); T2's is `BALL_NODES`.
     """
-    _check_max_tier(max_tier)
     if _finish(ctx):
         return ctx.phi, "T1"
-    return ctx.phi, _escalate(ctx, max_tier, t3_budget, t4_budget)
+    return ctx.phi, _escalate(ctx, budget)
 
 
 class _TierMismatch(Exception):
@@ -522,7 +395,6 @@ def _reinsert(
     edges: list[tuple[int, int]],
     vertices: list[int],
     tiers: list[Optional[str]],
-    max_tier: int = 4,
     record: bool = False,
 ) -> PartialEdgeColoring:
     # the one re-insertion loop: palette Δ+10, last removal first, edges[i]
@@ -539,8 +411,6 @@ def _reinsert(
     # g's edges; (2) each is re-inserted once, so it is uncolored when
     # reached; (3) the coloring is built only by proper writes, so it stays
     # proper; (4) `_first_fit` returns only a color in 1..k free at both ends.
-    if edges:
-        _check_max_tier(max_tier)
     phi = PartialEdgeColoring(g, g.max_degree() + 10)
     # every tier edits phi in place, so its bound methods hold throughout
     first_fit, put = phi._first_fit, phi._put
@@ -552,7 +422,7 @@ def _reinsert(
             put(u, v, e, c)
             tier = "T1"
         else:
-            tier = _escalate(ExtensionContext(g, phi, u, v), max_tier, T3_STATE_BUDGET, None)
+            tier = _escalate(ExtensionContext(g, phi, u, v), None)
         if tier != tiers[i]:
             if not record:
                 raise _TierMismatch(i, tier)
@@ -560,15 +430,16 @@ def _reinsert(
     return phi
 
 
-def acolor(g: Graph, *, max_tier: int = 4) -> tuple[PartialEdgeColoring, ReductionTrace]:
+def acolor(g: Graph) -> tuple[PartialEdgeColoring, ReductionTrace]:
     """Acyclic edge coloring of a planar graph with at most Δ+10 colors.
 
     Peels configuration edges until none remain, then re-inserts them in
-    reverse, extending the coloring across each with tiers up to `max_tier`
-    (ExtensionFailed past it).  The peeling (`_peel`) runs incrementally,
-    in near-linear time, and removes the same edges in the same order as
-    calling `choose_reduction_edge` and `Graph.remove_edge` in a loop; its
-    edge and vertex lists go straight to re-insertion.  The result is
+    reverse, extending the coloring across each through tiers T1-T3 at
+    palette Δ+10 (on every input measured, T1 alone colors every edge).
+    The peeling (`_peel`) runs incrementally, in near-linear time, and
+    removes the same edges in the same order as calling
+    `choose_reduction_edge` and `Graph.remove_edge` in a loop; its edge
+    and vertex lists go straight to re-insertion.  The result is
     validated before it is returned.  On inputs that are not actually
     planar this either still succeeds (the bound is one-sided) or raises
     NotPlanarEvidence.  The trace keeps the edge, vertex and kind lists of
@@ -578,7 +449,7 @@ def acolor(g: Graph, *, max_tier: int = 4) -> tuple[PartialEdgeColoring, Reducti
     edges, vertices, kinds = [], [], []
     _peel(g, edges, vertices, kinds)
     tiers: list[Optional[str]] = [None] * len(edges)
-    phi = _reinsert(g, edges, vertices, tiers, max_tier, record=True)
+    phi = _reinsert(g, edges, vertices, tiers, record=True)
     report = validate_acyclic(g, phi)
     if not report.ok:
         raise AssertionError(f"final coloring failed validation: {report}")
@@ -593,10 +464,8 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
     the recorded tier, or the trace does not belong to this graph and a
     ValueError is raised: for a tier, at the first step that misses it in
     re-insertion order, before any later step runs.  A step that records
-    no tier (None) misses it too, and its refusal says so.  Replay needs
-    no tier cap: the tiers run in order, so a trace recorded under any cap
-    lands on the same tiers without one.  It reads the trace's edge, vertex and
-    tier lists, and builds no `Configuration`.
+    no tier (None) misses it too, and its refusal says so.  It reads the
+    trace's edge, vertex and tier lists, and builds no `Configuration`.
     """
     remaining = set(g.edges())
     remove = remaining.remove

@@ -39,10 +39,15 @@ class NotPlanarEvidence(AecolorError):
     """Constructive evidence that the input graph cannot be planar.
 
     Raised when an exhaustive scan finds no reducible low-degree vertex
-    pattern, or when full backtracking proves the max-degree-plus-ten
-    palette insufficient.  Either outcome is impossible for a planar graph.
+    pattern, or when full backtracking proves a palette of at least
+    max degree plus ten colors insufficient for the subgraph it searched.
+    Either outcome is impossible for a planar graph.
     """
 
 
 class ExtensionFailed(AecolorError):
-    """All extension tiers up to the configured cap failed for one edge."""
+    """Every extension tier failed for one edge and proved nothing.
+
+    The whole-subgraph search ran out of budget, or proved too small a
+    palette below max degree plus ten, which refutes nothing.
+    """

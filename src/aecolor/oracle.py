@@ -2,7 +2,7 @@
 
 Backtracking over edges with properness pruning, incremental bichromatic-
 cycle detection, and color symmetry breaking (the i-th newly introduced
-color is at most i).  A palette below `_lower_bound` (Δ, and the forest
+color is at most i) when no edge is pre-colored.  A palette below `_lower_bound` (Δ, and the forest
 bound of each component) is refused before the search counts a node.
 What the bound does not settle is searched exhaustively, in time that can
 grow exponentially with m; the search budget turns an unfinished search
@@ -79,13 +79,23 @@ def _lower_bound(g: Graph) -> int:
 
 
 def search_acyclic_coloring(
-    g: Graph, k: int, budget: Optional[SearchBudget] = None
+    g: Graph,
+    k: int,
+    budget: Optional[SearchBudget] = None,
+    fixed: Optional[dict[tuple[int, int], int]] = None,
 ) -> Union[dict[tuple[int, int], int], None, Exhausted]:
     """Exact search for an acyclic edge k-coloring.
 
     Returns an edge -> color dict, None when provably impossible, or
     EXHAUSTED when the budget ran out first.  A k below `_lower_bound(g)`
     is None at once, before any node is counted.
+
+    `fixed` maps pre-colored edges outside g, on g's vertices, to their
+    colors; they must form a proper acyclic coloring.  They are in the
+    color table from the start, so every cycle test sees them, and they
+    keep their colors and are not in the result.  Fixed colors are not
+    interchangeable, so the symmetry cap applies only when `fixed` is
+    empty.
     """
     if k < 0:
         raise ValueError(f"palette size must be nonnegative, got {k}")
@@ -103,12 +113,18 @@ def search_acyclic_coloring(
     # the color -> neighbor table of PartialEdgeColoring, kept here so the
     # loop skips its edge and palette checks
     nbr: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for (a, b), c in (fixed or {}).items():
+        if g.has_edge(a, b) or c in nbr[a] or c in nbr[b]:
+            raise ValueError(f"fixed edge ({a}, {b}) is an edge of g or clashes at an end")
+        nbr[a][c] = b
+        nbr[b][c] = a
     # depth-first over edges in order, colors ascending, with an explicit
     # stack: `assigned` holds the colors on the path so far and used[i] is
-    # the largest color among the first i edges.  Every color tried counts
-    # one node, free or not.
+    # the largest color among the first i edges.  With fixed edges every
+    # used[i] is k, which lifts the cap without a test in the loop.  Every
+    # color tried counts one node, free or not.
     assigned: list[int] = []
-    used = [0]
+    used = [k if fixed else 0]
     nodes = 0
     c = 1
     while True:

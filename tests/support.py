@@ -20,13 +20,17 @@ from hypothesis import strategies as st
 from aecolor.coloring import CycleWitness, PartialEdgeColoring, alternating_walk
 from aecolor.embedding import RotationSystem
 from aecolor.families import (
+    cube,
     cycle_graph,
     grid_graph,
+    icosahedron,
+    octahedron,
     platonic_solids,
     wheel_graph,
 )
 from aecolor.embedding import generate_apollonian
 from aecolor.graphs import Graph
+from aecolor.oracle import SearchBudget, search_acyclic_coloring
 
 
 def wheel_patch(ring_degrees: tuple[int, ...]) -> tuple[Graph, RotationSystem]:
@@ -197,6 +201,35 @@ def subset_enumerate_cycles(g: Graph) -> list[frozenset[tuple[int, int]]]:
             if len(seen) == len(deg):
                 cycles.append(frozenset(subset))
     return cycles
+
+
+def extension_graphs():
+    yield "octahedron", octahedron()[0]
+    yield "icosahedron", icosahedron()[0]
+    yield "cube", cube()[0]
+    for rim in range(4, 9):
+        yield f"W{rim}", wheel_graph(rim)
+    for rows, cols in [(3, 3), (3, 4)]:
+        yield f"grid{rows}x{cols}", grid_graph(rows, cols)
+    for n in (8, 9, 10):
+        for seed in range(3):
+            yield f"apollonian{n}s{seed}", generate_apollonian(n, seed)[0]
+
+
+def extension_cases():
+    """(name, g, k, e, phi) for each edge e of each extension fixture and
+    each palette k in Δ..Δ+3 at which the searcher colors g - e; phi is
+    that coloring, on g.  At Δ+10 only T1 ever fires, so these are the
+    cases on which the escalation tiers run."""
+    for name, g in extension_graphs():
+        for k in range(g.max_degree(), g.max_degree() + 4):
+            for e in g.edges():
+                w = search_acyclic_coloring(
+                    g.remove_edge(*e), k, SearchBudget(max_nodes=200_000)
+                )
+                if isinstance(w, dict):
+                    triples = [(u, v, c) for (u, v), c in w.items()]
+                    yield name, g, k, e, PartialEdgeColoring.from_pairs(g, k, triples)
 
 
 def all_trees(max_n: int) -> list[Graph]:

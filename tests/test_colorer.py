@@ -1,5 +1,4 @@
 import heapq
-import itertools
 import json
 import random
 import tracemalloc
@@ -8,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aecolor import cli, colorer, coloring, scanner
+from aecolor import cli, colorer, coloring, oracle, scanner
 from aecolor.colorer import (
     ExtensionContext,
     ReductionTrace,
     TraceStep,
     _RECHECK,
     _peel,
-    _try_swap,
     acolor,
     choose_reduction_edge,
     extend_at_edge,
@@ -26,7 +24,6 @@ from aecolor.embedding import generate_apollonian
 from aecolor.errors import ExtensionFailed, ImproperColoringError, NotPlanarEvidence
 from aecolor.families import (
     complete_graph,
-    cube,
     cycle_graph,
     dodecahedron,
     grid_graph,
@@ -37,37 +34,14 @@ from aecolor.families import (
     wheel_graph,
 )
 from aecolor.graphs import Graph, format_edge_list
-from aecolor.oracle import SearchBudget, search_acyclic_coloring
+from aecolor.oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
 from aecolor.scanner import Configuration
 
-from support import assert_skip_maps_exact, first_fit_free_color
+from support import assert_skip_maps_exact, extension_cases, first_fit_free_color
 
 
 def colored(g, k, triples):
     return PartialEdgeColoring.from_pairs(g, k, triples)
-
-
-def t3_cases():
-    """(g, k, e, triples) for every searcher coloring of g - e at palette
-    Δ..Δ+3 on which `extend_at_edge` with tiers up to T3 lands on T3."""
-    graphs = [octahedron()[0], icosahedron()[0], cube()[0]]
-    graphs += [wheel_graph(rim) for rim in range(4, 9)]
-    graphs += [grid_graph(3, 3), grid_graph(3, 4)]
-    for g in graphs:
-        for k in range(g.max_degree(), g.max_degree() + 4):
-            for e in g.edges():
-                w = search_acyclic_coloring(g.remove_edge(*e), k)
-                if not isinstance(w, dict):
-                    continue
-                triples = [(u, v, c) for (u, v), c in w.items()]
-                try:
-                    _, tier = extend_at_edge(
-                        ExtensionContext(g, colored(g, k, triples), *e), max_tier=3
-                    )
-                except ExtensionFailed:
-                    continue
-                if tier == "T3":
-                    yield g, k, e, triples
 
 
 def context_for(g, e, k):
@@ -487,30 +461,20 @@ class TestTryFreeColor:
         assert work > 0
 
 
-class TestTrySwap:
-    def test_wide_open_swap_accepted(self):
-        g = star_graph(3)
-        phi = colored(g, 13, [(0, 1, 1), (0, 2, 2)])
-        assert _try_swap(phi, (0, 1), (0, 2))
-        assert phi.color_of(0, 1) == 2 and phi.color_of(0, 2) == 1
+def spy_searches(monkeypatch, phi):
+    """Record each oracle search the tiers make as (has fixed edges,
+    phi's items when it starts, its outcome)."""
+    calls = []
 
-    def test_far_endpoint_properness_rejected(self):
-        # vertex 2 already has color 1, which (1, 2) would take
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        phi = colored(g, 13, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
+    def spy(g, k, budget=None, fixed=None):
         before = phi.items()
-        assert not _try_swap(phi, (0, 1), (1, 2))
-        assert phi.items() == before
+        found = search_acyclic_coloring(g, k, budget, fixed)
+        outcome = "found" if isinstance(found, dict) else found
+        calls.append((bool(fixed), before, outcome))
+        return found
 
-    def test_cycle_closing_swap_rejected(self):
-        # swapping (0,3) and (0,4) would leave the square alternating 1,2
-        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 3)])
-        phi = colored(
-            g, 13, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 4), (0, 4, 2)]
-        )
-        before = phi.items()
-        assert not _try_swap(phi, (0, 3), (0, 4))
-        assert phi.items() == before
+    monkeypatch.setattr(oracle, "search_acyclic_coloring", spy)
+    return calls
 
 
 class TestExtendTiers:
@@ -520,44 +484,76 @@ class TestExtendTiers:
         _, tier = extend_at_edge(ExtensionContext(g, phi, 0, 1))
         assert tier == "T1"
 
-    def test_octahedron_t2_instance(self):
-        _, tier = extend_at_edge(context_for(octahedron()[0], (0, 4), 6))
-        assert tier == "T2"
-
-    def test_octahedron_t3_instance(self):
-        _, tier = extend_at_edge(context_for(octahedron()[0], (0, 2), 6))
-        assert tier == "T3"
+    def test_octahedron_t3_instance(self, monkeypatch):
+        # u and v see every other vertex of the octahedron, so the ball
+        # holds every colored edge: T2 is skipped and T3 searches once
+        for e in [(0, 4), (0, 2)]:
+            ctx = context_for(octahedron()[0], e, 6)
+            calls = spy_searches(monkeypatch, ctx.phi)
+            phi, tier = extend_at_edge(ctx)
+            assert tier == "T3" and [(f, o) for f, _, o in calls] == [(False, "found")]
+            assert validate_acyclic(ctx.phi.graph, phi).ok
 
     def test_icosahedron_t2_instance(self):
         _, tier = extend_at_edge(context_for(icosahedron()[0], (1, 2), 7))
         assert tier == "T2"
 
-    def test_icosahedron_t3_instance(self):
-        _, tier = extend_at_edge(context_for(icosahedron()[0], (1, 7), 7))
+    def test_infeasible_ball_falls_through_to_t3(self, monkeypatch):
+        # at k = Δ the ball of this grid edge has no coloring that fits the
+        # fixed edges around it; the whole subgraph does
+        ctx = context_for(grid_graph(4, 5), (6, 7), 4)
+        before = ctx.phi.items()
+        calls = spy_searches(monkeypatch, ctx.phi)
+        phi, tier = extend_at_edge(ctx)
         assert tier == "T3"
+        assert calls == [(True, before, None), (False, before, "found")]
+        assert validate_acyclic(ctx.phi.graph, phi).ok
 
     @pytest.mark.parametrize(
-        "g, e, k, t3_budget, want",
+        "g, e, k, want",
         [
-            (path_graph(3), (0, 1), 12, colorer.T3_STATE_BUDGET, "T1"),
-            (octahedron()[0], (0, 4), 6, colorer.T3_STATE_BUDGET, "T2"),
-            (octahedron()[0], (0, 2), 6, colorer.T3_STATE_BUDGET, "T3"),
-            (octahedron()[0], (0, 2), 6, 0, "T4"),
+            (path_graph(3), (0, 1), 12, "T1"),
+            (icosahedron()[0], (1, 7), 7, "T2"),
+            (octahedron()[0], (0, 2), 6, "T3"),
         ],
-        ids=["T1", "T2", "T3", "T4"],
+        ids=["T1", "T2", "T3"],
     )
-    def test_every_tier_edits_the_context_coloring(self, g, e, k, t3_budget, want):
+    def test_every_tier_edits_the_context_coloring(self, g, e, k, want):
         ctx = context_for(g, e, k)
-        phi, tier = extend_at_edge(ctx, t3_budget=t3_budget)
+        phi, tier = extend_at_edge(ctx)
         assert tier == want
         assert phi is ctx.phi and validate_acyclic(g, phi).ok
 
-    def test_t4_reached_when_t3_starved(self):
-        ctx = context_for(octahedron()[0], (0, 2), 6)
-        phi, tier = extend_at_edge(ctx, t3_budget=0)
-        assert tier == "T4"
+    def test_t2_recolors_only_the_ball(self):
+        # every T2 result on the golden fixtures is a complete acyclic
+        # coloring, and each colored edge with an end outside the ball
+        # (u, v and their neighbors) keeps its color
+        t2 = 0
+        for _, g, k, (u, v), phi in extension_cases():
+            ball = {u, v, *g.neighbors(u), *g.neighbors(v)}
+            outside = [(e, c) for e, c in phi.items() if not {*e} <= ball]
+            try:
+                _, tier = extend_at_edge(ExtensionContext(g, phi, u, v))
+            except ExtensionFailed:
+                continue
+            if tier == "T2":
+                t2 += 1
+                assert phi.is_complete() and validate_acyclic(g, phi).ok
+                assert all(phi.color_of(*e) == c for e, c in outside)
+        assert t2 == 46
+
+    def test_icosahedron_t3_instance(self, monkeypatch):
+        # a T2 instance whose ball search runs out of nodes: T3 starts from
+        # the coloring T2 was given
+        ctx = context_for(icosahedron()[0], (1, 2), 7)
+        before = ctx.phi.items()
+        monkeypatch.setattr(colorer, "BALL_NODES", 1)
+        calls = spy_searches(monkeypatch, ctx.phi)
+        phi, tier = extend_at_edge(ctx)
+        assert tier == "T3"
+        assert calls == [(True, before, EXHAUSTED), (False, before, "found")]
         rep = validate_acyclic(ctx.phi.graph, phi)
-        assert rep.ok and rep.max_color <= 6
+        assert rep.ok and rep.max_color <= 7
 
     def test_extension_result_is_acyclic(self):
         for e in [(0, 4), (0, 2)]:
@@ -565,51 +561,38 @@ class TestExtendTiers:
             phi, _ = extend_at_edge(ctx)
             assert validate_acyclic(ctx.phi.graph, phi).ok
 
-    def test_spent_t3_budget_restores_the_coloring(self):
-        # each T3 instance again with every smaller state budget: a budget
-        # spent at any depth must unwind every move made before it ran out
-        cases = exhausted = 0
-        for g, k, e, triples in t3_cases():
-            cases += 1
-            for budget in itertools.count(1):
-                phi = colored(g, k, triples)
-                before = phi.items()
-                try:
-                    extend_at_edge(ExtensionContext(g, phi, *e), max_tier=3, t3_budget=budget)
-                    break
-                except ExtensionFailed:
-                    exhausted += 1
-                    assert phi.items() == before
-        assert cases == 37 and exhausted > 0
-
-    def test_tier_cap_fails_honestly(self):
-        with pytest.raises(ExtensionFailed, match="T2"):
-            extend_at_edge(context_for(octahedron()[0], (0, 2), 6), max_tier=2)
-
-    def test_t4_budget_exhaustion_fails_honestly(self):
+    def test_t3_budget_exhaustion_fails_honestly(self):
         ctx = context_for(octahedron()[0], (0, 2), 6)
+        before = ctx.phi.items()
         with pytest.raises(ExtensionFailed, match="ran out of budget"):
-            extend_at_edge(ctx, t3_budget=0, t4_budget=SearchBudget(max_nodes=1))
+            extend_at_edge(ctx, budget=SearchBudget(max_nodes=1))
+        assert ctx.phi.items() == before
 
     def test_impossible_palette_refutes_planarity(self):
-        # C4 has no acyclic 2-coloring, so the final tier proves the
-        # 2-color palette short and reports non-planarity evidence
+        # C4 has no acyclic 2-coloring, so the last tier proves the palette
+        # short; 2 colors is below Δ+10, so that refutes nothing
         g = cycle_graph(4)
         phi = colored(g, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
-        with pytest.raises(NotPlanarEvidence):
+        with pytest.raises(ExtensionFailed, match="refutes nothing"):
             extend_at_edge(ExtensionContext(g, phi, 0, 3))
 
     def test_grid_refutation_instance(self):
+        # the 3x3 grid at k = 3 < Δ+10: a short palette, not evidence
         g = grid_graph(3, 3)
         ctx = context_for(g, (1, 4), 3)
-        with pytest.raises(NotPlanarEvidence):
+        with pytest.raises(ExtensionFailed, match="below its Δ\\+10 = 14"):
             extend_at_edge(ctx)
 
-    def test_invalid_tier_cap(self):
+    def test_full_palette_refutation_is_evidence(self, monkeypatch):
+        # a search that finds no coloring with Δ(sub)+10 colors refutes
+        # planarity; with one color fewer it refutes nothing
         g = path_graph(3)
-        phi = colored(g, 12, [(1, 2, 1)])
-        with pytest.raises(ValueError):
-            extend_at_edge(ExtensionContext(g, phi, 0, 1), max_tier=0)
+        monkeypatch.setattr(PartialEdgeColoring, "_first_fit", lambda phi, u, v: None)
+        monkeypatch.setattr(oracle, "search_acyclic_coloring", lambda *args: None)
+        with pytest.raises(NotPlanarEvidence, match="refutes planarity"):
+            extend_at_edge(ExtensionContext(g, colored(g, 12, [(1, 2, 1)]), 0, 1))
+        with pytest.raises(ExtensionFailed, match="refutes nothing"):
+            extend_at_edge(ExtensionContext(g, colored(g, 11, [(1, 2, 1)]), 0, 1))
 
 
 class TestAcolor:
@@ -671,7 +654,7 @@ class TestAcolor:
         phi, trace = acolor(g)
         rep = validate_acyclic(g, phi)
         assert rep.ok and rep.max_color <= g.max_degree() + 10
-        assert {s.tier for s in trace} <= {"T1", "T2", "T3", "T4"}
+        assert {s.tier for s in trace} <= {"T1", "T2", "T3"}
         assert len(trace) == g.m
 
 
@@ -689,7 +672,7 @@ class TestTrace:
         for step in trace:
             d = step.to_json_dict()
             assert d["edge"][1] == step.config.vertex
-            assert d["tier"] in ("T1", "T2", "T3", "T4")
+            assert d["tier"] in ("T1", "T2", "T3")
             assert d["config"] in ("A1", "A2", "A3", "A4")
 
     def test_replay_reproduces_coloring(self):
@@ -809,26 +792,14 @@ class TestTrace:
         assert peak / g.m < 450
 
 
-def refuse_first_fit(monkeypatch, target, until):
-    """Make `_first_fit` answer None for the edge `target` until tier
-    `until` runs ("T4": always), and record each `_put` as (coloring, edge)
-    in the returned list."""
-    stage = ["T1"]
-    for name, tier in (("_tier2", "T2"), ("_tier3", "T3")):
-
-        def staged(*args, real=getattr(colorer, name), tier=tier):
-            stage[0] = tier
-            try:
-                return real(*args)
-            finally:
-                stage[0] = "T1"
-
-        monkeypatch.setattr(colorer, name, staged)
+def refuse_first_fit(monkeypatch, target):
+    """Make `_first_fit` answer None for the edge `target`, and record each
+    `_put` as (coloring, edge) in the returned list."""
     first_fit, put = PartialEdgeColoring._first_fit, PartialEdgeColoring._put
     puts = []
 
     def refusing(phi, u, v):
-        if (min(u, v), max(u, v)) == target and stage[0] < until:
+        if (min(u, v), max(u, v)) == target:
             return None
         return first_fit(phi, u, v)
 
@@ -843,24 +814,26 @@ def refuse_first_fit(monkeypatch, target, until):
 
 class TestReinsertEscalation:
     """The escalation branch of the re-insertion loop, which no input
-    reaches at Δ+10: first fit refuses one edge of the icosahedron until
-    the wanted tier runs."""
+    reaches at Δ+10: first fit refuses one edge of the icosahedron, so the
+    ball search colors it, or, with a ball budget of one node, the
+    whole-subgraph search."""
 
-    @pytest.mark.parametrize("want", ["T2", "T3", "T4"])
+    @pytest.mark.parametrize("want", ["T2", "T3"])
     def test_acolor_and_replay_escalate(self, monkeypatch, want):
         g = icosahedron()[0]
         _, plain = acolor(g)
-        # at this step's edge some spoke swap lets first fit in again, so
-        # each tier is the first to succeed; twelve steps come after it
+        # twelve steps come after this one
         at = 12
         target = plain.steps[at].edge
         later = {s.edge for s in plain.steps[:at]}
-        puts = refuse_first_fit(monkeypatch, target, want)
+        puts = refuse_first_fit(monkeypatch, target)
+        if want == "T3":
+            monkeypatch.setattr(colorer, "BALL_NODES", 1)
         phi, trace = acolor(g)
         assert [s.tier for s in trace] == [want if i == at else "T1" for i in range(len(trace))]
         assert [s.edge for s in trace] == [s.edge for s in plain]
         assert validate_acyclic(g, phi).ok and phi.is_complete()
-        # after the step, T4's fresh coloring included, every write lands
+        # after the step, the searched coloring included, every write lands
         # in the coloring that is returned
         assert all(obj is phi for obj, e in puts if e in later)
         puts.clear()

@@ -184,6 +184,45 @@ class TestBudget:
         assert exact_chi_a(complete_graph(4), SearchBudget(max_nodes=10**7)) == 5
 
 
+class TestFixedEdges:
+    """Pre-colored edges outside the searched graph: in the color table
+    from the start, never recolored, never returned."""
+
+    def test_fixed_edges_keep_their_colors(self):
+        # C4 with two edges fixed; the search completes the other two
+        fixed = {(0, 1): 1, (1, 2): 2}
+        found = search_acyclic_coloring(Graph(4, [(2, 3), (0, 3)]), 3, fixed=fixed)
+        assert set(found) == {(2, 3), (0, 3)}
+        assert fixed == {(0, 1): 1, (1, 2): 2}
+        g = cycle_graph(4)
+        assert validate_acyclic(g, as_coloring(g, 3, {**fixed, **found})).ok
+
+    def test_cycle_tests_see_fixed_edges(self):
+        # color 2 on (0, 3) is free at both ends but closes a 1-2 cycle
+        # through the three fixed edges
+        fixed = {(0, 1): 1, (1, 2): 2, (2, 3): 1}
+        assert search_acyclic_coloring(Graph(4, [(0, 3)]), 3, fixed=fixed) == {(0, 3): 3}
+        assert search_acyclic_coloring(Graph(4, [(0, 3)]), 2, fixed=fixed) is None
+
+    def test_no_color_left_is_none(self):
+        # the fixed edges take both colors at the hub
+        fixed = {(0, 1): 1, (0, 2): 2}
+        assert search_acyclic_coloring(Graph(4, [(0, 3)]), 2, fixed=fixed) is None
+
+    def test_symmetry_cap_is_off(self):
+        # the only completion colors the first free edge 3, above
+        # largest-used + 1 = 1, which the cap would refuse
+        fixed = {(0, 1): 1, (0, 2): 2}
+        assert search_acyclic_coloring(Graph(4, [(0, 3)]), 3, fixed=fixed) == {(0, 3): 3}
+
+    @pytest.mark.parametrize(
+        "fixed", [{(0, 1): 1}, {(1, 2): 1, (2, 3): 1}], ids=["edge-of-g", "clash"]
+    )
+    def test_bad_fixed_edges_are_refused(self, fixed):
+        with pytest.raises(ValueError, match="fixed edge"):
+            search_acyclic_coloring(Graph(4, [(0, 1)]), 3, fixed=fixed)
+
+
 class TestEnumerateCycles:
     def test_k4_has_seven_cycles(self):
         # 4 triangles + 3 quadrilaterals
