@@ -494,6 +494,17 @@ class TestExtendTiers:
             assert tier == "T3" and [(f, o) for f, _, o in calls] == [(False, "found")]
             assert validate_acyclic(ctx.phi.graph, phi).ok
 
+    def test_octahedron_t2_instance(self, monkeypatch):
+        # the octahedron has no T2 instance: the ends of any edge see every
+        # vertex, so no colored edge is fixed and T2 makes no search
+        g = octahedron()[0]
+        for u, v in g.edges():
+            assert {u, v, *g.neighbors(u), *g.neighbors(v)} == set(g.vertices())
+        ctx = context_for(g, (0, 4), 6)
+        calls = spy_searches(monkeypatch, ctx.phi)
+        _, tier = extend_at_edge(ctx)
+        assert tier == "T3" and [f for f, _, _ in calls] == [False]
+
     def test_icosahedron_t2_instance(self):
         _, tier = extend_at_edge(context_for(icosahedron()[0], (1, 2), 7))
         assert tier == "T2"
@@ -510,15 +521,20 @@ class TestExtendTiers:
         assert validate_acyclic(ctx.phi.graph, phi).ok
 
     @pytest.mark.parametrize(
-        "g, e, k, want",
+        "g, e, k, ball_nodes, want",
         [
-            (path_graph(3), (0, 1), 12, "T1"),
-            (icosahedron()[0], (1, 7), 7, "T2"),
-            (octahedron()[0], (0, 2), 6, "T3"),
+            (path_graph(3), (0, 1), 12, colorer.BALL_NODES, "T1"),
+            (icosahedron()[0], (1, 7), 7, colorer.BALL_NODES, "T2"),
+            (octahedron()[0], (0, 2), 6, colorer.BALL_NODES, "T3"),
+            (icosahedron()[0], (1, 7), 7, 1, "T3"),
         ],
-        ids=["T1", "T2", "T3"],
+        # the last two end on the whole-subgraph search (numbered T4 while
+        # a move search came before it): once because the ball holds every
+        # colored edge, once because the ball search runs out of nodes
+        ids=["T1", "T2", "T3", "T4"],
     )
-    def test_every_tier_edits_the_context_coloring(self, g, e, k, want):
+    def test_every_tier_edits_the_context_coloring(self, monkeypatch, g, e, k, ball_nodes, want):
+        monkeypatch.setattr(colorer, "BALL_NODES", ball_nodes)
         ctx = context_for(g, e, k)
         phi, tier = extend_at_edge(ctx)
         assert tier == want
@@ -546,6 +562,20 @@ class TestExtendTiers:
         # a T2 instance whose ball search runs out of nodes: T3 starts from
         # the coloring T2 was given
         ctx = context_for(icosahedron()[0], (1, 2), 7)
+        before = ctx.phi.items()
+        monkeypatch.setattr(colorer, "BALL_NODES", 1)
+        calls = spy_searches(monkeypatch, ctx.phi)
+        phi, tier = extend_at_edge(ctx)
+        assert tier == "T3"
+        assert calls == [(True, before, EXHAUSTED), (False, before, "found")]
+        rep = validate_acyclic(ctx.phi.graph, phi)
+        assert rep.ok and rep.max_color <= 7
+
+    def test_t4_reached_when_t3_starved(self, monkeypatch):
+        # the whole-subgraph search (T4 while a move search came before
+        # it, T3 now) colors the edge when the tier before it is starved:
+        # here the T2 instance of the icosahedron with a one-node ball
+        ctx = context_for(icosahedron()[0], (1, 7), 7)
         before = ctx.phi.items()
         monkeypatch.setattr(colorer, "BALL_NODES", 1)
         calls = spy_searches(monkeypatch, ctx.phi)
@@ -815,11 +845,17 @@ def refuse_first_fit(monkeypatch, target):
 class TestReinsertEscalation:
     """The escalation branch of the re-insertion loop, which no input
     reaches at Δ+10: first fit refuses one edge of the icosahedron, so the
-    ball search colors it, or, with a ball budget of one node, the
-    whole-subgraph search."""
+    ball search colors it, or, when the ball search runs out of nodes or
+    finds no coloring, the whole-subgraph search."""
 
-    @pytest.mark.parametrize("want", ["T2", "T3"])
-    def test_acolor_and_replay_escalate(self, monkeypatch, want):
+    @pytest.mark.parametrize(
+        "want, ball",
+        [("T2", "open"), ("T3", "starved"), ("T3", "infeasible")],
+        # "T4": the whole-subgraph search's number while a move search came
+        # before it; it is T3 now, reached here past a refuted ball
+        ids=["T2", "T3", "T4"],
+    )
+    def test_acolor_and_replay_escalate(self, monkeypatch, want, ball):
         g = icosahedron()[0]
         _, plain = acolor(g)
         # twelve steps come after this one
@@ -827,8 +863,15 @@ class TestReinsertEscalation:
         target = plain.steps[at].edge
         later = {s.edge for s in plain.steps[:at]}
         puts = refuse_first_fit(monkeypatch, target)
-        if want == "T3":
+        if ball == "starved":
             monkeypatch.setattr(colorer, "BALL_NODES", 1)
+        elif ball == "infeasible":
+            search = oracle.search_acyclic_coloring
+
+            def refuse_balls(g, k, budget=None, fixed=None):
+                return None if fixed else search(g, k, budget, fixed)
+
+            monkeypatch.setattr(oracle, "search_acyclic_coloring", refuse_balls)
         phi, trace = acolor(g)
         assert [s.tier for s in trace] == [want if i == at else "T1" for i in range(len(trace))]
         assert [s.edge for s in trace] == [s.edge for s in plain]
