@@ -79,8 +79,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def coloring_to_json(phi: PartialEdgeColoring) -> dict:
-    color = phi._colors.get  # one lookup per edge, keyed by its canonical form
-    edges = [{"u": e[0], "v": e[1], "color": color(e)} for e in phi.graph.edges()]
+    edges = [{"u": u, "v": v, "color": c} for u, v, c in phi._edge_rows()]
     return {"schema": SCHEMA, "k": phi.k, "edges": edges}
 
 
@@ -188,10 +187,7 @@ def _dot(phi: PartialEdgeColoring) -> str:
     # palette index drives the hue so renders are stable across runs
     lines = ["graph aecolor {"]
     k = max(phi.k, 1)
-    color = phi._colors.get
-    for e in phi.graph.edges():
-        u, v = e
-        c = color(e)
+    for u, v, c in phi._edge_rows():
         if c is None:
             lines.append(f'  {u} -- {v} [style=dashed label="?"];')
         else:

@@ -19,8 +19,9 @@ at least Δ+10 colors for the subgraph it searched.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .coloring import PartialEdgeColoring, validate_acyclic
@@ -66,89 +67,86 @@ class ExtensionContext:
         self.v = v
 
 
-def _step_row(edge: tuple[int, int], v: int, kind: str, tier: str) -> dict:
-    # the JSON row of one trace step; the second endpoint is the
-    # configuration vertex, so replay can reconstruct the context without
-    # re-scanning
-    u = edge[0] if edge[1] == v else edge[1]
-    return {"edge": [u, v], "config": kind, "tier": tier}
-
-
 class TraceStep(NamedTuple):
     edge: tuple[int, int]
     config: Configuration
     tier: str
 
     def to_json_dict(self) -> dict:
-        return _step_row(self.edge, self.config.vertex, self.config.kind, self.tier)
+        return ReductionTrace((self,)).to_json_dict()["steps"][0]
 
 
 def _configurations(
-    g: Graph, edges: list[tuple[int, int]], vertices: list[int], kinds: list[str]
+    g: Graph, us: list[int], vertices: list[int], kinds: list[str]
 ) -> list[Configuration]:
     # each step's configuration, re-derived by replaying the removals on
     # adjacency sets and matching the step's vertex at its stage: O(m), as
     # every configuration vertex has degree 5 or less
     adj = list(map(set, g._adj))
     configs = []
-    for i, ((a, b), v, kind) in enumerate(zip(edges, vertices, kinds)):
-        cfg = _match(v, sorted([(len(adj[u]), u) for u in adj[v]]))
+    for i, (u, v, kind) in enumerate(zip(us, vertices, kinds)):
+        cfg = _match(v, sorted([(len(adj[w]), w) for w in adj[v]]))
         if cfg is None or cfg.kind != kind:
             got = None if cfg is None else cfg.kind
             raise AssertionError(
                 f"trace step {i} records {kind} at vertex {v}, but the graph there gives {got}"
             )
         configs.append(cfg)
-        adj[a].remove(b)
-        adj[b].remove(a)
+        adj[u].remove(v)
+        adj[v].remove(u)
     return configs
 
 
 class ReductionTrace:
     """Removal-ordered log of (edge, configuration, extension tier).
 
-    The log is four flat lists, one entry per step: the edge, the
-    configuration vertex, the configuration kind and the tier.  `len`,
-    `to_json_dict` and `replay_trace` read only those.  `steps`, iteration,
-    equality, hashing and repr read the `TraceStep` tuple, which a trace
-    from `acolor` builds on first read: it replays the removals on the
-    graph and re-derives each configuration, O(m) in all, and raises
-    AssertionError where a re-derived kind differs from the recorded one.
+    The log is four flat lists, one entry per step: the removed edge's far
+    end u, the configuration vertex v, the configuration kind and the tier.
+    `len`, `to_json_dict` and `replay_trace` read only those.  `steps`,
+    iteration, equality, hashing and repr read the `TraceStep` tuple, which
+    a trace from `acolor` builds on first read: it makes each canonical
+    edge from (u, v), replays the removals on the graph and re-derives each
+    configuration, O(m) in all, and raises AssertionError where a
+    re-derived kind differs from the recorded one.  A trace built from
+    steps refuses one whose vertex is off its edge (ValueError).
     """
 
-    __slots__ = ("_edges", "_vertices", "_kinds", "_tiers", "_graph", "_steps")
+    __slots__ = ("_us", "_vertices", "_kinds", "_tiers", "_graph", "_steps")
 
     def __init__(self, steps: tuple[TraceStep, ...]):
         self._steps = steps = tuple(steps)
         self._graph = None
-        self._edges = [s.edge for s in steps]
         self._vertices = [s.config.vertex for s in steps]
+        self._us = us = []
+        for i, ((a, b), v) in enumerate(zip((s.edge for s in steps), self._vertices)):
+            if v != a and v != b:
+                raise ValueError(
+                    f"trace step {i} removes edge {(a, b)}, which does not meet "
+                    f"its configuration vertex {v}"
+                )
+            us.append(a if b == v else b)
         self._kinds = [s.config.kind for s in steps]
         self._tiers = [s.tier for s in steps]
 
     @classmethod
     def _peeled(
-        cls,
-        g: Graph,
-        edges: list[tuple[int, int]],
-        vertices: list[int],
-        kinds: list[str],
-        tiers: list[str],
+        cls, g: Graph, us: list[int], vertices: list[int], kinds: list[str], tiers: list[str]
     ) -> ReductionTrace:
-        # the trace of `_peel(g, edges, vertices, kinds)` re-inserted on
+        # the trace of `_peel(g, us, vertices, kinds)` re-inserted on
         # `tiers`: it keeps the lists, and g to build its steps from
         trace = cls.__new__(cls)
-        trace._edges, trace._vertices, trace._kinds, trace._tiers = edges, vertices, kinds, tiers
+        trace._us, trace._vertices, trace._kinds, trace._tiers = us, vertices, kinds, tiers
         trace._graph, trace._steps = g, None
         return trace
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
         if self._steps is None:
-            configs = _configurations(self._graph, self._edges, self._vertices, self._kinds)
+            configs = _configurations(self._graph, self._us, self._vertices, self._kinds)
+            edges = map(_canon, self._us, self._vertices)
             # tuple.__new__ skips TraceStep's Python-level __new__ but keeps its type
             self._steps = tuple(
-                map(tuple.__new__, repeat(TraceStep), zip(self._edges, configs, self._tiers))
+                map(tuple.__new__, repeat(TraceStep), zip(edges, configs, self._tiers))
             )
         return self._steps
 
@@ -164,15 +162,16 @@ class ReductionTrace:
         return f"ReductionTrace(steps={self.steps!r})"
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return len(self._us)
 
     def __iter__(self) -> Iterator[TraceStep]:
         return iter(self.steps)
 
     def to_json_dict(self) -> dict:
-        return {
-            "steps": list(map(_step_row, self._edges, self._vertices, self._kinds, self._tiers))
-        }
+        # the second endpoint is the configuration vertex, so replay can
+        # reconstruct the context without re-scanning
+        rows = zip(self._us, self._vertices, self._kinds, self._tiers)
+        return {"steps": [{"edge": [u, v], "config": k, "tier": t} for u, v, k, t in rows]}
 
 
 def choose_reduction_edge(g: Graph) -> tuple[tuple[int, int], Configuration]:
@@ -208,18 +207,13 @@ def choose_reduction_edge(g: Graph) -> tuple[tuple[int, int], Configuration]:
     )
 
 
-def _peel(
-    g: Graph,
-    edges: list[tuple[int, int]],
-    vertices: list[int],
-    kinds: list[str],
-) -> None:
+def _peel(g: Graph, us: list[int], vertices: list[int], kinds: list[str]) -> None:
     """The `choose_reduction_edge` + `remove_edge` loop, run incrementally.
 
-    Appends each removal's canonical edge, configuration vertex and
+    Appends each removal's far end u, configuration vertex v and
     configuration kind to the three lists, in that loop's order, so a
-    refutation leaves the steps made so far.  It builds no `Configuration`:
-    `ReductionTrace.steps` re-derives them when it is first read.  The
+    refutation leaves the steps made so far.  It builds no edge tuple and
+    no `Configuration`: `ReductionTrace.steps` makes both on first read.  The
     graph is not touched.  Two min-heaps of vertex ids replace the rescan
     from vertex 0 (the smallest-last bookkeeping of Matula & Beck, J. ACM
     30, 1983): `low` holds every vertex of degree 1-2 and `cand` every
@@ -250,7 +244,7 @@ def _peel(
     deg = [len(a) for a in adj]
     m = g.m
     at = deg.__getitem__
-    add_edge, add_vertex, add_kind = edges.append, vertices.append, kinds.append
+    add_u, add_vertex, add_kind = us.append, vertices.append, kinds.append
     # ascending lists are already heaps
     low = [v for v, d in enumerate(deg) if 1 <= d <= 2]
     cand = [v for v, d in enumerate(deg) if 3 <= d <= 5]
@@ -285,7 +279,7 @@ def _peel(
                     f"m={m}; a planar graph always has one"
                 )
             u = nd[0][1]
-        add_edge((u, v) if u < v else (v, u))
+        add_u(u)
         add_vertex(v)
         add_kind(kind)
         a.remove(u)
@@ -312,23 +306,12 @@ def _peel(
             run = -1
 
 
-def _finish(ctx: ExtensionContext) -> bool:
-    u, v = ctx.u, ctx.v
-    c = ctx.phi._first_fit(u, v)
-    if c is None:
-        return False
-    # the context holds uv as an uncolored edge, and c is free at both ends
-    ctx.phi._put(u, v, _canon(u, v), c)
-    return True
-
-
 def _write_found(phi: PartialEdgeColoring, found: dict[tuple[int, int], int]) -> None:
     # write a search result over phi: every edge it colored, uv among them,
     # is cleared first, so no write meets a color the search has moved
-    colors = phi._colors
-    for e in found:
-        if e in colors:
-            phi.unassign(*e)
+    for u, v in found:
+        if phi.color_of(u, v) is not None:
+            phi.unassign(u, v)
     for (u, v), c in found.items():
         phi.assign(u, v, c)
 
@@ -343,7 +326,7 @@ def _escalate(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> str:
     n, k, nbr = phi.graph.n, phi.k, phi._nbr
     ball = {u, v, *nbr[u].values(), *nbr[v].values()}
     inner, fixed = [(u, v)], {}
-    for e, c in phi._colors.items():
+    for e, c in phi.items():
         if e[0] in ball and e[1] in ball:
             inner.append(e)
         else:
@@ -353,7 +336,7 @@ def _escalate(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> str:
         if isinstance(found, dict):
             _write_found(phi, found)
             return "T2"
-    sub = Graph(n, list(phi._colors) + [(u, v)])
+    sub = Graph(n, inner + list(fixed))
     found = search_acyclic_coloring(sub, k, budget or SearchBudget())
     if found is EXHAUSTED:
         raise ExtensionFailed(f"exhaustive recoloring ran out of budget at edge ({u}, {v})")
@@ -381,9 +364,13 @@ def extend_at_edge(
     coloring; a tier that fails leaves it as it was.  `budget` bounds T3's
     search (ExtensionFailed when it runs out); T2's is `BALL_NODES`.
     """
-    if _finish(ctx):
-        return ctx.phi, "T1"
-    return ctx.phi, _escalate(ctx, budget)
+    phi, u, v = ctx.phi, ctx.u, ctx.v
+    c = phi._first_fit(u, v)
+    if c is None:
+        return phi, _escalate(ctx, budget)
+    # the context holds uv as an uncolored edge, and c is free at both ends
+    phi._put(u, v, c)
+    return phi, "T1"
 
 
 class _TierMismatch(Exception):
@@ -392,13 +379,13 @@ class _TierMismatch(Exception):
 
 def _reinsert(
     g: Graph,
-    edges: list[tuple[int, int]],
+    us: list[int],
     vertices: list[int],
     tiers: list[Optional[str]],
     record: bool = False,
 ) -> PartialEdgeColoring:
-    # the one re-insertion loop: palette Δ+10, last removal first, edges[i]
-    # extended from its far end u toward vertices[i].  With `record` the
+    # the one re-insertion loop: palette Δ+10, last removal first, the edge
+    # from us[i] to vertices[i] extended from u toward v.  With `record` the
     # tier each lands on is written to tiers[i]; otherwise tiers[i] is the
     # tier it must land on, else _TierMismatch (a None never matches).  (A pair
     # per step, kept for the loop, made replay about 20% slower in the
@@ -406,20 +393,19 @@ def _reinsert(
     #
     # A first-fit color is written with the unchecked `_put`, and an
     # ExtensionContext, with its guards, is built only on escalation.  The
-    # checks `assign` would make hold because (1) the edges are canonical
-    # edges of g, from `_peel(g, ...)` or from `replay_trace`'s pass over
-    # g's edges; (2) each is re-inserted once, so it is uncolored when
+    # checks `assign` would make hold because (1) each (us[i], vertices[i])
+    # is an edge of g, from `_peel(g, ...)` or checked by `replay_trace`'s
+    # pass over g's rows; (2) each is re-inserted once, so it is uncolored when
     # reached; (3) the coloring is built only by proper writes, so it stays
     # proper; (4) `_first_fit` returns only a color in 1..k free at both ends.
     phi = PartialEdgeColoring(g, g.max_degree() + 10)
     # every tier edits phi in place, so its bound methods hold throughout
     first_fit, put = phi._first_fit, phi._put
-    for i in range(len(edges) - 1, -1, -1):
-        e, v = edges[i], vertices[i]
-        u = e[0] if e[1] == v else e[1]
+    for i in range(len(us) - 1, -1, -1):
+        u, v = us[i], vertices[i]
         c = first_fit(u, v)
         if c is not None:
-            put(u, v, e, c)
+            put(u, v, c)
             tier = "T1"
         else:
             tier = _escalate(ExtensionContext(g, phi, u, v), None)
@@ -438,62 +424,58 @@ def acolor(g: Graph) -> tuple[PartialEdgeColoring, ReductionTrace]:
     palette Δ+10 (on every input measured, T1 alone colors every edge).
     The peeling (`_peel`) runs incrementally, in near-linear time, and
     removes the same edges in the same order as calling
-    `choose_reduction_edge` and `Graph.remove_edge` in a loop; its edge
-    and vertex lists go straight to re-insertion.  The result is
-    validated before it is returned.  On inputs that are not actually
-    planar this either still succeeds (the bound is one-sided) or raises
-    NotPlanarEvidence.  The trace keeps the edge, vertex and kind lists of
-    the peel and the tiers of re-insertion; it builds its `TraceStep`s,
-    with their configurations, only when they are first read.
+    `choose_reduction_edge` and `Graph.remove_edge` in a loop; its far-end
+    and vertex lists go straight to re-insertion.  The result is validated
+    before it is returned.  On inputs that are not actually planar this
+    either still succeeds (the bound is one-sided) or raises
+    NotPlanarEvidence.  The trace keeps the far-end, vertex and kind lists
+    of the peel and the tiers of re-insertion; it builds its `TraceStep`s,
+    with their canonical edges and configurations, only when first read.
     """
-    edges, vertices, kinds = [], [], []
-    _peel(g, edges, vertices, kinds)
-    tiers: list[Optional[str]] = [None] * len(edges)
-    phi = _reinsert(g, edges, vertices, tiers, record=True)
+    us, vertices, kinds = [], [], []
+    _peel(g, us, vertices, kinds)
+    tiers: list[Optional[str]] = [None] * len(us)
+    phi = _reinsert(g, us, vertices, tiers, record=True)
     report = validate_acyclic(g, phi)
     if not report.ok:
         raise AssertionError(f"final coloring failed validation: {report}")
-    return phi, ReductionTrace._peeled(g, edges, vertices, kinds, tiers)
+    return phi, ReductionTrace._peeled(g, us, vertices, kinds, tiers)
 
 
 def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
     """Re-run the extension along a recorded trace; returns the coloring.
 
-    Each step's configuration vertex must lie on its edge, the removals
-    must take each edge of the graph once and each extension must land on
-    the recorded tier, or the trace does not belong to this graph and a
-    ValueError is raised: for a tier, at the first step that misses it in
-    re-insertion order, before any later step runs.  A step that records
-    no tier (None) misses it too, and its refusal says so.  It reads the
-    trace's edge, vertex and tier lists, and builds no `Configuration`.
+    The removals must take each edge of the graph once and each extension
+    must land on the recorded tier, or the trace does not belong to this
+    graph and a ValueError is raised: for a tier, at the first step that
+    misses it in re-insertion order, before any later step runs.  A step
+    that records no tier (None) misses it too, and its refusal says so.
+    (`ReductionTrace` refuses a step whose vertex is off its edge.)  It
+    reads the far-end, vertex and tier lists and builds no edge tuple and
+    no `Configuration`; a refusal names the edge as the trace's steps do.
     """
-    remaining = set(g.edges())
-    remove = remaining.remove
-    edges = []
-    for i, (edge, v) in enumerate(zip(trace._edges, trace._vertices)):
-        a, b = edge
-        if v != a and v != b:
-            raise ValueError(
-                f"trace step {i} removes edge {edge}, which does not meet "
-                f"its configuration vertex {v}"
-            )
-        e = edge if a < b else (b, a)  # a canonical edge is kept as it is
-        try:
-            remove(e)
-        except KeyError:
-            raise ValueError(f"trace replays removal of missing edge {edge}") from None
-        edges.append(e)
-    if remaining:
-        raise ValueError(f"trace leaves {len(remaining)} edges unremoved")
+    adj, n = g._adj, g.n
+    # removed[start[a] + j]: whether the edge from a to adj[a][j] has gone
+    start = list(accumulate(map(len, adj), initial=0))
+    removed = bytearray(start[-1])
+    for i, (a, b) in enumerate(zip(trace._us, trace._vertices)):
+        if b < a:
+            a, b = b, a
+        if 0 <= a and b < n:
+            row = adj[a]
+            j = bisect_left(row, b)
+            if j < len(row) and row[j] == b and not removed[start[a] + j]:
+                removed[start[a] + j] = 1
+                continue
+        raise ValueError(f"trace replays removal of missing edge {trace.steps[i].edge}")
+    if len(trace) < g.m:
+        raise ValueError(f"trace leaves {g.m - len(trace)} edges unremoved")
     tiers = trace._tiers
     try:
-        return _reinsert(g, edges, trace._vertices, tiers)
+        return _reinsert(g, trace._us, trace._vertices, tiers)
     except _TierMismatch as exc:
         i, got = exc.args
+        edge = trace.steps[i].edge
         if tiers[i] is None:
-            raise ValueError(
-                f"trace step {i} (edge {trace._edges[i]}) records no tier"
-            ) from None
-        raise ValueError(
-            f"trace mismatch at edge {trace._edges[i]}: recorded {tiers[i]}, got {got}"
-        ) from None
+            raise ValueError(f"trace step {i} (edge {edge}) records no tier") from None
+        raise ValueError(f"trace mismatch at edge {edge}: recorded {tiers[i]}, got {got}") from None

@@ -2,13 +2,12 @@
 
 A coloring lives on the full graph; uncolored edges are first-class (the
 whole extension procedure reasons about colorings of G minus one edge).
-State is kept two ways at once, each serving a different access pattern:
+Its one store is a per-vertex color -> neighbor dict, which answers
+membership and alternating-walk steps in O(1).  Every other read is made
+from it: the color of one edge by a scan of the shorter of its two rows,
+and iteration in edge order by one pass over the rows and a sort.
 
- * a per-vertex color -> neighbor dict, which answers membership and
-   alternating-walk steps in O(1),
- * a canonical edge -> color dict for iteration and serialization.
-
-Beside them sit two aids to first-fit extension, which
+Beside it sit two aids to first-fit extension, which
 `PartialEdgeColoring._first_fit` reads and neither of which changes an
 answer: a skip map per vertex, made on first use, that jumps runs of used
 colors; and a cache of the far ends of long two-colored paths, so that
@@ -19,7 +18,8 @@ All of it takes O(n + m) memory whatever the palette size and color values.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ImproperColoringError
 from .graphs import Graph, _canon
@@ -29,6 +29,9 @@ Color = int
 
 class PartialEdgeColoring:
     """Proper partial edge coloring over palette [1..k].
+
+    Its one store, `_nbr[v]`, maps each color at v to the neighbor across
+    that edge; `color_of` scans the shorter of two rows, O(min degree).
 
     `assign` rejects any color clash, and its unchecked core `_put` is
     called only where its checks are known to hold, so instances are
@@ -55,7 +58,7 @@ class PartialEdgeColoring:
     aids.
     """
 
-    __slots__ = ("graph", "k", "_nbr", "_colors", "_skip", "_ends", "violations")
+    __slots__ = ("graph", "k", "_nbr", "_skip", "_ends", "violations")
 
     def __init__(self, graph: Graph, k: int):
         if k < 0:
@@ -63,7 +66,6 @@ class PartialEdgeColoring:
         self.graph = graph
         self.k = k
         self._nbr: list[dict[Color, int]] = [{} for _ in range(graph.n)]
-        self._colors: dict[tuple[int, int], int] = {}
         self._skip: dict[int, dict[Color, Color]] = {}
         self._ends = _PathEnds()
         self.violations: list[tuple[int, int, int]] = []
@@ -113,7 +115,6 @@ class PartialEdgeColoring:
         has_edge = self.graph.has_edge
         check = not edges_checked
         nbr = self._nbr
-        colors = self._colors
         k = self.k
         ends = self._ends
         for u, v, c in rows:
@@ -121,11 +122,10 @@ class PartialEdgeColoring:
                 continue
             if check and not has_edge(u, v):
                 raise ValueError(f"({u},{v}) is not an edge")
-            e = (u, v) if u < v else (v, u)
             if not 1 <= c <= k:
                 raise ValueError(f"color {c} outside palette [1..{k}]")
-            if check and e in colors:
-                raise ValueError(f"edge {e} already colored; unassign first")
+            if check and self.color_of(u, v) is not None:
+                raise ValueError(f"edge {_canon(u, v)} already colored; unassign first")
             nu = nbr[u]
             nv = nbr[v]
             if c in nu:
@@ -135,7 +135,6 @@ class PartialEdgeColoring:
             else:
                 nu[c] = v
                 nv[c] = u
-                colors[e] = c
                 if ends:
                     ends.join(nbr, u, v, c)
                 continue
@@ -143,26 +142,23 @@ class PartialEdgeColoring:
                 raise ImproperColoringError(f"color {c} already at vertex {clash}")
             self.violations.append((u, v, c))
 
-    def _put(self, u: int, v: int, e: tuple[int, int], c: Color) -> None:
+    def _put(self, u: int, v: int, c: Color) -> None:
         """The writes of `assign` without its checks; private.
 
         The caller guarantees what `assign` checks: uv is an uncolored edge
-        of the graph, e is its canonical form, and c is in 1..k and free at
-        both ends.  A color from `_first_fit` is all of that.  `_write`
-        makes the same writes inline.
+        of the graph, and c is in 1..k and free at both ends.  A color from
+        `_first_fit` is all of that.  `_write` makes the same writes inline.
         """
         nbr = self._nbr
         nbr[u][c] = v
         nbr[v][c] = u
-        self._colors[e] = c
         if self._ends:
             self._ends.join(nbr, u, v, c)
 
     def unassign(self, u: int, v: int) -> Color:
-        e = _canon(u, v)
-        c = self._colors.pop(e, None)
+        c = self.color_of(u, v)
         if c is None:
-            raise ValueError(f"edge {e} is not colored")
+            raise ValueError(f"edge {_canon(u, v)} is not colored")
         del self._nbr[u][c]
         del self._nbr[v][c]
         skip = self._skip
@@ -174,7 +170,13 @@ class PartialEdgeColoring:
         return c
 
     def color_of(self, u: int, v: int) -> Optional[Color]:
-        return self._colors.get(_canon(u, v))
+        # a scan of the shorter row; an id outside 0..n-1 is never an index
+        nbr = self._nbr
+        if not (0 <= u < len(nbr) and 0 <= v < len(nbr)):
+            return None
+        if len(nbr[v]) < len(nbr[u]):
+            u, v = v, u
+        return next((c for c, w in nbr[u].items() if w == v), None)
 
     def _next_free(self, v: int, c: Color) -> Color:
         """The least color >= c not used at v.
@@ -237,32 +239,44 @@ class PartialEdgeColoring:
         return [c for c in range(1, self.k + 1) if c not in nx and c not in ny]
 
     def is_complete(self) -> bool:
-        return len(self._colors) == self.graph.m
+        return self.colored_edge_count() == self.graph.m
 
     def colored_edge_count(self) -> int:
-        return len(self._colors)
+        return sum(map(len, self._nbr)) // 2  # each edge is in both its rows
 
     def items(self) -> list[tuple[tuple[int, int], Color]]:
-        # edge keys are distinct, so sorting them alone gives the same order
-        colors = self._colors
-        return [(e, colors[e]) for e in sorted(colors)]
+        # ((u, v), color), u < v, in edge order: each edge is read at its
+        # lower end, and sorting on the distinct edges alone is enough
+        pairs = [((u, w), c) for u, row in enumerate(self._nbr) for c, w in row.items() if u < w]
+        pairs.sort(key=itemgetter(0))
+        return pairs
+
+    def _edge_rows(self) -> Iterator[tuple[int, int, Optional[Color]]]:
+        # (u, v, color or None) for every edge u < v of the graph, in edge
+        # order; each row is inverted once, so a hub costs its degree, not
+        # its square
+        for u, (row, adj) in enumerate(zip(self._nbr, self.graph._adj)):
+            if adj and adj[-1] > u:  # adj is sorted
+                color = {w: c for c, w in row.items()}.get
+                for v in adj:
+                    if u < v:
+                        yield u, v, color(v)
 
     def max_color_used(self) -> int:
-        return max(self._colors.values(), default=0)
+        nbr = self._nbr  # each edge's color is read once, at its lower end
+        return max((c for u, row in enumerate(nbr) for c, w in row.items() if u < w), default=0)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PartialEdgeColoring)
             and self.k == other.k
             and self.graph == other.graph
-            and self._colors == other._colors
+            and self._nbr == other._nbr
         )
 
     def __repr__(self) -> str:
-        return (
-            f"PartialEdgeColoring(k={self.k}, colored={len(self._colors)}"
-            f"/{self.graph.m})"
-        )
+        m = self.graph.m
+        return f"PartialEdgeColoring(k={self.k}, colored={self.colored_edge_count()}/{m})"
 
 
 class CycleWitness(NamedTuple):

@@ -95,7 +95,8 @@ def search_acyclic_coloring(
     color table from the start, so every cycle test sees them, and they
     keep their colors and are not in the result.  Fixed colors are not
     interchangeable, so the symmetry cap applies only when `fixed` is
-    empty.
+    empty.  A fixed edge with an id outside 0..n-1, a self-loop, an edge
+    of g or a color clash at an end is refused (ValueError).
     """
     if k < 0:
         raise ValueError(f"palette size must be nonnegative, got {k}")
@@ -114,6 +115,8 @@ def search_acyclic_coloring(
     # loop skips its edge and palette checks
     nbr: list[dict[int, int]] = [{} for _ in range(g.n)]
     for (a, b), c in (fixed or {}).items():
+        if a == b or not (0 <= a < g.n and 0 <= b < g.n):
+            raise ValueError(f"fixed edge ({a}, {b}) needs two distinct vertices in 0..{g.n - 1}")
         if g.has_edge(a, b) or c in nbr[a] or c in nbr[b]:
             raise ValueError(f"fixed edge ({a}, {b}) is an edge of g or clashes at an end")
         nbr[a][c] = b

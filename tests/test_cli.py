@@ -385,9 +385,10 @@ class TestVerify:
         )
         assert peak < 2**20
 
-    def test_rebuild_peaks_under_420_bytes_per_edge(self, apollonian_10k):
-        # the graph and the coloring take about 400 B per edge together
-        # (Python 3.11); the load may add no list of its own to that peak
+    def test_rebuild_peaks_under_260_bytes_per_edge(self, apollonian_10k):
+        # the graph and the coloring take about 227 B per edge together
+        # (Python 3.11), against 286 while the coloring also kept an
+        # edge -> color dict; the load may add no list of its own to that peak
         g, phi, text = apollonian_10k
         doc = json.loads(text)
         tracemalloc.start()
@@ -397,14 +398,15 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert g2 == g and phi2.items() == phi.items()
-        assert peak / g.m < 420
+        assert peak / g.m < 260
 
-    def test_verify_peaks_under_800_bytes_per_edge(self, apollonian_10k):
+    def test_verify_peaks_under_520_bytes_per_edge(self, apollonian_10k):
         # verify frees the parsed document once the rows are read, so the
         # graph and the coloring reuse that memory, and its row pass keeps
-        # the ids, not an edge set: about 510-530 B per edge with the
-        # document text (Python 3.11), against 595 when the row pass filed
-        # every edge in a set and 1030 when the document lived to the end
+        # the ids, not an edge set: about 470 B per edge with the document
+        # text (Python 3.11), against 510-530 while the coloring also kept
+        # an edge -> color dict, 595 when the row pass filed every edge in
+        # a set and 1030 when the document lived to the end
         g, _, text = apollonian_10k
         tracemalloc.start()
         try:
@@ -413,7 +415,7 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert (code, err) == (0, "") and json.loads(out)["status"] == "acyclic"
-        assert peak / g.m < 580
+        assert peak / g.m < 520
 
     def test_sparse_ids_reported_as_given(self, capsys, monkeypatch):
         # the alternating square and its pendant edge on ids x 1000: the

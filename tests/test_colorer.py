@@ -167,9 +167,9 @@ def peeled(g):
     """`_peel(g)`'s record as (edge, vertex, kind) triples, after checking
     it against the reference loop, and the steps that `acolor(g)`'s trace
     builds on first read against the loop's full configurations."""
-    edges, vertices, kinds = [], [], []
-    _peel(g, edges, vertices, kinds)
-    got = list(zip(edges, vertices, kinds))
+    us, vertices, kinds = [], [], []
+    _peel(g, us, vertices, kinds)
+    got = [((min(u, v), max(u, v)), v, kind) for u, v, kind in zip(us, vertices, kinds)]
     ref = reference_reduction(g, [])
     assert got == records(ref)
     steps = acolor(g)[1].steps
@@ -192,9 +192,10 @@ class TestReducer:
         seen = set()
         for _, g in reduction_cases():
             adj = [set(g.neighbors(v)) for v in g.vertices()]
-            edges: list = []
-            _peel(g, edges, [], [])
-            for a, b in edges:
+            us: list = []
+            vertices: list = []
+            _peel(g, us, vertices, [])
+            for a, b in zip(us, vertices):
                 adj[a].remove(b)
                 adj[b].remove(a)
                 for x in (a, b):
@@ -290,12 +291,12 @@ class TestReducer:
         ref: list = []
         with pytest.raises(NotPlanarEvidence) as want:
             reference_reduction(g, ref)
-        edges: list = []
+        us: list = []
         vertices: list = []
         kinds: list = []
         with pytest.raises(NotPlanarEvidence) as have:
-            _peel(g, edges, vertices, kinds)
-        got = list(zip(edges, vertices, kinds))
+            _peel(g, us, vertices, kinds)
+        got = [((min(u, v), max(u, v)), v, kind) for u, v, kind in zip(us, vertices, kinds)]
         assert len(got) == 4 and got == records(ref)
         assert str(have.value) == str(want.value)
         assert "n=12, m=21" in str(have.value)
@@ -765,6 +766,22 @@ class TestTrace:
         with pytest.raises(ValueError, match=f"trace step 2 .* vertex {off}$"):
             replay_trace(g, ReductionTrace(tuple(steps)))
 
+    def test_trace_refuses_vertex_off_its_edge(self):
+        # the trace keeps each step's far end, which such a step lacks, so
+        # the refusal comes when the trace is built, before any replay
+        g = cycle_graph(5)
+        _, trace = acolor(g)
+        steps = list(trace.steps)
+        step = steps[2]
+        off = next(x for x in g.vertices() if x not in step.edge)
+        steps[2] = TraceStep(step.edge, step.config._replace(vertex=off), step.tier)
+        with pytest.raises(ValueError) as exc:
+            ReductionTrace(tuple(steps))
+        assert str(exc.value) == (
+            f"trace step 2 removes edge {step.edge}, which does not meet "
+            f"its configuration vertex {off}"
+        )
+
     def test_only_steps_build_configurations(self, monkeypatch, tmp_path):
         # colouring, replay, len, the JSON document and `color --trace` read
         # the flat record; the first read of `steps` matches each step once
@@ -806,8 +823,11 @@ class TestTrace:
     def test_record_stays_small(self):
         # the live trace beyond the colouring holds four lists, a pointer
         # per step each, plus an int object per vertex: about 35 B per edge
-        # (Python 3.11), against 331 with a Configuration per step; the
-        # peak of `acolor` itself fell from 684 to about 346 B per edge
+        # (Python 3.11), against 331 with a Configuration per step.  The
+        # peak of `acolor` itself fell from 684 to 335 B per edge with
+        # those lists, and to about 222 once the colouring kept its colors
+        # only in the per-vertex rows and the peel stopped making a tuple
+        # per edge
         g, _ = generate_apollonian(30000, seed=11)
         tracemalloc.start()
         try:
@@ -819,7 +839,7 @@ class TestTrace:
             tracemalloc.stop()
         assert phi.is_complete()
         assert (live - colouring) / g.m < 40
-        assert peak / g.m < 450
+        assert peak / g.m < 280
 
 
 def refuse_first_fit(monkeypatch, target):
@@ -833,9 +853,9 @@ def refuse_first_fit(monkeypatch, target):
             return None
         return first_fit(phi, u, v)
 
-    def recorded(phi, u, v, e, c):
-        puts.append((phi, e))
-        put(phi, u, v, e, c)
+    def recorded(phi, u, v, c):
+        puts.append((phi, (min(u, v), max(u, v))))
+        put(phi, u, v, c)
 
     monkeypatch.setattr(PartialEdgeColoring, "_first_fit", refusing)
     monkeypatch.setattr(PartialEdgeColoring, "_put", recorded)

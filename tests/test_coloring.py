@@ -109,6 +109,18 @@ class TestPartialColoring:
             with pytest.raises(ValueError, match="out of range"):
                 phi.free_colors(x, y)
 
+    def test_off_range_edge_is_not_read_as_an_index(self):
+        # the rows are the only store, and nbr[-1] is the last vertex's row:
+        # on the triangle a wrapped lookup of (-1, 0) would read (2, 0)
+        triples = [(0, 1, 1), (1, 2, 2), (0, 2, 3)]
+        phi = colored(cycle_graph(3), 3, triples)
+        for x, y in [(-1, 0), (0, -1), (3, 0), (0, 3)]:
+            assert phi.color_of(x, y) is None
+        with pytest.raises(ValueError) as exc:
+            phi.unassign(-1, 0)
+        assert str(exc.value) == "edge (-1, 0) is not colored"
+        assert phi == colored(cycle_graph(3), 3, triples)
+
     def test_completeness_flag(self):
         g = path_graph(3)
         phi = colored(g, 3, [(0, 1, 1)])
@@ -349,6 +361,8 @@ class TestExtensionAids:
             "apollonian": lambda: generate_apollonian(rng.randint(4, 40), seed)[0],
         }[family]()
         phi = PartialEdgeColoring(g, g.max_degree() + slack)
+        # a plain edge -> color dict beside the rows, which are the only store
+        mirror: dict = {}
         comparisons = 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(coloring, "_CACHE_MIN_WALK", 0)
@@ -365,16 +379,34 @@ class TestExtensionAids:
                         c = rng.choice(free or [None])
                     if c is not None:
                         phi.assign(x, y, c)
+                        mirror[x, y] = c
                 elif colored_edges and op < 0.85:
-                    phi.unassign(*rng.choice(colored_edges))
+                    e = rng.choice(colored_edges)
+                    assert phi.unassign(*e) == mirror.pop(e)
                 elif colored_edges:
                     x, y = rng.choice(colored_edges)
                     free = phi.free_colors(x, y)
                     if free:
                         phi.unassign(x, y)
-                        phi.assign(x, y, rng.choice(free))
+                        mirror[x, y] = rng.choice(free)
+                        phi.assign(x, y, mirror[x, y])
+                self.check_mirror(phi, mirror)
                 comparisons += self.check(phi, rng)
         assert comparisons > 0
+
+    @staticmethod
+    def check_mirror(phi, mirror):
+        g = phi.graph
+        assert phi.items() == sorted(mirror.items())
+        for x, y in g.edges():
+            assert phi.color_of(x, y) == phi.color_of(y, x) == mirror.get((x, y))
+        assert phi.colored_edge_count() == len(mirror)
+        assert phi.is_complete() == (len(mirror) == g.m)
+        assert phi.max_color_used() == max(mirror.values(), default=0)
+        rows = [(x, y, c) for (x, y), c in mirror.items()]
+        assert phi == PartialEdgeColoring.from_pairs(g, phi.k, rows)
+        if rows:
+            assert phi != PartialEdgeColoring.from_pairs(g, phi.k, rows[1:])
 
 
 class TestFindBichromaticCycle:

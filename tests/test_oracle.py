@@ -222,6 +222,17 @@ class TestFixedEdges:
         with pytest.raises(ValueError, match="fixed edge"):
             search_acyclic_coloring(Graph(4, [(0, 1)]), 3, fixed=fixed)
 
+    @pytest.mark.parametrize(
+        "edge", [(-1, 0), (0, 3), (1, 1)], ids=["negative-id", "id-past-n", "self-loop"]
+    )
+    def test_fixed_edge_off_the_vertices_is_refused(self, edge):
+        # on the path 0-1-2, (-1, 0) once wrapped round to vertex 2 and
+        # returned a coloring, (0, 3) raised IndexError, and the self-loop
+        # was written into the table
+        with pytest.raises(ValueError) as exc:
+            search_acyclic_coloring(path_graph(3), 3, fixed={edge: 1})
+        assert str(exc.value) == f"fixed edge {edge} needs two distinct vertices in 0..2"
+
 
 class TestEnumerateCycles:
     def test_k4_has_seven_cycles(self):
