@@ -72,9 +72,6 @@ class TraceStep(NamedTuple):
     config: Configuration
     tier: str
 
-    def to_json_dict(self) -> dict:
-        return ReductionTrace((self,)).to_json_dict()["steps"][0]
-
 
 def _configurations(
     g: Graph, us: list[int], vertices: list[int], kinds: list[str]
@@ -316,13 +313,12 @@ def _write_found(phi: PartialEdgeColoring, found: dict[tuple[int, int], int]) ->
         phi.assign(u, v, c)
 
 
-def _escalate(ctx: ExtensionContext, budget: Optional[SearchBudget]) -> str:
-    # T2, then T3, for an edge on which T1 has just failed; returns the
-    # tier.  The only use of the oracle here, so a run that never
-    # escalates never imports it
+def _escalate(phi: PartialEdgeColoring, u: int, v: int, budget: Optional[SearchBudget]) -> str:
+    # T2, then T3, for the uncolored edge uv on which T1 has just failed;
+    # returns the tier.  The only use of the oracle here, so a run that
+    # never escalates never imports it
     from .oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
 
-    phi, u, v = ctx.phi, ctx.u, ctx.v
     n, k, nbr = phi.graph.n, phi.k, phi._nbr
     ball = {u, v, *nbr[u].values(), *nbr[v].values()}
     inner, fixed = [(u, v)], {}
@@ -367,7 +363,7 @@ def extend_at_edge(
     phi, u, v = ctx.phi, ctx.u, ctx.v
     c = phi._first_fit(u, v)
     if c is None:
-        return phi, _escalate(ctx, budget)
+        return phi, _escalate(phi, u, v, budget)
     # the context holds uv as an uncolored edge, and c is free at both ends
     phi._put(u, v, c)
     return phi, "T1"
@@ -391,13 +387,13 @@ def _reinsert(
     # per step, kept for the loop, made replay about 20% slower in the
     # garbage collector.)
     #
-    # A first-fit color is written with the unchecked `_put`, and an
-    # ExtensionContext, with its guards, is built only on escalation.  The
-    # checks `assign` would make hold because (1) each (us[i], vertices[i])
-    # is an edge of g, from `_peel(g, ...)` or checked by `replay_trace`'s
-    # pass over g's rows; (2) each is re-inserted once, so it is uncolored when
-    # reached; (3) the coloring is built only by proper writes, so it stays
-    # proper; (4) `_first_fit` returns only a color in 1..k free at both ends.
+    # A first-fit color is written with the unchecked `_put`, and escalation
+    # gets phi, u and v, not an ExtensionContext.  What `assign` and its guards
+    # check holds: phi is made here on g; (1) each (us[i], vertices[i]) is an
+    # edge of g, from `_peel(g, ...)` or checked by `replay_trace`'s pass over
+    # g's rows; (2) each is re-inserted once, so it is uncolored when reached;
+    # (3) the coloring is built only by proper writes, so it stays proper;
+    # (4) `_first_fit` returns only a color in 1..k free at both ends.
     phi = PartialEdgeColoring(g, g.max_degree() + 10)
     # every tier edits phi in place, so its bound methods hold throughout
     first_fit, put = phi._first_fit, phi._put
@@ -408,7 +404,7 @@ def _reinsert(
             put(u, v, c)
             tier = "T1"
         else:
-            tier = _escalate(ExtensionContext(g, phi, u, v), None)
+            tier = _escalate(phi, u, v, None)
         if tier != tiers[i]:
             if not record:
                 raise _TierMismatch(i, tier)

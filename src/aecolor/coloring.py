@@ -93,8 +93,8 @@ class PartialEdgeColoring:
         """Color the uncolored edge uv with c: the public, checked write.
 
         Refuses a non-edge, a color outside 1..k or an edge already colored
-        (ValueError) and a color already at u, then at v
-        (ImproperColoringError).
+        (ValueError), a bool, float or other non-int color (TypeError) and
+        a color already at u, then at v (ImproperColoringError).
         """
         if c is None:
             raise TypeError("assign needs a color; unassign uncolors an edge")
@@ -108,10 +108,10 @@ class PartialEdgeColoring:
     ) -> None:
         # the one checked row loop, behind `assign`, `from_pairs` and the
         # CLI's document load; a row colored None is skipped.  The checks
-        # run in the order non-edge, palette, already colored, properness.
-        # With `edges_checked` the caller vouches that the rows are edges
-        # of the graph, each given once, as when `Graph` has just been
-        # built from these rows, and the two edge checks are skipped
+        # run in the order non-edge, int, palette, already colored, properness.
+        # With `edges_checked` the caller vouches that the rows are edges of
+        # the graph, each given once, with int colors, as the CLI's
+        # type-checked rows are, and the edge and int checks are skipped
         has_edge = self.graph.has_edge
         check = not edges_checked
         nbr = self._nbr
@@ -122,6 +122,8 @@ class PartialEdgeColoring:
                 continue
             if check and not has_edge(u, v):
                 raise ValueError(f"({u},{v}) is not an edge")
+            if check and type(c) is not int:
+                raise TypeError(f"color {c!r} is not an int")
             if not 1 <= c <= k:
                 raise ValueError(f"color {c} outside palette [1..{k}]")
             if check and self.color_of(u, v) is not None:
@@ -230,13 +232,6 @@ class PartialEdgeColoring:
             else:
                 return c
         return None
-
-    def free_colors(self, x: int, y: int) -> list[Color]:
-        """Ascending colors in 1..k absent at both x and y."""
-        self.graph._check(x)
-        self.graph._check(y)
-        nx, ny = self._nbr[x], self._nbr[y]
-        return [c for c in range(1, self.k + 1) if c not in nx and c not in ny]
 
     def is_complete(self) -> bool:
         return self.colored_edge_count() == self.graph.m

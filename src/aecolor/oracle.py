@@ -5,8 +5,8 @@ cycle detection, and color symmetry breaking (the i-th newly introduced
 color is at most i) when no edge is pre-colored.  A palette below `_lower_bound` (Δ, and the forest
 bound of each component) is refused before the search counts a node.
 What the bound does not settle is searched exhaustively, in time that can
-grow exponentially with m; the search budget turns an unfinished search
-into the explicit EXHAUSTED outcome, never a silent wrong answer.
+grow exponentially with m; a budget of search nodes turns an unfinished
+search into the explicit EXHAUSTED outcome, never a silent wrong answer.
 
 The module also houses the independent brute-force cycle enumerator the
 test suite compares the bichromatic-cycle scan against.
@@ -14,7 +14,6 @@ test suite compares the bichromatic-cycle scan against.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -25,13 +24,10 @@ from .graphs import Graph
 @dataclass(frozen=True)
 class SearchBudget:
     max_nodes: int = 200_000_000
-    wall_seconds: Optional[float] = None
 
     def __post_init__(self):
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.wall_seconds is not None and self.wall_seconds <= 0:
-            raise ValueError("wall_seconds must be positive")
 
 
 class Exhausted:
@@ -95,8 +91,8 @@ def search_acyclic_coloring(
     color table from the start, so every cycle test sees them, and they
     keep their colors and are not in the result.  Fixed colors are not
     interchangeable, so the symmetry cap applies only when `fixed` is
-    empty.  A fixed edge with an id outside 0..n-1, a self-loop, an edge
-    of g or a color clash at an end is refused (ValueError).
+    empty.  An id outside 0..n-1, a self-loop, a bool, float or color outside
+    1..k, an edge of g or a clash at an end in `fixed` is refused (ValueError).
     """
     if k < 0:
         raise ValueError(f"palette size must be nonnegative, got {k}")
@@ -104,9 +100,7 @@ def search_acyclic_coloring(
         return {}
     if k < _lower_bound(g):
         return None
-    budget = budget or SearchBudget()
-    max_nodes = budget.max_nodes
-    deadline = None if budget.wall_seconds is None else time.monotonic() + budget.wall_seconds
+    max_nodes = (budget or SearchBudget()).max_nodes
     # descending endpoint degree sum, then edge id (the sort is stable):
     # strongest pruning first
     deg = g.degree
@@ -117,6 +111,8 @@ def search_acyclic_coloring(
     for (a, b), c in (fixed or {}).items():
         if a == b or not (0 <= a < g.n and 0 <= b < g.n):
             raise ValueError(f"fixed edge ({a}, {b}) needs two distinct vertices in 0..{g.n - 1}")
+        if type(c) is not int or not 1 <= c <= k:
+            raise ValueError(f"fixed edge ({a}, {b}): color {c} outside palette [1..{k}]")
         if g.has_edge(a, b) or c in nbr[a] or c in nbr[b]:
             raise ValueError(f"fixed edge ({a}, {b}) is an edge of g or clashes at an end")
         nbr[a][c] = b
@@ -140,8 +136,6 @@ def search_acyclic_coloring(
         while c <= cap:
             nodes += 1
             if nodes > max_nodes:
-                return EXHAUSTED
-            if deadline is not None and not nodes & 2047 and time.monotonic() > deadline:
                 return EXHAUSTED
             if c not in nu and c not in nv and not closes_cycle(nbr, u, v, c):
                 break

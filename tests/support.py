@@ -77,11 +77,16 @@ def random_proper_coloring(
     edges = g.edges()
     rng.shuffle(edges)
     for u, v in edges:
-        free = phi.free_colors(u, v)
+        free = free_colors(phi, u, v)
         if not free:
             return None
         phi.assign(u, v, rng.choice(free))
     return phi
+
+
+def free_colors(phi: PartialEdgeColoring, x: int, y: int) -> list[int]:
+    """Ascending colors in 1..k absent at both x and y."""
+    return [c for c in range(1, phi.k + 1) if c not in phi._nbr[x] and c not in phi._nbr[y]]
 
 
 def all_pairs_bichromatic_cycle(phi: PartialEdgeColoring) -> CycleWitness | None:

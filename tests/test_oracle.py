@@ -1,4 +1,3 @@
-import time
 from collections import Counter
 
 import networkx as nx
@@ -170,15 +169,12 @@ class TestBudget:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             SearchBudget(max_nodes=0)
-        with pytest.raises(ValueError):
-            SearchBudget(max_nodes=10, wall_seconds=-1.0)
 
-    def test_wall_clock_budget_exhausts(self):
-        # a node budget far out of reach, so only the deadline can stop it
-        budget = SearchBudget(max_nodes=10**9, wall_seconds=0.2)
-        start = time.monotonic()
-        assert search_acyclic_coloring(grid_graph(10, 10), 4, budget) is EXHAUSTED
-        assert time.monotonic() - start < 5
+    def test_symmetry_cap_keeps_an_infeasible_search_small(self):
+        # the octahedron is infeasible at k = 5 (χ'a = 6); the search proves
+        # it in 1035 nodes, and without the cap (cap = k) it needs 64k-128k
+        g, _ = octahedron()
+        assert is_acyclically_k_colorable(g, 5, SearchBudget(max_nodes=2000)) is False
 
     def test_generous_budget_still_exact(self):
         assert exact_chi_a(complete_graph(4), SearchBudget(max_nodes=10**7)) == 5
@@ -216,7 +212,16 @@ class TestFixedEdges:
         assert search_acyclic_coloring(Graph(4, [(0, 3)]), 3, fixed=fixed) == {(0, 3): 3}
 
     @pytest.mark.parametrize(
-        "fixed", [{(0, 1): 1}, {(1, 2): 1, (2, 3): 1}], ids=["edge-of-g", "clash"]
+        "fixed",
+        [
+            {(0, 1): 1},
+            {(1, 2): 1, (2, 3): 1},
+            {(1, 2): 99},
+            {(1, 2): 0},
+            {(1, 2): True},
+            {(1, 2): 2.5},
+        ],
+        ids=["edge-of-g", "clash", "color-past-k", "color-zero", "bool-color", "float-color"],
     )
     def test_bad_fixed_edges_are_refused(self, fixed):
         with pytest.raises(ValueError, match="fixed edge"):
