@@ -204,7 +204,7 @@ def cmd_gen(args) -> int:
         if args.apollonian < 3:
             raise _UsageError("--apollonian needs n >= 3")
         if args.apollonian > MAX_VERTICES:
-            # `color` refuses such a graph, and generation is quadratic in n
+            # `color` refuses such a graph
             raise _UsageError(f"--apollonian needs n <= {MAX_VERTICES}")
         g, rot = generate_apollonian(args.apollonian, seed=args.seed)
     else:

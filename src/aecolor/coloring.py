@@ -30,6 +30,9 @@ Color = int
 class PartialEdgeColoring:
     """Proper partial edge coloring over palette [1..k].
 
+    The palette size k is a nonnegative int: a negative one is refused
+    (ValueError), and a bool, float or other non-int one (TypeError).
+
     Its one store, `_nbr[v]`, maps each color at v to the neighbor across
     that edge; `color_of` scans the shorter of two rows, O(min degree).
 
@@ -61,6 +64,8 @@ class PartialEdgeColoring:
     __slots__ = ("graph", "k", "_nbr", "_skip", "_ends", "violations")
 
     def __init__(self, graph: Graph, k: int):
+        if type(k) is not int:
+            raise TypeError(f"palette size {k!r} is not an int")
         if k < 0:
             raise ValueError(f"palette size must be nonnegative, got {k}")
         self.graph = graph

@@ -18,19 +18,22 @@ Dart = tuple[int, int]
 
 
 class RotationSystem:
-    """Per-vertex cyclic neighbor order (clockwise by convention)."""
+    """Per-vertex cyclic neighbor order (clockwise by convention).
+
+    A repeated neighbor is refused when the system is built.  The
+    successor index, one neighbor -> next neighbor dict per vertex, is
+    built on the first `successor` call, so a rotation that is only
+    formatted never pays for it.
+    """
 
     __slots__ = ("_order", "_succ")
 
     def __init__(self, order: Iterable[Sequence[int]]):
         self._order = tuple(tuple(nbrs) for nbrs in order)
-        succ = []
         for v, nbrs in enumerate(self._order):
             if len(set(nbrs)) != len(nbrs):
                 raise InvalidRotationError(f"repeated neighbor in rotation at {v}")
-            d = len(nbrs)
-            succ.append({nbrs[i]: nbrs[(i + 1) % d] for i in range(d)})
-        self._succ = tuple(succ)
+        self._succ: Optional[tuple[dict[int, int], ...]] = None
 
     @property
     def n(self) -> int:
@@ -41,8 +44,11 @@ class RotationSystem:
 
     def successor(self, v: int, u: int) -> int:
         """The neighbor after u in the cyclic order at v."""
+        succ = self._succ
+        if succ is None:
+            succ = self._succ = tuple(dict(zip(r, r[1:] + r[:1])) for r in self._order)
         try:
-            return self._succ[v][u]
+            return succ[v][u]
         except KeyError:
             raise InvalidRotationError(f"{u} is not in the rotation at {v}") from None
 
@@ -147,53 +153,70 @@ def trace_faces(g: Graph, rot: RotationSystem) -> FaceSet:
     return fs
 
 
-class _Stacker:
-    """Grows a triangulation by inserting vertices into triangular faces.
+# Live faces are held in blocks of about this many, so that a pick scans the
+# block lengths and pops inside one block instead of shifting every later
+# face.  Timed on the face store alone at n = 10**6, 2**14 took 9.3 s against
+# 13.5 s at 2**13 and 8.6 s at 2**15: fewer blocks to scan trade against
+# longer pops.  A graph on up to 8195 vertices keeps one block.
+_BLOCK = 1 << 14
 
-    Faces are kept as oriented corner triples (a, b, c) standing for the
-    dart walk a->b->c->a.  Inserting w into (a, b, c) splits it into
-    (a, b, w), (b, c, w), (c, a, w) and splices w into the three rotations
-    so every face walk stays a triangle.
+
+def _stack(n: int, ranks: Iterable[int]) -> tuple[Graph, RotationSystem]:
+    """Grow a triangle to n vertices by inserting w = 3, ..., n-1 in turn,
+    each into the ranks[w-3]-th live face.
+
+    Faces are oriented corner triples (a, b, c) standing for the dart walk
+    a->b->c->a, ranked in creation order: the triangle's two faces are
+    (0, 1, 2) and (0, 2, 1), and inserting w into (a, b, c) removes it and
+    creates (a, b, w), (b, c, w), (c, a, w) last, in that order.  Before
+    the j-th insertion (from 0) there are 2 + 2j live faces, and a rank
+    must be below that.  The insertion splices w into the rotations at a,
+    b and c so every face walk stays a triangle.
     """
-
-    def __init__(self):
-        self.rotations: list[list[int]] = [[1, 2], [2, 0], [0, 1]]
-        self.edges: list[tuple[int, int]] = [(0, 1), (0, 2), (1, 2)]
-        self.faces: list[tuple[int, int, int]] = [(0, 1, 2), (0, 2, 1)]
-
-    def insert_at(self, face_index: int) -> int:
-        a, b, c = self.faces.pop(face_index)
-        w = len(self.rotations)
-        self.rotations.append([b, a, c])
-        ra, rb, rc = self.rotations[a], self.rotations[b], self.rotations[c]
-        ra.insert(ra.index(c) + 1, w)
-        rb.insert(rb.index(a) + 1, w)
-        rc.insert(rc.index(b) + 1, w)
-        self.edges += [(a, w), (b, w), (c, w)]
-        self.faces += [(a, b, w), (b, c, w), (c, a, w)]
-        return w
-
-    def insert_into(self, face: tuple[int, int, int]) -> int:
-        return self.insert_at(self.faces.index(face))
-
-    def build(self) -> tuple[Graph, RotationSystem]:
-        n = len(self.rotations)
-        return Graph(n, self.edges), RotationSystem(self.rotations)
+    rots: list[list[int]] = [[1, 2], [2, 0], [0, 1]]
+    edges: list[tuple[int, int]] = [(0, 1), (0, 2), (1, 2)]
+    tail: list[tuple[int, int, int]] = [(0, 1, 2), (0, 2, 1)]
+    blocks = [tail]
+    for w, k in zip(range(3, n), ranks):
+        for block in blocks:
+            size = len(block)
+            if k < size:
+                break
+            k -= size
+        a, b, c = block.pop(k)
+        rots.append([b, a, c])
+        r = rots[a]
+        r.insert(r.index(c) + 1, w)
+        r = rots[b]
+        r.insert(r.index(a) + 1, w)
+        r = rots[c]
+        r.insert(r.index(b) + 1, w)
+        edges += ((a, w), (b, w), (c, w))
+        if len(tail) >= _BLOCK:
+            tail = []
+            blocks.append(tail)
+        tail += ((a, b, w), (b, c, w), (c, a, w))
+    # the graph build sets the peak memory, so the faces go first: at
+    # n = 10**6 that lowers the peak RSS of `gen` from 1013 to 891 MB
+    for block in blocks:
+        block.clear()
+    return Graph(n, edges), RotationSystem(rots)
 
 
 def generate_apollonian(n: int, seed: int) -> tuple[Graph, RotationSystem]:
     """Random stacked triangulation on n vertices; m = 3n - 6.
 
     Starts from a triangle and repeatedly inserts a vertex inside a
-    uniformly chosen face.  Deterministic for fixed (n, seed).
+    uniformly chosen face.  What keeps the graph and rotation of a fixed
+    (n, seed) the same whatever stores the faces: before the j-th
+    insertion there are 2 + 2j live faces, it draws k = randrange(2 + 2j),
+    and it inserts into the k-th live face in creation order (see
+    `_stack`).
     """
     if n < 3:
         raise ValueError(f"triangulations need n >= 3, got {n}")
     rng = random.Random(seed)
-    st = _Stacker()
-    for _ in range(n - 3):
-        st.insert_at(rng.randrange(len(st.faces)))
-    return st.build()
+    return _stack(n, map(rng.randrange, range(2, 2 * n - 4, 2)))
 
 
 def parse_rotation(text: str, g: Graph) -> RotationSystem:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .embedding import RotationSystem, _Stacker, trace_faces
+from .embedding import RotationSystem, _stack, trace_faces
 from .graphs import Graph
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -172,11 +172,9 @@ def triakis_tetrahedron() -> tuple[Graph, RotationSystem]:
     Every vertex has degree 3 or 6, so no discharging-rule precondition can
     fail; used to exercise a full clean discharging pass.
     """
-    st = _Stacker()
-    st.insert_at(0)  # triangle -> K4
-    for face in list(st.faces):
-        st.insert_into(face)
-    return st.build()
+    # rank 0 is the oldest live face: the first insertion makes K4 out of
+    # the triangle, and each of the next four fills the oldest of K4's faces
+    return _stack(8, [0] * 5)
 
 
 def triangle_embedded() -> tuple[Graph, RotationSystem]:

@@ -92,8 +92,11 @@ def search_acyclic_coloring(
     keep their colors and are not in the result.  Fixed colors are not
     interchangeable, so the symmetry cap applies only when `fixed` is
     empty.  An id outside 0..n-1, a self-loop, a bool, float or color outside
-    1..k, an edge of g or a clash at an end in `fixed` is refused (ValueError).
+    1..k, an edge of g or a clash at an end in `fixed` is refused (ValueError),
+    and so is a negative k; a bool or other non-int k is refused (TypeError).
     """
+    if type(k) is not int:
+        raise TypeError(f"palette size {k!r} is not an int")
     if k < 0:
         raise ValueError(f"palette size must be nonnegative, got {k}")
     if g.m == 0:

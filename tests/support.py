@@ -18,7 +18,7 @@ import networkx as nx
 from hypothesis import strategies as st
 
 from aecolor.coloring import CycleWitness, PartialEdgeColoring, alternating_walk
-from aecolor.embedding import RotationSystem
+from aecolor.embedding import FaceSet, RotationSystem
 from aecolor.families import (
     cube,
     cycle_graph,
@@ -293,6 +293,76 @@ def embedded_corpus() -> list[tuple[str, Graph, RotationSystem]]:
             g, rot = generate_apollonian(n, seed)
             out.append((f"apollonian{n}s{seed}", g, rot))
     return out
+
+
+class ReferenceStacker:
+    """The flat-list stacking loop: the live faces in one list, in creation
+    order.  A pick pops from that list, which shifts every later face, and
+    inserting w into (a, b, c) appends (a, b, w), (b, c, w), (c, a, w)."""
+
+    def __init__(self):
+        self.rotations: list[list[int]] = [[1, 2], [2, 0], [0, 1]]
+        self.edges: list[tuple[int, int]] = [(0, 1), (0, 2), (1, 2)]
+        self.faces: list[tuple[int, int, int]] = [(0, 1, 2), (0, 2, 1)]
+
+    def insert_at(self, face_index: int) -> None:
+        a, b, c = self.faces.pop(face_index)
+        w = len(self.rotations)
+        self.rotations.append([b, a, c])
+        ra, rb, rc = self.rotations[a], self.rotations[b], self.rotations[c]
+        ra.insert(ra.index(c) + 1, w)
+        rb.insert(rb.index(a) + 1, w)
+        rc.insert(rc.index(b) + 1, w)
+        self.edges += [(a, w), (b, w), (c, w)]
+        self.faces += [(a, b, w), (b, c, w), (c, a, w)]
+
+    def insert_into(self, face: tuple[int, int, int]) -> None:
+        self.insert_at(self.faces.index(face))
+
+    def build(self) -> tuple[Graph, RotationSystem]:
+        return Graph(len(self.rotations), self.edges), RotationSystem(self.rotations)
+
+
+def reference_apollonian(n: int, seed: int) -> tuple[Graph, RotationSystem]:
+    """`generate_apollonian` on the flat face list: the same draws, each
+    picking the same face."""
+    rng = random.Random(seed)
+    st = ReferenceStacker()
+    for _ in range(n - 3):
+        st.insert_at(rng.randrange(len(st.faces)))
+    return st.build()
+
+
+def reference_triakis_tetrahedron() -> tuple[Graph, RotationSystem]:
+    """K4 out of the triangle, then one vertex into each of K4's faces."""
+    st = ReferenceStacker()
+    st.insert_at(0)
+    for face in list(st.faces):
+        st.insert_into(face)
+    return st.build()
+
+
+def reference_faces(g: Graph, rot: RotationSystem) -> FaceSet:
+    """The face walks of `trace_faces`, each started at its least dart and
+    in order of it, with every successor read off the rotation's order by
+    position instead of from its successor index."""
+    def successor(v: int, u: int) -> int:
+        order = rot.order(v)
+        return order[(order.index(u) + 1) % len(order)]
+
+    seen: set[tuple[int, int]] = set()
+    faces = []
+    for start in sorted(d for u, v in g.edges() for d in ((u, v), (v, u))):
+        if start in seen:
+            continue
+        walk = [start]
+        u, v = start
+        while (v, successor(v, u)) != start:
+            u, v = v, successor(v, u)
+            walk.append((u, v))
+        seen.update(walk)
+        faces.append(tuple(walk))
+    return FaceSet(tuple(faces))
 
 
 def reference_corners(faces, n: int) -> list[list]:

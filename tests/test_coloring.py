@@ -114,6 +114,13 @@ class TestPartialColoring:
         assert type(by_assign.value) is type(by_row.value)
         assert str(by_assign.value) == str(by_row.value)
 
+    @pytest.mark.parametrize("k", [True, 2.5])
+    def test_palette_size_must_be_an_int(self, k):
+        # a bool palette would reach the document as "k": true, which the
+        # verifier refuses
+        with pytest.raises(TypeError, match=f"^palette size {k!r} is not an int$"):
+            PartialEdgeColoring(path_graph(2), k)
+
     def test_off_range_edge_is_not_read_as_an_index(self):
         # the rows are the only store, and nbr[-1] is the last vertex's row:
         # on the triangle a wrapped lookup of (-1, 0) would read (2, 0)

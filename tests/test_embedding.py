@@ -1,5 +1,6 @@
 import pytest
 
+from aecolor import embedding
 from aecolor.embedding import (
     FaceSet,
     RotationSystem,
@@ -10,6 +11,7 @@ from aecolor.embedding import (
 )
 from aecolor.errors import InvalidRotationError, NonPlanarEmbeddingError
 from aecolor.families import (
+    PLATONIC,
     complete_graph,
     cube,
     cycle_graph,
@@ -17,9 +19,21 @@ from aecolor.families import (
     icosahedron,
     octahedron,
     tetrahedron,
+    triakis_tetrahedron,
     triangle_embedded,
 )
-from aecolor.graphs import Graph
+from aecolor.graphs import Graph, format_edge_list
+
+from support import (
+    reference_apollonian,
+    reference_faces,
+    reference_triakis_tetrahedron,
+)
+
+
+def as_text(graph_and_rotation) -> tuple[str, str]:
+    g, rot = graph_and_rotation
+    return format_edge_list(g), format_rotation(rot)
 
 
 class TestTraceFaces:
@@ -128,6 +142,51 @@ class TestGenerateApollonian:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             generate_apollonian(2, seed=0)
+
+
+class TestGeneratorReference:
+    # the flat face list of `ReferenceStacker` is what the blocked face
+    # store must reproduce, pick for pick
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(n, seed) for n in (3, 4, 5, 50, 1000, 1250) for seed in range(5)]
+        # the only size here past one block: its faces fill three
+        + [(20_000, 3)],
+    )
+    def test_same_text_as_the_flat_face_list(self, n, seed):
+        assert as_text(generate_apollonian(n, seed)) == as_text(reference_apollonian(n, seed))
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_same_text_on_tiny_blocks(self, monkeypatch, block):
+        # hundreds of blocks, many of them emptied by picks, and ranks
+        # that fall on every block boundary
+        monkeypatch.setattr(embedding, "_BLOCK", block)
+        for n, seed in ((6, 0), (60, 1), (400, 2)):
+            assert as_text(generate_apollonian(n, seed)) == as_text(reference_apollonian(n, seed))
+
+    def test_triakis_tetrahedron_unchanged(self):
+        assert as_text(triakis_tetrahedron()) == as_text(reference_triakis_tetrahedron())
+
+
+class TestRotationSystem:
+    def test_repeated_neighbor_refused_when_built(self):
+        with pytest.raises(InvalidRotationError, match="repeated neighbor in rotation at 1"):
+            RotationSystem([[1, 2], [2, 0, 2], [0, 1]])
+
+    @pytest.mark.parametrize("before", [[], [(1, 0)]], ids=["unbuilt", "built"])
+    def test_successor_of_a_non_neighbor(self, before):
+        # the first `successor` call builds the index; a non-neighbor is
+        # refused alike by that call and by a later one
+        rot = RotationSystem([[1], [0, 2], [1]])
+        for v, u in before:
+            assert rot.successor(v, u) == 2
+        with pytest.raises(InvalidRotationError, match="^2 is not in the rotation at 0$"):
+            rot.successor(0, 2)
+
+    @pytest.mark.parametrize("name", [*PLATONIC, "apollonian1000"])
+    def test_faces_match_positional_successors(self, name):
+        g, rot = PLATONIC[name]() if name in PLATONIC else generate_apollonian(1000, 4)
+        assert trace_faces(g, rot) == reference_faces(g, rot)
 
 
 class TestRotationFormat:

@@ -61,6 +61,11 @@ class TestDecision:
         with pytest.raises(ValueError):
             is_acyclically_k_colorable(cycle_graph(3), 0)
 
+    @pytest.mark.parametrize("k", [True, 2.5])
+    def test_palette_size_must_be_an_int(self, k):
+        with pytest.raises(TypeError, match=f"^palette size {k!r} is not an int$"):
+            search_acyclic_coloring(path_graph(3), k)
+
     def test_witness_is_valid(self):
         g = complete_graph(4)
         w = search_acyclic_coloring(g, 5)
