@@ -90,24 +90,24 @@ def _not_int(key: str, x) -> _UsageError:
 
 
 def _coloring_rows(
-    doc: dict, ids: Optional[set[int]] = None
-) -> tuple[int, list[tuple[int, int, Optional[int]]], float]:
-    """The palette size, the (u, v, color) rows and the largest vertex id
-    of a coloring document, in one pass over the rows.
+    doc: dict,
+) -> tuple[int, list[tuple[int, int, Optional[int]]], Sequence[int]]:
+    """The palette size, the (u, v, color) rows and the vertex ids of a
+    coloring document, in one pass over the rows.
 
     Each field must be an integer, color may also be null; bool is an int
     subclass, and a float such as 2.7 or 1e400 is no id.  The fields are
     checked in the order k, then row by row u, v and color, and the first
-    that is missing or malformed is refused.  Given a set `ids`, the pass
-    also adds each row's two ids to it.  No row's edge is checked here:
-    `Graph` does that, and `_refusal` names a refused row.
+    that is missing or malformed is refused.  No row's edge is checked
+    here: `_build_coloring` does that.
 
-    The largest id is -inf for a document without rows.
+    The ids are range(n) when they are already 0..n-1, and otherwise the
+    distinct ids ascending; the set that collects them is freed on return.
     """
-    top = float("-inf")
+    present: set[int] = set()
+    add = present.add
     triples = []
     append = triples.append
-    add = ids.add if ids is not None else None
     try:
         k = doc["k"]
         if type(k) is not int:
@@ -123,18 +123,15 @@ def _coloring_rows(
             if c is not None and type(c) is not int:
                 raise _not_int("color", c)
             append((u, v, c))
-            if u > top:
-                top = u
-            if v > top:
-                top = v
-            if add is not None:
-                add(u)
-                add(v)
+            add(u)
+            add(v)
     except KeyError as exc:
         raise _UsageError(f"malformed coloring document: missing key {exc}") from exc
     except TypeError as exc:
         raise _UsageError(f"malformed coloring document: {exc}") from exc
-    return k, triples, top
+    if not present or (min(present) == 0 and max(present) == len(present) - 1):
+        return k, triples, range(len(present))
+    return k, triples, sorted(present)
 
 
 def _refusal(pairs: Iterable[tuple[int, int]]) -> ValueError:
@@ -154,32 +151,44 @@ def _refusal(pairs: Iterable[tuple[int, int]]) -> ValueError:
     raise AssertionError("no row to refuse")
 
 
-def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
-    """Rebuild graph and coloring on the document's own ids, 0..max id;
-    properness violations are collected, not raised, so the verifier can
-    classify them.
+def _build_coloring(
+    k: int, rows: list[tuple[int, int, Optional[int]]], ids: Sequence[int]
+) -> tuple[Sequence[int], Graph, PartialEdgeColoring]:
+    """The ids, graph and coloring of a document's rows, from `_coloring_rows`.
 
-    The checks run in this order, and the first that fails is raised:
-    every field's type, row by row (`_coloring_rows`, a usage error); the
-    largest id, which may need at most MAX_VERTICES vertices, since the
-    graph takes a row per id up to it; the edges, row by row, as `Graph`
-    checks them (an id out of range, a self-loop, a duplicate); the
-    palette size; and the colors, row by row, as `from_pairs` checks
-    them.  All but the first raise ValueError.
+    The graph is built on the ranks of the ids, in the ids' order, so the
+    cycle witness rule picks the same cycle, and memory follows the number
+    of edges rather than the largest id; sparse ids are ranked in `rows`
+    itself.  A row that no graph accepts is named, in the document's own
+    ids, by `_refusal`, which runs only then.  Properness violations are
+    collected in the coloring, not raised.
     """
     from .coloring import PartialEdgeColoring
 
-    k, triples, top = _coloring_rows(doc)
-    n = top + 1 if triples else 0
-    if n > MAX_VERTICES:
-        raise ValueError(
-            f"vertex id {n - 1} needs n={n}, above the limit of {MAX_VERTICES} vertices"
-        )
-    g = Graph(n, ((u, v) for u, v, _ in triples))
+    if ids and ids[0] < 0:
+        raise _refusal((u, v) for u, v, _ in rows)
+    if not isinstance(ids, range):
+        rank = {x: i for i, x in enumerate(ids)}
+        rows[:] = [(rank[u], rank[v], c) for u, v, c in rows]
+        del rank
+    try:
+        g = Graph(len(ids), ((u, v) for u, v, _ in rows))
+    except ValueError:
+        raise _refusal((ids[u], ids[v]) for u, v, _ in rows) from None
     # `Graph` has accepted each row as an edge given once, which is what
     # `from_pairs` would check again
     phi = PartialEdgeColoring(g, k)
-    phi._write(triples, strict=False, edges_checked=True)
+    phi._write(rows, strict=False, edges_checked=True)
+    return ids, g, phi
+
+
+def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
+    """The graph and coloring that `aecolor verify` checks, built by its
+    loader: on the ranks of the document's ids, which are the ids
+    themselves when they are already 0..n-1.  A malformed field raises
+    `_UsageError` and a row or palette that no coloring takes ValueError,
+    with the message and precedence of `verify`."""
+    _, g, phi = _build_coloring(*_coloring_rows(doc))
     return g, phi
 
 
@@ -234,7 +243,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .coloring import PartialEdgeColoring, validate_acyclic
+    from .coloring import validate_acyclic
 
     try:
         doc = json.loads(_read(getattr(args, "in")))
@@ -242,32 +251,11 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"input is not JSON: {exc}") from exc
     except RecursionError as exc:
         raise _UsageError("input is nested too deeply to read as JSON") from exc
-    # the graph is built on the ranks of the ids, in the ids' order, so the
-    # cycle witness rule picks the same cycle, and memory follows the number
-    # of edges rather than the largest id.  Ids already 0..n-1 are their own
-    # ranks.  A row that no graph accepts is named, in the document's own
-    # ids, by `_refusal`, which runs only then
-    present: set[int] = set()
-    k, triples, top = _coloring_rows(doc, present)
+    loaded = _coloring_rows(doc)
     # the rows hold all that is read from here on; freeing the document lets
     # the graph and the coloring reuse its memory
     del doc
-    if min(present, default=0) < 0:
-        raise _refusal((u, v) for u, v, _ in triples)
-    if len(present) == top + 1:
-        ids: Sequence[int] = range(len(present))
-    else:
-        ids = sorted(present)
-        rank = {x: i for i, x in enumerate(ids)}
-        triples = [(rank[u], rank[v], c) for u, v, c in triples]
-        del rank
-    del present
-    try:
-        g = Graph(len(ids), ((u, v) for u, v, _ in triples))
-    except ValueError:
-        raise _refusal((ids[u], ids[v]) for u, v, _ in triples) from None
-    phi = PartialEdgeColoring(g, k)
-    phi._write(triples, strict=False, edges_checked=True)
+    ids, g, phi = _build_coloring(*loaded)
     if phi.violations:
         status, code = "improper", EXIT_IMPROPER
         detail: dict = {
@@ -303,18 +291,15 @@ def cmd_chi_a(args) -> int:
 
     g = _load_graph(getattr(args, "in"))
     budget = SearchBudget(max_nodes=args.budget)
-    if args.k is not None:
+    if args.k is None:
+        res = exact_chi_a(g, budget)
+    else:
         res = is_acyclically_k_colorable(g, args.k, budget)
-        if res is EXHAUSTED:
-            _write(args.out, "exhausted\n")
-            return EXIT_EXHAUSTED
-        _write(args.out, ("true" if res else "false") + "\n")
-        return EXIT_OK
-    res = exact_chi_a(g, budget)
     if res is EXHAUSTED:
         _write(args.out, "exhausted\n")
         return EXIT_EXHAUSTED
-    _write(args.out, f"{res}\n")
+    # a decision prints true or false, the exact value its number
+    _write(args.out, f"{str(res).lower()}\n")
     return EXIT_OK
 
 

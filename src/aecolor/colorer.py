@@ -457,7 +457,8 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> PartialEdgeColoring:
     for i, (a, b) in enumerate(zip(trace._us, trace._vertices)):
         if b < a:
             a, b = b, a
-        if 0 <= a and b < n:
+        # a float id such as 1.0 equals an int one but indexes no row
+        if type(a) is int and type(b) is int and 0 <= a and b < n:
             row = adj[a]
             j = bisect_left(row, b)
             if j < len(row) and row[j] == b and not removed[start[a] + j]:

@@ -123,9 +123,9 @@ def trace_faces(g: Graph, rot: RotationSystem) -> FaceSet:
     if not g.is_connected():
         raise ValueError("face tracing requires a connected graph")
 
-    # each face starts at its smallest dart and faces come in order of it,
-    # so one sorted pass over the darts finds the starts in O(m log m)
-    darts = sorted(d for u, v in g.edges() for d in ((u, v), (v, u)))
+    # each face starts at its smallest dart and faces come in order of it;
+    # the rows are sorted, so reading them in order gives the darts sorted
+    darts = [(u, v) for u, row in enumerate(g._adj) for v in row]
     seen: set[Dart] = set()
     faces: list[tuple[Dart, ...]] = []
     for start in darts:

@@ -473,11 +473,11 @@ def edge_list_texts(draw) -> str:
 
 # --- the reference load path for coloring documents ----------------------
 #
-# `cli.coloring_from_json` and `aecolor verify` read a document in one pass
-# per row.  What follows is the plain path they must agree with, step by
-# step: every field through one type check, the graph's rows through the
-# general edge loop with `_canon`, and every color through
-# `PartialEdgeColoring.assign`.
+# `cli.coloring_from_json` and `aecolor verify` share one loader that reads
+# a document in one pass per row.  What follows is the plain path it must
+# agree with, step by step: every field through one type check, the ids
+# ranked, the graph's rows through the general edge loop with `_canon`, and
+# every color through `PartialEdgeColoring.assign`.
 
 
 def _json_int(x, key: str) -> int:
@@ -550,19 +550,6 @@ def reference_coloring(g: Graph, k: int, triples) -> PartialEdgeColoring:
     return phi
 
 
-def reference_coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
-    from aecolor.graphs import MAX_VERTICES
-
-    k, triples = reference_rows(doc)
-    n = max((max(u, v) + 1 for u, v, _ in triples), default=0)
-    if n > MAX_VERTICES:
-        raise ValueError(
-            f"vertex id {n - 1} needs n={n}, above the limit of {MAX_VERTICES} vertices"
-        )
-    g = reference_graph(n, [(u, v) for u, v, _ in triples])
-    return g, reference_coloring(g, k, triples)
-
-
 def reference_ranked(triples):
     """The document's ids ascending, and the rows on their ranks; rows no
     graph accepts are refused in the document's own ids."""
@@ -581,6 +568,19 @@ def reference_ranked(triples):
     return ids, [(rank[u], rank[v], c) for u, v, c in triples]
 
 
+def reference_load(doc: dict) -> tuple[list[int], Graph, PartialEdgeColoring]:
+    """The ids, graph and coloring of doc, on the ranks of its ids."""
+    k, triples = reference_rows(doc)
+    ids, ranked = reference_ranked(triples)
+    g = reference_graph(len(ids), [(u, v) for u, v, _ in ranked])
+    return ids, g, reference_coloring(g, k, ranked)
+
+
+def reference_coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
+    _, g, phi = reference_load(doc)
+    return g, phi
+
+
 def reference_verify(doc: dict) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of `aecolor verify` in JSON format on doc."""
     import json
@@ -589,10 +589,7 @@ def reference_verify(doc: dict) -> tuple[int, str, str]:
     from aecolor.coloring import validate_acyclic
 
     try:
-        k, triples = reference_rows(doc)
-        ids, ranked = reference_ranked(triples)
-        g = reference_graph(len(ids), [(u, v) for u, v, _ in ranked])
-        phi = reference_coloring(g, k, ranked)
+        ids, g, phi = reference_load(doc)
     except (_UsageError, ValueError) as exc:
         return 1, "", f"aecolor: {exc}\n"
     if phi.violations:

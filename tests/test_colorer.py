@@ -729,6 +729,23 @@ class TestTrace:
         with pytest.raises(ValueError, match="missing edge"):
             replay_trace(g, twice)
 
+    def test_replay_rejects_float_ids(self):
+        # (1.0, 2.0) equals the edge (1, 2), but a float indexes no row of
+        # the graph: the removal check refuses it before any re-insertion
+        g = path_graph(3)
+        _, trace = acolor(g)
+        steps = [
+            TraceStep(
+                tuple(map(float, s.edge)),
+                s.config._replace(vertex=float(s.config.vertex)),
+                s.tier,
+            )
+            for s in trace.steps
+        ]
+        with pytest.raises(ValueError) as exc:
+            replay_trace(g, ReductionTrace(tuple(steps)))
+        assert str(exc.value) == f"trace replays removal of missing edge {steps[0].edge}"
+
     def test_replay_rejects_tampered_tier(self):
         g, _ = generate_apollonian(12, seed=1)
         _, trace = acolor(g)
