@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
-from .coloring import PartialEdgeColoring, validate_acyclic
+from .coloring import PartialEdgeColoring, _check_graph, validate_acyclic
 from .errors import ExtensionFailed, ImproperColoringError, NotPlanarEvidence
 from .graphs import Graph, _canon
 from .scanner import _CAPS, _KIND_BY_DEGREE, Configuration, _kind, _match, classify_vertex
@@ -54,8 +54,7 @@ class ExtensionContext:
     __slots__ = ("phi", "u", "v")
 
     def __init__(self, graph: Graph, phi: PartialEdgeColoring, u: int, v: int):
-        if phi.graph != graph:
-            raise ValueError("coloring is bound to a different graph")
+        _check_graph(graph, phi)
         if not graph.has_edge(u, v):
             raise ValueError(f"({u}, {v}) is not an edge")
         if phi.color_of(u, v) is not None:

@@ -10,8 +10,9 @@ and iteration in edge order by one pass over the rows and a sort.
 Beside it sit two aids to first-fit extension, which
 `PartialEdgeColoring._first_fit` reads and neither of which changes an
 answer: a skip map per vertex, made on first use, that jumps runs of used
-colors; and a cache of the far ends of long two-colored paths, so that
-the cycle test for an uncolored edge need not walk them again.
+colors; and a table of jumps along long two-colored paths, which only the
+cycle test's walk reads and writes, so that it need not walk them again.
+Coloring an edge never touches it; uncoloring one empties it.
 
 All of it takes O(n + m) memory whatever the palette size and color values.
 """
@@ -51,11 +52,11 @@ class PartialEdgeColoring:
     step.  Keys are used colors only, so v's map holds at most d(v)
     entries; `unassign` drops the maps of both ends.
 
-    `_ends` caches where long two-colored paths end (see `_PathEnds`), so
-    that `closes_cycle` need not walk them again.  Its entries are exact
-    or absent: `assign` carries the paths it lengthens or joins over to
-    their new ends, and `unassign` empties it.  It holds at most 4n
-    entries, so the whole coloring takes O(n + m) memory.
+    `_ends` holds jump pointers along two-colored paths (see `_path_end`),
+    so that `closes_cycle` need not walk them again.  Only that walk reads
+    and writes it: a write only lengthens paths, which leaves every jump a
+    stretch the plain walk would walk, and `unassign` empties it.  It
+    holds at most 4n entries, so the whole coloring takes O(n + m) memory.
 
     `_first_fit`, the first tier of extension, is the scan that reads both
     aids.
@@ -72,7 +73,7 @@ class PartialEdgeColoring:
         self.k = k
         self._nbr: list[dict[Color, int]] = [{} for _ in range(graph.n)]
         self._skip: dict[int, dict[Color, Color]] = {}
-        self._ends = _PathEnds()
+        self._ends: dict[tuple[int, Color, Color], tuple[int, Color]] = {}
         self.violations: list[tuple[int, int, int]] = []
 
     @classmethod
@@ -121,7 +122,6 @@ class PartialEdgeColoring:
         check = not edges_checked
         nbr = self._nbr
         k = self.k
-        ends = self._ends
         for u, v, c in rows:
             if c is None:
                 continue
@@ -142,8 +142,6 @@ class PartialEdgeColoring:
             else:
                 nu[c] = v
                 nv[c] = u
-                if ends:
-                    ends.join(nbr, u, v, c)
                 continue
             if strict:
                 raise ImproperColoringError(f"color {c} already at vertex {clash}")
@@ -159,8 +157,6 @@ class PartialEdgeColoring:
         nbr = self._nbr
         nbr[u][c] = v
         nbr[v][c] = u
-        if self._ends:
-            self._ends.join(nbr, u, v, c)
 
     def unassign(self, u: int, v: int) -> Color:
         c = self.color_of(u, v)
@@ -172,8 +168,7 @@ class PartialEdgeColoring:
         if skip:
             skip.pop(u, None)
             skip.pop(v, None)
-        if self._ends:
-            self._ends = _PathEnds()
+        self._ends.clear()
         return c
 
     def color_of(self, u: int, v: int) -> Optional[Color]:
@@ -218,9 +213,9 @@ class PartialEdgeColoring:
 
         The scan starts at 1.  A color used at an endpoint sends it, through
         that endpoint's skip map, past the whole run of used colors there;
-        a color that closes a cycle sends it one step on.  The path-end
-        cache holds only exact ends, so the result is the color a plain
-        scan from 1 would return.
+        a color that closes a cycle sends it one step on.  A jump in
+        `_ends` skips only a stretch the plain walk would walk, so the
+        result is the color a plain scan from 1 would return.
         """
         nbr = self._nbr
         nu, nv = nbr[u], nbr[v]
@@ -263,8 +258,7 @@ class PartialEdgeColoring:
                         yield u, v, color(v)
 
     def max_color_used(self) -> int:
-        nbr = self._nbr  # each edge's color is read once, at its lower end
-        return max((c for u, row in enumerate(nbr) for c, w in row.items() if u < w), default=0)
+        return max(map(max, filter(None, self._nbr)), default=0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -302,6 +296,13 @@ class ValidationReport(NamedTuple):
         return self.all_edges_colored and self.is_proper and self.cycle is None
 
 
+def _check_graph(g: Graph, phi: PartialEdgeColoring) -> None:
+    # the queries read phi's rows alone, so for any other g they would
+    # answer for phi's graph
+    if phi.graph != g:
+        raise ValueError("coloring is bound to a different graph")
+
+
 def _check_pair(phi: PartialEdgeColoring, alpha: Color, beta: Color) -> None:
     if alpha == beta:
         raise ValueError(f"colors must differ, got {alpha} twice")
@@ -334,97 +335,53 @@ def alternating_walk(
     return seq, False
 
 
-# `closes_cycle` caches the end of a walk only when the walk visits more
-# vertices than this.  Once the cache holds a path, every `assign` pays to
-# carry it, which short walks do not repay: replaying three Apollonian
-# graphs of 1250 vertices ran 31% more bytecode instructions at 0, 10% more
-# at 8 and none more at 16 than with nothing cached.  Of the 22 300 walks
-# T1 makes on nine Apollonian graphs (n = 1000-3000) only 8 pass 16.  A
-# wheel needs one walk recorded, along its rim.
+# `_path_end` records a jump only when the walk took one or walked at least
+# this many steps.  A record costs two entries in a table that every later
+# walk probes step by step, which short walks do not repay: `acolor` on
+# Apollonian graphs (n = 1000, 1250, 2000) ran about 7% slower at 0 and
+# about 2% slower at 4 than at 16.  Of the 22 300 walks T1 makes on nine
+# Apollonian graphs (n = 1000-3000) only 8 pass 16.  A wheel needs its rim
+# walk recorded.
 _CACHE_MIN_WALK = 16
 
 
-def _end_slot(
-    nbr: list[dict[Color, int]], z: int, p: Color, q: Color
-) -> tuple[tuple[int, Color], Color]:
-    # the cache slot of z as an end of a {p, q}-path: z has just one of them
-    return ((z, q), p) if p in nbr[z] else ((z, p), q)
+def _path_end(nbr: list[dict[Color, int]], ends: dict, u: int, d: Color, c: Color) -> int:
+    """The far end of the {d, c}-path from u, which lacks c, out by its
+    d-edge.
 
-
-# read-only stand-in for a missing `_PathEnds` row
-_NO_ROW: dict = {}
-
-
-class _PathEnds(dict):
-    """Far ends of maximal two-colored paths, for `closes_cycle`.
-
-    `self[(z, q)][p] == f` says that the maximal {p, q}-path that leaves z
-    by its p-edge, with q absent at z, ends at f.  Entries come in mirrored
-    pairs, one at each end of a path, and each is exact or absent.  Walks
-    add pairs through `record` while `room` lasts; when it runs out the
-    cache starts again empty, so it never holds more than 4n entries and
-    emptying it costs O(1) per pair recorded.
+    `ends[(x, a, b)] == (f, e)` says that the {a, b}-walk leaving x by its
+    b-edge (arriving by a, or with a absent at x) was last seen stopped at
+    f, where e was absent.  Between two `unassign`s a two-colored path only
+    grows at its ends, so the stretch from x to f is still there and the
+    walk goes on from f by e: a jump skips only what the plain walk would
+    walk, and the answer is the same.  At each vertex the walk pops the
+    entry for its direction and takes it; a walk that jumped, or walked at
+    least `_CACHE_MIN_WALK` steps, records its end from u and the mirror
+    from the end back to u.  Popping what it takes keeps the table to the
+    jumps still worth having, and the table starts again empty before it
+    would pass 4n entries, so it takes O(n) memory.
     """
-
-    __slots__ = ("room",)
-
-    def __init__(self):
-        super().__init__()
-        self.room = 0
-
-    def link(self, nbr: list[dict[Color, int]], a: int, b: int, p: Color, q: Color):
-        # a and b are the two ends of one {p, q}-path
-        for z, f in ((a, b), (b, a)):
-            key, col = _end_slot(nbr, z, p, q)
-            row = self.get(key)
-            if row is None:
-                row = self[key] = {}
-            row[col] = f
-
-    def unlink(self, nbr: list[dict[Color, int]], z: int, p: Color, q: Color):
-        # drop z's entry for its {p, q}-path
-        key, col = _end_slot(nbr, z, p, q)
-        row = self[key]
-        del row[col]
-        if not row:
-            del self[key]
-
-    def record(self, nbr: list[dict[Color, int]], a: int, b: int, p: Color, q: Color):
-        if self.room < 2:
-            self.clear()
-            self.room = 4 * len(nbr)
-        self.room -= 2
-        self.link(nbr, a, b, p, q)
-
-    def join(self, nbr: list[dict[Color, int]], x: int, y: int, c: Color):
-        """Carry the cached paths over the edge xy, just colored c.
-
-        Before, x and y lacked c, so the {c, q}-paths that ended there are
-        rows (x, c) and (y, c), and no other path with c passed them.  Each
-        now runs on through xy: it ends at the other side when q is absent
-        there, or joins the path from there, or closes a cycle.  Where the
-        other side's path is not cached, the joined path is dropped.
-        """
-        rx = self.pop((x, c), _NO_ROW)
-        ry = self.pop((y, c), _NO_ROW)
-        if rx is ry:
-            return  # neither end has a cached path; rows are never empty
-        for q, f in rx.items():
-            if f == y:
-                continue  # a {c, q}-cycle; y's mirror entry left with ry
-            g = ry.get(q)
-            if g is not None:
-                self.link(nbr, f, g, c, q)
-            elif q in nbr[y]:
-                self.unlink(nbr, f, c, q)
-            else:
-                self.link(nbr, f, y, c, q)
-        for q, g in ry.items():
-            if q not in rx:
-                if q in nbr[x]:
-                    self.unlink(nbr, g, c, q)
-                else:
-                    self.link(nbr, g, x, c, q)
+    x, a, b = u, c, d
+    steps = 0
+    jumped = False
+    while True:
+        hop = ends.pop((x, a, b), None) if ends else None
+        if hop is None:
+            w = nbr[x].get(b)
+            if w is None:
+                break
+            x, a, b = w, b, a
+            steps += 1
+        else:
+            x, b = hop
+            a = d if b == c else c
+            jumped = True
+    if jumped or steps >= _CACHE_MIN_WALK:
+        if len(ends) + 2 > 4 * len(nbr):
+            ends.clear()
+        ends[u, c, d] = x, b
+        ends[x, b, a] = u, c
+    return x
 
 
 def closes_cycle(
@@ -432,7 +389,7 @@ def closes_cycle(
     u: int,
     v: int,
     c: Color,
-    ends: Optional[_PathEnds] = None,
+    ends: Optional[dict] = None,
 ) -> bool:
     """Whether the edge uv in color c lies on a {c, d}-cycle for some d.
 
@@ -450,24 +407,20 @@ def closes_cycle(
     endpoint with fewer of them and walks from there: a leaf next to a
     hub costs O(1), not O(d(hub)).
 
-    `ends` is the coloring's path-end cache, and may be passed only in
-    the first case: then each walk's end is read from it when cached, and
-    the end of a long walk is recorded in it.
+    `ends` is the coloring's jump table, and may be passed only in the
+    first case: then each walk is `_path_end`'s, which reads and refreshes
+    the table.
     """
     if len(nbr[v]) < len(nbr[u]):
         u, v = v, u
     nv = nbr[v]
-    row = ends.get((u, c)) if ends else None
     for d in nbr[u]:
         if d == c or d not in nv:
             continue
-        if row and d in row:
-            f = row[d]
+        if ends is None:
+            f = alternating_walk(nbr, u, d, c)[0][-1]
         else:
-            seq = alternating_walk(nbr, u, d, c)[0]
-            f = seq[-1]
-            if len(seq) > _CACHE_MIN_WALK and ends is not None:
-                ends.record(nbr, u, f, d, c)
+            f = _path_end(nbr, ends, u, d, c)
         if f == v:
             return True
     return False
@@ -482,6 +435,7 @@ def maximal_bichromatic_path(
     the walk is deterministic.  A closed walk is reported with cycle=True.
     Absent when v touches neither color.
     """
+    _check_graph(g, phi)
     _check_pair(phi, alpha, beta)
     g._check(v)
     path, closed = alternating_walk(phi._nbr, v, alpha, beta)
@@ -507,6 +461,7 @@ def exists_critical_path(
     """True iff the maximal (alpha, beta)-path from u's alpha-edge ends at v
     via an alpha-edge.  Such a path is exactly what makes coloring the edge
     uv with beta close a bichromatic cycle."""
+    _check_graph(g, phi)
     _check_pair(phi, alpha, beta)
     g._check(u)
     g._check(v)
@@ -549,6 +504,7 @@ def find_bichromatic_cycle(g: Graph, phi: PartialEdgeColoring) -> Optional[Cycle
     without the second v's {a, b}-component is a path, so the walk cannot
     close, however long it runs.
     """
+    _check_graph(g, phi)
     if phi.violations:
         raise ImproperColoringError(f"coloring has {len(phi.violations)} properness violations")
     nbr = phi._nbr
@@ -623,6 +579,7 @@ def find_bichromatic_cycle(g: Graph, phi: PartialEdgeColoring) -> Optional[Cycle
 
 def validate_acyclic(g: Graph, phi: PartialEdgeColoring) -> ValidationReport:
     """Full acyclicity report: completeness, properness, cycle witness, max color."""
+    _check_graph(g, phi)
     all_colored = phi.is_complete()
     proper = not phi.violations
     cycle = find_bichromatic_cycle(g, phi) if proper else None

@@ -324,10 +324,11 @@ class TestClosesCycle:
 
 
 class TestExtensionAids:
-    """The skip maps and the path-end cache under random edits.
+    """The skip maps and the jump table under random edits.
 
     With the recording threshold at 0 every walk that `closes_cycle` makes
-    for an uncolored edge is cached, so `assign` carries many paths over.
+    for an uncolored edge records a jump, so later walks take many; at 16,
+    the shipped value, only long walks and walks that jumped do.
     """
 
     @staticmethod
@@ -335,7 +336,7 @@ class TestExtensionAids:
         nbr, k = phi._nbr, phi.k
         comparisons = 0
         # the cached test is the raw one, from either end (this also fills
-        # the cache)
+        # the table)
         open_edges = [e for e in phi.graph.edges() if phi.color_of(*e) is None]
         for x, y in rng.sample(open_edges, min(4, len(open_edges))):
             for c in range(1, k + 1):
@@ -345,16 +346,15 @@ class TestExtensionAids:
                 assert closes_cycle(nbr, x, y, c, phi._ends) == raw
                 assert closes_cycle(nbr, y, x, c, phi._ends) == raw
                 comparisons += 1
-        # every entry is the end of a fresh walk, and its mirror is there
-        ends = phi._ends
-        for (z, q), row in ends.items():
-            assert row and q not in nbr[z]
-            for p, f in row.items():
-                seq, closed = alternating_walk(nbr, z, p, q)
-                assert not closed and seq[-1] == f
-                back = (f, q, p) if p in nbr[f] else (f, p, q)
-                assert ends.get(back[:2], {}).get(back[2]) == z
-                comparisons += 1
+        # every jump is a stretch of the plain walk: the walk from x by its
+        # b-edge passes f and leaves f by e, or stops there lacking e
+        for (x, a, b), (f, e) in phi._ends.items():
+            assert a != b and e in (a, b) and f != x
+            seq, _ = alternating_walk(nbr, x, b, a)
+            assert f in seq
+            assert e == (b if seq.index(f) % 2 == 0 else a)
+            comparisons += 1
+        assert len(phi._ends) <= 4 * phi.graph.n
         assert_skip_maps_exact(phi)
         return comparisons
 
@@ -365,6 +365,11 @@ class TestExtensionAids:
     )
     @settings(max_examples=40, deadline=None)
     def test_random_edits_keep_both_exact(self, family, slack, seed):
+        # the same edits at threshold 0 and at the shipped threshold
+        for min_walk in (0, coloring._CACHE_MIN_WALK):
+            self.run_edits(family, slack, seed, min_walk)
+
+    def run_edits(self, family, slack, seed, min_walk):
         rng = random.Random(seed)
         g = {
             "wheel": lambda: wheel_graph(rng.randint(3, 40)),
@@ -377,7 +382,7 @@ class TestExtensionAids:
         mirror: dict = {}
         comparisons = 0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(coloring, "_CACHE_MIN_WALK", 0)
+            mp.setattr(coloring, "_CACHE_MIN_WALK", min_walk)
             for _ in range(2 * g.m):
                 colored_edges = [e for e, _ in phi.items()]
                 open_edges = [e for e in g.edges() if phi.color_of(*e) is None]
@@ -580,3 +585,19 @@ class TestValidateAcyclic:
         assert rep.ok == (
             rep.all_edges_colored and rep.is_proper and rep.cycle is None
         )
+
+    def test_refuses_a_graph_that_is_not_the_colorings(self):
+        # the queries read the coloring's rows alone: asked about a path,
+        # a 2-colored C4 would report the cycle (0, 1, 2, 3), which needs
+        # the edge (0, 3) the path lacks
+        phi = colored(cycle_graph(4), 2, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)])
+        other = path_graph(4)
+        for query in (
+            lambda g: validate_acyclic(g, phi),
+            lambda g: find_bichromatic_cycle(g, phi),
+            lambda g: maximal_bichromatic_path(g, phi, 0, 1, 2),
+            lambda g: exists_critical_path(g, phi, 1, 2, 0, 3),
+        ):
+            with pytest.raises(ValueError, match="bound to a different graph"):
+                query(other)
+            query(cycle_graph(4))  # an equal graph is the coloring's graph
