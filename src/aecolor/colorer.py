@@ -360,12 +360,10 @@ def extend_at_edge(
     search (ExtensionFailed when it runs out); T2's is `BALL_NODES`.
     """
     phi, u, v = ctx.phi, ctx.u, ctx.v
-    c = phi._first_fit(u, v)
-    if c is None:
-        return phi, _escalate(phi, u, v, budget)
-    # the context holds uv as an uncolored edge, and c is free at both ends
-    phi._put(u, v, c)
-    return phi, "T1"
+    # one step of the first-fit loop; the context holds uv as an uncolored edge
+    if phi._extend((u,), (v,), 0, 0)[1] is not None:
+        return phi, "T1"
+    return phi, _escalate(phi, u, v, budget)
 
 
 class _TierMismatch(Exception):
@@ -380,35 +378,42 @@ def _reinsert(
     record: bool = False,
 ) -> PartialEdgeColoring:
     # the one re-insertion loop: palette Δ+10, last removal first, the edge
-    # from us[i] to vertices[i] extended from u toward v.  With `record` the
-    # tier each lands on is written to tiers[i]; otherwise tiers[i] is the
-    # tier it must land on, else _TierMismatch (a None never matches).  (A pair
-    # per step, kept for the loop, made replay about 20% slower in the
-    # garbage collector.)
+    # from us[i] to vertices[i] extended from u toward v.  tiers[i] is the
+    # tier step i must land on, else _TierMismatch (a None never matches);
+    # with `record` it is "T1" on entry and the tier an escalated step
+    # lands on is written over it.  (A pair per step, kept for the loop,
+    # made replay about 20% slower in the garbage collector.)
     #
-    # A first-fit color is written with the unchecked `_put`, and escalation
-    # gets phi, u and v, not an ExtensionContext.  What `assign` and its guards
-    # check holds: phi is made here on g; (1) each (us[i], vertices[i]) is an
-    # edge of g, from `_peel(g, ...)` or checked by `replay_trace`'s pass over
-    # g's rows; (2) each is re-inserted once, so it is uncolored when reached;
-    # (3) the coloring is built only by proper writes, so it stays proper;
-    # (4) `_first_fit` returns only a color in 1..k free at both ends.
+    # T1 is `phi._extend`, which colors every step from i down until first
+    # fit finds no color, or until it has colored the step it is told to
+    # stop at: in replay the next step not recorded as "T1", so that a
+    # mismatch there is refused before any later step runs.  Only there
+    # does control come back here.  Escalation gets phi, u and v, not an
+    # ExtensionContext.  What `assign` and the context's guards check
+    # holds: phi is made here on g; (1) each (us[i], vertices[i]) is an
+    # edge of g, from `_peel(g, ...)` or checked by `replay_trace`'s pass
+    # over g's rows; (2) each is re-inserted once, so it is uncolored when
+    # reached; (3) the coloring is built only by proper writes, so it stays
+    # proper.
     phi = PartialEdgeColoring(g, g.max_degree() + 10)
-    # every tier edits phi in place, so its bound methods hold throughout
-    first_fit, put = phi._first_fit, phi._put
-    for i in range(len(us) - 1, -1, -1):
-        u, v = us[i], vertices[i]
-        c = first_fit(u, v)
-        if c is not None:
-            put(u, v, c)
-            tier = "T1"
-        else:
-            tier = _escalate(phi, u, v, None)
+    # replay stops at each step not recorded as "T1", last first; nearly
+    # every trace has none, which `count` finds without a Python loop
+    stops = []
+    if not record and tiers.count("T1") < len(tiers):
+        stops = [j for j, t in enumerate(tiers) if t != "T1"]
+    # every tier edits phi in place, so its bound method holds throughout
+    extend = phi._extend
+    i = len(us) - 1
+    while True:
+        i, c = extend(us, vertices, i, stops.pop() if stops else -1)
+        if i < 0:
+            return phi
+        tier = "T1" if c is not None else _escalate(phi, us[i], vertices[i], None)
         if tier != tiers[i]:
             if not record:
                 raise _TierMismatch(i, tier)
             tiers[i] = tier
-    return phi
+        i -= 1
 
 
 def acolor(g: Graph) -> tuple[PartialEdgeColoring, ReductionTrace]:
@@ -429,7 +434,7 @@ def acolor(g: Graph) -> tuple[PartialEdgeColoring, ReductionTrace]:
     """
     us, vertices, kinds = [], [], []
     _peel(g, us, vertices, kinds)
-    tiers: list[Optional[str]] = [None] * len(us)
+    tiers = ["T1"] * len(us)
     phi = _reinsert(g, us, vertices, tiers, record=True)
     report = validate_acyclic(g, phi)
     if not report.ok:

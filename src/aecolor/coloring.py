@@ -7,12 +7,13 @@ membership and alternating-walk steps in O(1).  Every other read is made
 from it: the color of one edge by a scan of the shorter of its two rows,
 and iteration in edge order by one pass over the rows and a sort.
 
-Beside it sit two aids to first-fit extension, which
-`PartialEdgeColoring._first_fit` reads and neither of which changes an
-answer: a skip map per vertex, made on first use, that jumps runs of used
-colors; and a table of jumps along long two-colored paths, which only the
-cycle test's walk reads and writes, so that it need not walk them again.
-Coloring an edge never touches it; uncoloring one empties it.
+Extension's first tier, first fit, is one loop, `PartialEdgeColoring._extend`,
+which colors a run of re-insertion steps in one frame.  It reads two aids,
+neither of which changes an answer: a skip map per vertex, made on first
+use, that jumps runs of used colors; and a table of jumps along long
+two-colored paths, which only its walk, `_path_end`, reads and writes, so
+that it need not walk them again.  Coloring an edge never touches the
+table; uncoloring one empties it.
 
 All of it takes O(n + m) memory whatever the palette size and color values.
 """
@@ -20,7 +21,7 @@ All of it takes O(n + m) memory whatever the palette size and color values.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ImproperColoringError
 from .graphs import Graph, _canon
@@ -37,29 +38,28 @@ class PartialEdgeColoring:
     Its one store, `_nbr[v]`, maps each color at v to the neighbor across
     that edge; `color_of` scans the shorter of two rows, O(min degree).
 
-    `assign` rejects any color clash, and its unchecked core `_put` is
-    called only where its checks are known to hold, so instances are
-    proper by construction.  The only way to hold an improper coloring is
-    a non-strict write of rows (`from_pairs(strict=False)`, or the CLI's
+    `assign` rejects any color clash, and the first-fit loop `_extend`
+    writes unchecked only a color it has just found free at both ends of
+    an edge its caller holds uncolored, so instances are proper by
+    construction.  The only way to hold an improper coloring is a
+    non-strict write of rows (`from_pairs(strict=False)`, or the CLI's
     document load through `_write`), which records the clashing edges in
     `violations` and keeps them out of the traversal table; validators
     report them, everything else refuses to run via them.
 
-    A vertex at which a first-fit scan meets a used color gets a skip map,
-    `_skip[v]`: an entry c -> c2 says every color in [c, c2) is used at v.
-    `_next_free` follows and compresses it, so once a hub's map holds a
-    run of used colors a scan passes the run in one jump, not step by
-    step.  Keys are used colors only, so v's map holds at most d(v)
+    A vertex at which a first-fit scan meets two used colors in a row gets
+    a skip map, `_skip[v]`: an entry c -> c2 says every color in [c, c2) is
+    used at v.  `_extend` follows and compresses it, so once a hub's map
+    holds a run of used colors a scan passes the run in one jump, not step
+    by step.  Keys are used colors only, so v's map holds at most d(v)
     entries; `unassign` drops the maps of both ends.
 
     `_ends` holds jump pointers along two-colored paths (see `_path_end`),
-    so that `closes_cycle` need not walk them again.  Only that walk reads
-    and writes it: a write only lengthens paths, which leaves every jump a
-    stretch the plain walk would walk, and `unassign` empties it.  It
-    holds at most 4n entries, so the whole coloring takes O(n + m) memory.
-
-    `_first_fit`, the first tier of extension, is the scan that reads both
-    aids.
+    so that `_extend`'s cycle test need not walk them again.  Only that
+    walk reads and writes it: a write only lengthens paths, which leaves
+    every jump a stretch the plain walk would walk, and `unassign` empties
+    it.  It holds at most 2n entries, so the whole coloring takes O(n + m)
+    memory.
     """
 
     __slots__ = ("graph", "k", "_nbr", "_skip", "_ends", "violations")
@@ -147,17 +147,6 @@ class PartialEdgeColoring:
                 raise ImproperColoringError(f"color {c} already at vertex {clash}")
             self.violations.append((u, v, c))
 
-    def _put(self, u: int, v: int, c: Color) -> None:
-        """The writes of `assign` without its checks; private.
-
-        The caller guarantees what `assign` checks: uv is an uncolored edge
-        of the graph, and c is in 1..k and free at both ends.  A color from
-        `_first_fit` is all of that.  `_write` makes the same writes inline.
-        """
-        nbr = self._nbr
-        nbr[u][c] = v
-        nbr[v][c] = u
-
     def unassign(self, u: int, v: int) -> Color:
         c = self.color_of(u, v)
         if c is None:
@@ -180,58 +169,83 @@ class PartialEdgeColoring:
             u, v = v, u
         return next((c for c, w in nbr[u].items() if w == v), None)
 
-    def _next_free(self, v: int, c: Color) -> Color:
-        """The least color >= c not used at v.
+    def _extend(
+        self,
+        us: Sequence[int],
+        vertices: Sequence[int],
+        i: int,
+        stop: int,
+    ) -> tuple[int, Optional[Color]]:
+        """First fit, extension's first tier, on re-insertion steps i, i-1, ..., 0.
 
-        A run of used colors from c is passed through v's skip map, made
-        here on first use, and each color passed then points past the run.
+        Step j colors the edge from us[j] to vertices[j], which the caller
+        holds uncolored, with the smallest color free at both ends that
+        closes no two-colored cycle, written unchecked.  Returns (-1, None)
+        after step 0; (j, None) at a step j where no color fits, left
+        uncolored; and (stop, c) once step `stop` is colored c, before any
+        later step runs.
+
+        A cycle through uv in colors {c, d} needs d at both ends and a
+        {c, d}-path between them: the critical-path test, run for each d
+        from the end with fewer colors as `closes_cycle` runs it, but
+        walking through `_path_end`.  The scan starts at 1.  A color used
+        at an endpoint sends it, through that endpoint's skip map, past the
+        whole run of used colors there; a color that closes a cycle sends
+        it one step on.  Neither aid changes the color a plain scan from 1
+        would find.
         """
-        nb = self._nbr[v]
-        if c not in nb:
-            return c
-        jump = self._skip.get(v)
-        if jump is None:
-            jump = self._skip[v] = {}
-        passed = []
-        while c in nb:
-            passed.append(c)
-            c = jump.get(c, c + 1)
-        # path compression (Tarjan, J. ACM 22, 1975): each color passed
-        # now jumps straight to the free one
-        for p in passed:
-            jump[p] = c
-        return c
-
-    def _first_fit(self, u: int, v: int) -> Optional[Color]:
-        """Smallest color unused at both ends of the uncolored edge uv that
-        closes no cycle.
-
-        Coloring uv with such a color is proper outright; a bichromatic cycle
-        through uv in colors {c, d} would need d at both ends plus an
-        alternating path between them ending in d at each side, which is
-        exactly the critical-path test, and `closes_cycle` runs it for every d.
-
-        The scan starts at 1.  A color used at an endpoint sends it, through
-        that endpoint's skip map, past the whole run of used colors there;
-        a color that closes a cycle sends it one step on.  A jump in
-        `_ends` skips only a stretch the plain walk would walk, so the
-        result is the color a plain scan from 1 would return.
-        """
-        nbr = self._nbr
-        nu, nv = nbr[u], nbr[v]
-        c = 1
-        k = self.k
-        ends = self._ends
-        while c <= k:
-            if c in nu:
-                c = self._next_free(u, c + 1)
-            elif c in nv:
-                c = self._next_free(v, c + 1)
-            elif closes_cycle(nbr, u, v, c, ends):
+        nbr, skip, ends, k = self._nbr, self._skip, self._ends, self.k
+        path_end = _path_end
+        while i >= 0:
+            u = us[i]
+            v = vertices[i]
+            nu = nbr[u]
+            nv = nbr[v]
+            c = 1
+            while c <= k:
+                if c in nu:
+                    x, row = u, nu
+                elif c in nv:
+                    x, row = v, nv
+                else:
+                    # the cycle test: c is free at both ends, so d != c
+                    if len(nv) < len(nu):
+                        s, t = v, u
+                        ns, nt = nv, nu
+                    else:
+                        s, t = u, v
+                        ns, nt = nu, nv
+                    for d in ns:
+                        if d in nt and path_end(nbr, ends, s, d, c) == t:
+                            break
+                    else:
+                        break  # no d closes a cycle: c fits
+                    c += 1
+                    continue
+                # c is used at x; a run of used colors above it is passed
+                # through x's skip map, made here on first use, and each
+                # color passed then points past the run (path compression,
+                # Tarjan, J. ACM 22, 1975)
                 c += 1
-            else:
-                return c
-        return None
+                if c in row:
+                    jump = skip.get(x)
+                    if jump is None:
+                        jump = skip[x] = {}
+                    passed = [c]
+                    c = jump.get(c, c + 1)
+                    while c in row:
+                        passed.append(c)
+                        c = jump.get(c, c + 1)
+                    for p in passed:
+                        jump[p] = c
+            else:  # the palette ran out
+                return i, None
+            nu[c] = v
+            nv[c] = u
+            if i == stop:
+                return i, c
+            i -= 1
+        return -1, None
 
     def is_complete(self) -> bool:
         return self.colored_edge_count() == self.graph.m
@@ -336,7 +350,7 @@ def alternating_walk(
 
 
 # `_path_end` records a jump only when the walk took one or walked at least
-# this many steps.  A record costs two entries in a table that every later
+# this many steps.  A record costs an entry in a table that every later
 # walk probes step by step, which short walks do not repay: `acolor` on
 # Apollonian graphs (n = 1000, 1250, 2000) ran about 7% slower at 0 and
 # about 2% slower at 4 than at 16.  Of the 22 300 walks T1 makes on nine
@@ -356,10 +370,10 @@ def _path_end(nbr: list[dict[Color, int]], ends: dict, u: int, d: Color, c: Colo
     walk goes on from f by e: a jump skips only what the plain walk would
     walk, and the answer is the same.  At each vertex the walk pops the
     entry for its direction and takes it; a walk that jumped, or walked at
-    least `_CACHE_MIN_WALK` steps, records its end from u and the mirror
-    from the end back to u.  Popping what it takes keeps the table to the
-    jumps still worth having, and the table starts again empty before it
-    would pass 4n entries, so it takes O(n) memory.
+    least `_CACHE_MIN_WALK` steps, records its end from u.  Popping what it
+    takes keeps the table to the jumps still worth having, and the table
+    starts again empty before it would pass 2n entries, so it takes O(n)
+    memory.  `_extend` is its only caller.
     """
     x, a, b = u, c, d
     steps = 0
@@ -377,20 +391,13 @@ def _path_end(nbr: list[dict[Color, int]], ends: dict, u: int, d: Color, c: Colo
             a = d if b == c else c
             jumped = True
     if jumped or steps >= _CACHE_MIN_WALK:
-        if len(ends) + 2 > 4 * len(nbr):
+        if len(ends) >= 2 * len(nbr):
             ends.clear()
         ends[u, c, d] = x, b
-        ends[x, b, a] = u, c
     return x
 
 
-def closes_cycle(
-    nbr: list[dict[Color, int]],
-    u: int,
-    v: int,
-    c: Color,
-    ends: Optional[dict] = None,
-) -> bool:
+def closes_cycle(nbr: list[dict[Color, int]], u: int, v: int, c: Color) -> bool:
     """Whether the edge uv in color c lies on a {c, d}-cycle for some d.
 
     Such a cycle needs d at both ends and a d, c, ..., d walk from u that
@@ -406,10 +413,6 @@ def closes_cycle(
     {c, d}-component is a cycle.  So the loop runs over the colors of the
     endpoint with fewer of them and walks from there: a leaf next to a
     hub costs O(1), not O(d(hub)).
-
-    `ends` is the coloring's jump table, and may be passed only in the
-    first case: then each walk is `_path_end`'s, which reads and refreshes
-    the table.
     """
     if len(nbr[v]) < len(nbr[u]):
         u, v = v, u
@@ -417,11 +420,7 @@ def closes_cycle(
     for d in nbr[u]:
         if d == c or d not in nv:
             continue
-        if ends is None:
-            f = alternating_walk(nbr, u, d, c)[0][-1]
-        else:
-            f = _path_end(nbr, ends, u, d, c)
-        if f == v:
+        if alternating_walk(nbr, u, d, c)[0][-1] == v:
             return True
     return False
 

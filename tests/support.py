@@ -136,8 +136,9 @@ def first_fit_free_color(phi: PartialEdgeColoring, u: int, v: int) -> int | None
 
     It scans from 1, ignoring the skip maps, and tests each color d at u,
     walking from u whatever the endpoints' color counts.  These are the
-    O(d(hub)) per edge costs that `PartialEdgeColoring._first_fit` avoids;
-    its color is what that method must return.
+    O(d(hub)) per edge costs that the first-fit loop
+    `PartialEdgeColoring._extend` avoids; its color is what that loop must
+    find (see `first_fit`).
     """
     nbr = phi._nbr
     nu, nv = nbr[u], nbr[v]
@@ -150,6 +151,19 @@ def first_fit_free_color(phi: PartialEdgeColoring, u: int, v: int) -> int | None
         ):
             return c
     return None
+
+
+def first_fit(phi: PartialEdgeColoring, u: int, v: int) -> int | None:
+    """T1's color for the uncolored edge uv, or None, leaving uv uncolored.
+
+    It runs the first-fit loop as a one-step re-insertion and then deletes
+    the two row entries the loop wrote, its last act: the skip maps and
+    the jump table stay as the scan left them, which `unassign` would drop.
+    """
+    c = phi._extend((u,), (v,), 0, 0)[1]
+    if c is not None:
+        del phi._nbr[u][c], phi._nbr[v][c]
+    return c
 
 
 def assert_skip_maps_exact(phi: PartialEdgeColoring) -> None:

@@ -32,6 +32,7 @@ from aecolor.oracle import enumerate_cycles
 from support import (
     all_pairs_bichromatic_cycle,
     assert_skip_maps_exact,
+    first_fit,
     free_colors,
     random_proper_coloring,
     small_graphs,
@@ -133,6 +134,45 @@ class TestPartialColoring:
         assert str(exc.value) == "edge (-1, 0) is not colored"
         assert phi == colored(cycle_graph(3), 3, triples)
 
+    def test_assign_at_a_hub_is_linear(self):
+        # `assign` asks `color_of` whether the edge is already colored, and
+        # that must scan the shorter row: scanning the hub's would cost
+        # Theta(n^2) probes over a star's spokes.  Half the spokes are given
+        # hub first and half leaf first, so neither argument order may be
+        # scanned whatever the degrees.  Probes are membership tests, `get`
+        # lookups and iterated entries; it reads 2.0 n
+        n = 2000
+        probes = 0
+
+        class CountingRow(dict):
+            __slots__ = ()
+
+            def __contains__(self, c):
+                nonlocal probes
+                probes += 1
+                return dict.__contains__(self, c)
+
+            def get(self, c, default=None):
+                nonlocal probes
+                probes += 1
+                return dict.get(self, c, default)
+
+            def items(self):
+                nonlocal probes
+                for item in dict.items(self):
+                    probes += 1
+                    yield item
+
+        phi = PartialEdgeColoring(star_graph(n), n)
+        phi._nbr = [CountingRow() for _ in range(n + 1)]
+        for j in range(1, n + 1):
+            if j % 2:
+                phi.assign(0, j, j)
+            else:
+                phi.assign(j, 0, j)
+        assert phi.colored_edge_count() == n
+        assert probes <= 3 * n
+
     def test_completeness_flag(self):
         g = path_graph(3)
         phi = colored(g, 3, [(0, 1, 1)])
@@ -167,6 +207,17 @@ class TestMaximalBichromaticPath:
         g, phi = self.p4()
         with pytest.raises(ValueError):
             maximal_bichromatic_path(g, phi, 0, 1, 1)
+
+    @pytest.mark.parametrize("pair", [(1, 4), (0, 2), (4, 1)])
+    def test_colors_outside_the_palette_rejected(self, pair):
+        # either color of the pair outside 1..k is refused, by both queries
+        g, phi = self.p4()
+        bad = 4 if 4 in pair else 0
+        message = f"^color {bad} outside palette \\[1..3\\]$"
+        with pytest.raises(ValueError, match=message):
+            maximal_bichromatic_path(g, phi, 0, *pair)
+        with pytest.raises(ValueError, match=message):
+            exists_critical_path(g, phi, *pair, 0, 3)
 
     @given(small_graphs(max_n=7), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -326,26 +377,28 @@ class TestClosesCycle:
 class TestExtensionAids:
     """The skip maps and the jump table under random edits.
 
-    With the recording threshold at 0 every walk that `closes_cycle` makes
-    for an uncolored edge records a jump, so later walks take many; at 16,
-    the shipped value, only long walks and walks that jumped do.
+    With the recording threshold at 0 every walk that `_path_end` makes
+    records a jump, so later walks take many; at 16, the shipped value,
+    only long walks and walks that jumped do.
     """
 
     @staticmethod
     def check(phi, rng):
         nbr, k = phi._nbr, phi.k
         comparisons = 0
-        # the cached test is the raw one, from either end (this also fills
-        # the table)
+        # the walk through the table ends where the plain walk does, from
+        # either end of an uncolored edge and for every color it could
+        # take (this also fills the table)
         open_edges = [e for e in phi.graph.edges() if phi.color_of(*e) is None]
         for x, y in rng.sample(open_edges, min(4, len(open_edges))):
             for c in range(1, k + 1):
                 if c in nbr[x] or c in nbr[y]:
                     continue
-                raw = closes_cycle(nbr, x, y, c)
-                assert closes_cycle(nbr, x, y, c, phi._ends) == raw
-                assert closes_cycle(nbr, y, x, c, phi._ends) == raw
-                comparisons += 1
+                for s in (x, y):
+                    for d in nbr[s]:
+                        raw = alternating_walk(nbr, s, d, c)[0][-1]
+                        assert coloring._path_end(nbr, phi._ends, s, d, c) == raw
+                        comparisons += 1
         # every jump is a stretch of the plain walk: the walk from x by its
         # b-edge passes f and leaves f by e, or stops there lacking e
         for (x, a, b), (f, e) in phi._ends.items():
@@ -354,7 +407,7 @@ class TestExtensionAids:
             assert f in seq
             assert e == (b if seq.index(f) % 2 == 0 else a)
             comparisons += 1
-        assert len(phi._ends) <= 4 * phi.graph.n
+        assert len(phi._ends) <= 2 * phi.graph.n
         assert_skip_maps_exact(phi)
         return comparisons
 
@@ -391,7 +444,7 @@ class TestExtensionAids:
                     x, y = rng.choice(open_edges)
                     free = free_colors(phi, x, y)
                     # mostly T1's color, so paths grow as in `acolor`
-                    c = phi._first_fit(x, y)
+                    c = first_fit(phi, x, y)
                     if op >= 0.55 or c is None:
                         c = rng.choice(free or [None])
                     if c is not None:

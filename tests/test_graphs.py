@@ -177,6 +177,24 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListParseError):
             parse_edge_list("")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\n  \n", "line 3: missing header line `n m`"),
+            ("3\n", "line 1: expected header `n m`, got '3'"),
+            ("\n3 2 1\n0 1\n", "line 2: expected header `n m`, got '3 2 1'"),
+            ("3 x\n", "line 1: non-integer header fields '3 x'"),
+            ("3 1.0\n0 1\n", "line 1: non-integer header fields '3 1.0'"),
+            ("-1 0\n", "line 1: n and m must be nonnegative"),
+            ("\n3 -1\n", "line 2: n and m must be nonnegative"),
+        ],
+        ids=["blank", "one-field", "three-fields", "word", "float", "negative-n", "negative-m"],
+    )
+    def test_header_refusals(self, text, message):
+        with pytest.raises(EdgeListParseError) as ei:
+            parse_edge_list(text)
+        assert str(ei.value) == message
+
     def test_duplicate_edge_reports_line(self):
         with pytest.raises(EdgeListParseError) as ei:
             parse_edge_list("3 2\n0 1\n1 0\n")

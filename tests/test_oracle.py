@@ -61,6 +61,10 @@ class TestDecision:
         with pytest.raises(ValueError):
             is_acyclically_k_colorable(cycle_graph(3), 0)
 
+    def test_negative_palette_size_refused(self):
+        with pytest.raises(ValueError, match="^palette size must be nonnegative, got -1$"):
+            search_acyclic_coloring(path_graph(3), -1)
+
     @pytest.mark.parametrize("k", [True, 2.5])
     def test_palette_size_must_be_an_int(self, k):
         with pytest.raises(TypeError, match=f"^palette size {k!r} is not an int$"):
