@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 from .coloring import PartialEdgeColoring, _check_graph, validate_acyclic
 from .errors import ExtensionFailed, ImproperColoringError, NotPlanarEvidence
 from .graphs import Graph, _canon
-from .scanner import _CAPS, _KIND_BY_DEGREE, Configuration, _kind, _match, classify_vertex
+from .scanner import _CAPS, _KIND_BY_DEGREE, Configuration, _match, classify_vertex
 
 if TYPE_CHECKING:
     from .oracle import SearchBudget
@@ -213,18 +213,26 @@ def _peel(g: Graph, us: list[int], vertices: list[int], kinds: list[str]) -> Non
     graph is not touched.  Two min-heaps of vertex ids replace the rescan
     from vertex 0 (the smallest-last bookkeeping of Matula & Beck, J. ACM
     30, 1983): `low` holds every vertex of degree 1-2 and `cand` every
-    vertex of degree 3-5 that may classify.  Entries go stale as degrees
-    fall and are checked when popped.
+    vertex of degree 3-5 that may classify.  An entry's key is the vertex
+    id, which never changes, so `cand` holds a vertex at most once, while
+    `queued` flags it.  Entries go stale as degrees fall and are checked
+    when popped.
 
     A vertex v from `low` is A1 by its degree, with no cap test, and peels
     its edge toward its smaller-id neighbor.  It goes on peeling its edges
     without the heap: removing vu changes only the degrees of v and u, so v
     stays the least vertex of degree 1-2 unless it is left isolated, which
     ends its run, or u < v falls to degree 1 or 2, which puts v back on
-    `low`.  A vertex v from `cand` takes the one cap test, `_kind`, and
-    peels its edge toward its least (degree, id) neighbor.
+    `low`.  A vertex v from `cand` takes the cap test and peels its edge
+    toward its least (degree, id) neighbor.  `low` was empty then, so a v
+    left with degree 2 runs on as A1 in the same way.
 
-    After any removal, u is pushed by its new degree, and a neighbor w of u
+    The cap test is `scanner._kind`'s, inline on ints: a neighbor w's key
+    deg[w] * n + w orders as (degree, id) does, and deg[w] <= c exactly
+    when the key is below (c + 1) * n.  A 3-vertex needs only its least
+    key; a 4- or 5-vertex sorts its keys.
+
+    After any removal, u is queued by its new degree, and a neighbor w of u
     only when u's degree has just fallen onto a cap of w's kind
     (`_RECHECK`; every cap is 6 or more, so a degree of 5 or less is not
     looked up).  That is enough: w's cap test asks, for each cap c_j of its
@@ -238,68 +246,106 @@ def _peel(g: Graph, us: list[int], vertices: list[int], kinds: list[str]) -> Non
     """
     adj = list(map(set, g._adj))
     deg = [len(a) for a in adj]
+    n = len(adj)
     m = g.m
-    at = deg.__getitem__
+    # map, not a comprehension: under Python 3.11 a comprehension that read
+    # n would make n a cell variable, slower at every read in the loop
+    t2, t30, t31, t40, t41, t42 = map(
+        n.__mul__, [c + 1 for kind in ("A2", "A3", "A4") for c in _CAPS[kind]]
+    )
     add_u, add_vertex, add_kind = us.append, vertices.append, kinds.append
     # ascending lists are already heaps
     low = [v for v, d in enumerate(deg) if 1 <= d <= 2]
     cand = [v for v, d in enumerate(deg) if 3 <= d <= 5]
-    run = -1  # the A1 vertex that peels again without the heap, or -1
+    queued = bytearray(n)
+    for v in cand:
+        queued[v] = 1
     while m:
-        if run < 0:
-            while low and not 1 <= deg[low[0]] <= 2:
-                heappop(low)
-            if low:
-                run = heappop(low)
-        if run >= 0:
-            v = run
+        while low and not 1 <= deg[low[0]] <= 2:
+            heappop(low)
+        if low:
+            v = heappop(low)
             a = adj[v]
-            if len(a) == 1:
-                (u,) = a
-            else:
-                u, w = a
-                if w < u:
-                    u = w
+            u = -1
             kind = "A1"
         else:
             kind = None
-            while cand and kind is None:
+            while cand:
                 v = heappop(cand)
-                if 3 <= deg[v] <= 5:
-                    a = adj[v]
-                    nd = sorted(zip(map(at, a), a))
-                    kind = _kind(nd)
+                queued[v] = 0
+                a = adj[v]
+                d = deg[v]
+                if d == 3:
+                    x, y, z = a
+                    k = min(deg[x] * n + x, deg[y] * n + y, deg[z] * n + z)
+                    if k < t2:
+                        kind = "A2"
+                        break
+                elif d == 4:
+                    w, x, y, z = a
+                    k, k1, _, _ = sorted(
+                        (deg[w] * n + w, deg[x] * n + x, deg[y] * n + y, deg[z] * n + z)
+                    )
+                    if k < t30 and k1 < t31:
+                        kind = "A3"
+                        break
+                elif d == 5:
+                    w, x, y, z, q = a
+                    k, k1, k2, _, _ = sorted(
+                        (deg[w] * n + w, deg[x] * n + x, deg[y] * n + y,
+                         deg[z] * n + z, deg[q] * n + q)
+                    )
+                    if k < t40 and k1 < t41 and k2 < t42:
+                        kind = "A4"
+                        break
             if kind is None:
                 raise NotPlanarEvidence(
-                    f"no reducible configuration in a graph with n={len(adj)}, "
+                    f"no reducible configuration in a graph with n={n}, "
                     f"m={m}; a planar graph always has one"
                 )
-            u = nd[0][1]
-        add_u(u)
-        add_vertex(v)
-        add_kind(kind)
-        a.remove(u)
-        adj[u].remove(v)
-        m -= 1
-        dv = deg[v] = deg[v] - 1
-        d = deg[u] = deg[u] - 1
-        if d < 3:
-            if d:
-                heappush(low, u)
-        elif d < 6:
-            heappush(cand, u)
-        elif recheck := _RECHECK.get(d):
-            for w in adj[u]:
-                if deg[w] in recheck:
-                    heappush(cand, w)
-        if run < 0:
-            heappush(low if dv < 3 else cand, v)
-        elif not dv:
-            run = -1
-        elif u < v and 0 < d < 3:
-            # u is now the least vertex of degree 1-2
-            heappush(low, v)
-            run = -1
+            u = k % n
+        # v's run: one step from cand, or A1 steps until one ends it
+        while True:
+            if u < 0:
+                if len(a) == 1:
+                    (u,) = a
+                else:
+                    u, w = a
+                    if w < u:
+                        u = w
+            add_u(u)
+            add_vertex(v)
+            add_kind(kind)
+            a.remove(u)
+            adj[u].remove(v)
+            m -= 1
+            dv = deg[v] = deg[v] - 1
+            d = deg[u] = deg[u] - 1
+            if d < 3:
+                if d:
+                    heappush(low, u)
+            elif d < 6:
+                if not queued[u]:
+                    queued[u] = 1
+                    heappush(cand, u)
+            elif recheck := _RECHECK.get(d):
+                for w in adj[u]:
+                    if deg[w] in recheck and not queued[w]:
+                        queued[w] = 1
+                        heappush(cand, w)
+            if not dv:
+                break
+            if dv > 2:
+                # an A3 or A4 step: v may classify at its new degree
+                queued[v] = 1
+                heappush(cand, v)
+                break
+            if u < v and 0 < d < 3:
+                # u is now the least vertex of degree 1-2
+                heappush(low, v)
+                break
+            u = -1
+            kind = "A1"
 
 
 def _write_found(phi: PartialEdgeColoring, found: dict[tuple[int, int], int]) -> None:

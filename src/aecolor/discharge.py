@@ -17,7 +17,6 @@ here divide 420), never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -53,14 +52,12 @@ class Transfer(NamedTuple):
     rule: str
 
 
-@dataclass(frozen=True)
-class RuleApplicability:
+class RuleApplicability(NamedTuple):
     rule: str
     violation: bool
 
 
-@dataclass(frozen=True)
-class ChargeLedger:
+class ChargeLedger(NamedTuple):
     vertex_charges: tuple[Fraction, ...]
     face_charges: tuple[Fraction, ...]
     phase: str  # "initial" | "discharged"
@@ -191,8 +188,7 @@ def apply_discharging(g: Graph, faces: FaceSet, ledger: ChargeLedger) -> ChargeL
     return out
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     outcome: str  # "config" | "charges"
     initial_total: Fraction
     config: Optional[Configuration]

@@ -14,20 +14,21 @@ test suite compares the bichromatic-cycle scan against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .coloring import closes_cycle
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 200_000_000
+class SearchBudget(NamedTuple("SearchBudget", [("max_nodes", int)])):
+    """A cap on the search nodes one search may count; it must be positive."""
 
-    def __post_init__(self):
-        if self.max_nodes <= 0:
+    __slots__ = ()
+
+    def __new__(cls, max_nodes: int = 200_000_000):
+        if max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
+        return tuple.__new__(cls, (max_nodes,))
 
 
 class Exhausted:

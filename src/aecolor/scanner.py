@@ -22,8 +22,9 @@ from .graphs import Graph
 
 # Sorted-neighbor-degree caps per kind; a prefix check against these decides
 # membership.  A1 has no neighbor condition.  `discharge` picks its rules by
-# these caps and `colorer._peel` re-checks a vertex when a neighbor's
-# degree falls onto one of them, so the patterns live here only.
+# these caps, and `colorer._peel` makes its thresholds from them and
+# re-checks a vertex when a neighbor's degree falls onto one of them, so the
+# patterns live here only.
 _CAPS = {"A2": (11,), "A3": (7, 9), "A4": (6, 7, 8)}
 _KIND_BY_DEGREE = {3: "A2", 4: "A3", 5: "A4"}
 
@@ -42,8 +43,9 @@ class Configuration(NamedTuple):
 
 
 def _kind(nd: list[tuple[int, int]]) -> Optional[str]:
-    # the one cap test: the kind of a vertex whose neighbors are the sorted
-    # (degree, id) pairs nd, or None
+    # the cap test on (degree, id) pairs: the kind of a vertex whose
+    # neighbors are the sorted pairs nd, or None.  `colorer._peel` runs the
+    # same test inline on int keys, and the reducer tests hold the two equal
     d = len(nd)
     if d <= 2:
         return "A1"

@@ -18,6 +18,7 @@ import aecolor
 from aecolor import families
 from aecolor.cli import _UsageError, coloring_from_json, coloring_to_json, main
 from aecolor.embedding import format_rotation, generate_apollonian
+from aecolor.errors import AecolorError, ExtensionFailed
 from aecolor.families import complete_graph, cycle_graph
 from aecolor.graphs import MAX_VERTICES, format_edge_list
 from support import coloring_documents, reference_coloring_from_json, reference_verify
@@ -554,6 +555,26 @@ class TestUsage:
         code, _, err = run(capsys, ["color", "--in", "/nonexistent/file.txt"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (ExtensionFailed("exhaustive recoloring ran out of budget at edge (0, 1)"), 6),
+            (AecolorError("an error of the package's own"), 1),
+        ],
+        ids=["extension-failed", "aecolor-error"],
+    )
+    def test_package_errors_are_one_line(self, capsys, monkeypatch, tmp_path, error, code):
+        # no known input reaches these two branches of main, so the colorer
+        # is patched to raise
+        def failing(g):
+            raise error
+
+        monkeypatch.setattr("aecolor.colorer.acolor", failing)
+        path = write_graph(tmp_path, cycle_graph(3))
+        got, out, err = run(capsys, ["color", "--in", path])
+        assert got == code and out == ""
+        assert err == f"aecolor: {error}\n"
+
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_resource_exhaustion_is_one_line(self, capsys, monkeypatch, tmp_path, error):
         def exhausted(text):
@@ -627,6 +648,12 @@ class TestUsage:
         ):
             res = python(probe, *argv, cwd=tmp_path, check=True)
             assert res.stdout == "0 []\n", argv
+        # nor do the oracle's budget and the auditor's records
+        probe = (
+            "import sys, aecolor.oracle, aecolor.discharge\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        assert python(probe, check=True).stdout == "[]\n"
 
     def test_bare_import_loads_no_submodule(self):
         res = python(f"import sys, aecolor; print({LOADED})", check=True)

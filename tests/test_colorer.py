@@ -36,7 +36,7 @@ from aecolor.families import (
 )
 from aecolor.graphs import Graph, format_edge_list
 from aecolor.oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
-from aecolor.scanner import Configuration
+from aecolor.scanner import _CAPS, _KIND_BY_DEGREE, Configuration
 
 from support import (
     assert_skip_maps_exact,
@@ -165,6 +165,30 @@ def reduction_cases():
     yield "grid-20x20-subgraph", subgraph(grid_graph(20, 20), 0.6, 0)
 
 
+def cap_boundary_graph(kind, j, degree):
+    """A planar graph on which vertex 1 takes the first cap test, as a
+    vertex of `kind` whose j-th neighbor by (degree, id) is vertex 0, of the
+    given degree.  Each other neighbor before position j sits on its cap,
+    below `degree`; each after it sits on its cap, or on degree 12 where the
+    kind has no cap left, at least `degree`.  Every neighbor is the hub of a
+    wheel that brings it to its degree, so no vertex has degree 1 or 2 and
+    no vertex of degree 3-5 has a smaller id than 1."""
+    caps = _CAPS[kind]
+    (d,) = [dv for dv, k in _KIND_BY_DEGREE.items() if k == kind]
+    degrees = [caps[i] if i < len(caps) else 12 for i in range(d)]
+    degrees[j] = degree
+    hubs = [0] + [2 + i for i in range(d - 1)]
+    hubs[0], hubs[j] = hubs[j], hubs[0]
+    edges, n = [], 2 + d - 1
+    for hub, dh in zip(hubs, degrees):
+        edges.append((1, hub))
+        rim = range(n, n + dh - 1)
+        edges += [(hub, r) for r in rim]
+        edges += [(r, r + 1) for r in rim[:-1]] + [(rim[-1], rim[0])]
+        n += dh - 1
+    return Graph(n, edges)
+
+
 def records(reduction):
     """(edge, configuration) pairs as (edge, vertex, kind) triples."""
     return [(edge, cfg.vertex, cfg.kind) for edge, cfg in reduction]
@@ -208,6 +232,25 @@ class TestReducer:
                 for x in (a, b):
                     seen.update((len(adj[x]), len(adj[w])) for w in adj[x])
         assert want <= seen
+
+    @pytest.mark.parametrize(
+        "kind, j, over",
+        [(k, j, over) for k, caps in _CAPS.items() for j in range(len(caps)) for over in (0, 1)],
+    )
+    def test_cap_boundary(self, kind, j, over):
+        # the j-th neighbor has degree exactly its cap, or one above it with
+        # id 0, so that its key deg * n + id is exactly the threshold
+        # (cap + 1) * n: a test that passed at the threshold, or stopped one
+        # short of it, would take the first step at the wrong vertex
+        cap = _CAPS[kind][j]
+        g = cap_boundary_graph(kind, j, cap + over)
+        assert sorted((g.degree(w), w) for w in g.neighbors(1))[j] == (cap + over, 0)
+        assert [v for v in g.vertices() if 1 <= g.degree(v) <= 5][0] == 1
+        got = peeled(g)
+        if over:
+            assert got[0][1] != 1
+        else:
+            assert got[0][1:] == (1, kind)
 
     @pytest.mark.parametrize(
         "edges, first",
@@ -263,13 +306,16 @@ class TestReducer:
         assert [(e, v) for e, v, _ in got[:3]] == [((0, 1), 1), ((0, 2), 0), ((0, 3), 0)]
 
     def test_reduction_work_is_linear(self, monkeypatch):
-        # heap pushes plus cap tests: re-pushing every degree 3-5 neighbor
-        # of an endpoint left below degree 12 cost about 3.9 m on this
-        # triangulation and 5.4 m on the grid; re-pushing only on cap
-        # crossings cost about 2.5 m on both (73 526 and 49 400).  An A1
-        # step takes no cap test, and counts one unit for its edge choice.
-        # An A1 vertex that peels its next edge without a return to the
-        # heap brings them to 63 762 (2.13 m) and 39 599 (2.00 m)
+        # heap pushes plus heap pops, and one unit per A1 step for its edge
+        # choice; every cap test follows a pop from `cand`.  Re-pushing every
+        # degree 3-5 neighbor of an endpoint left below degree 12 cost about
+        # 3.9 m on this triangulation and 5.4 m on the grid, counting cap
+        # tests in place of pops.  With re-pushes only on cap crossings and
+        # A1 runs that peel without a return to the heap, pushes plus pops
+        # read 2.84 m and 2.52 m, from duplicate entries in `cand` and A2
+        # vertices pushed back onto `low`.  One `cand` entry per vertex, and
+        # an A2 vertex that runs on as A1, bring them to 58 328 (1.94 m) and
+        # 40 191 (2.03 m)
         work = 0
 
         def counted(f):
@@ -281,7 +327,7 @@ class TestReducer:
             return call
 
         monkeypatch.setattr(colorer, "heappush", counted(colorer.heappush))
-        monkeypatch.setattr(colorer, "_kind", counted(colorer._kind))
+        monkeypatch.setattr(colorer, "heappop", counted(colorer.heappop))
         for g in (generate_apollonian(10000, seed=11)[0], grid_graph(100, 100)):
             work = 0
             kinds: list = []
@@ -710,6 +756,14 @@ class TestTrace:
         assert len(trace) == g.m
         assert all(type(step) is TraceStep for step in trace)
         assert all(type(step.config) is Configuration for step in trace)
+
+    def test_equality_hashing_and_repr_read_the_steps(self):
+        _, trace = acolor(complete_graph(4))
+        built = ReductionTrace(trace.steps)
+        assert trace == built and hash(trace) == hash(built) == hash(trace.steps)
+        assert trace.__eq__(trace.steps) is NotImplemented and trace != trace.steps
+        assert trace != ReductionTrace(trace.steps[:-1])
+        assert repr(trace) == repr(built) == f"ReductionTrace(steps={trace.steps!r})"
 
     def test_json_puts_config_vertex_second(self):
         g = complete_graph(4)

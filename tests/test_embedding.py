@@ -198,6 +198,24 @@ class TestRotationFormat:
         with pytest.raises(InvalidRotationError, match="line 1"):
             parse_rotation("0 1 2", cycle_graph(3))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0: 1 x\n", "line 1: non-integer id"),
+            ("\nv: 1\n", "line 2: non-integer id"),
+            ("2: 0\n", "line 1: vertex 2 out of range"),
+            ("-1: 0\n", "line 1: vertex -1 out of range"),
+        ],
+    )
+    def test_bad_vertex_id(self, text, message):
+        with pytest.raises(InvalidRotationError, match=f"^{message}$"):
+            parse_rotation(text, Graph(2, [(0, 1)]))
+
+    def test_vertex_count_must_match(self):
+        # a rotation built for another graph, not one read from text
+        with pytest.raises(InvalidRotationError, match="^rotation covers 2 vertices, graph has 3$"):
+            trace_faces(cycle_graph(3), RotationSystem([[1], [0]]))
+
     def test_vertex_twice(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(InvalidRotationError, match="twice"):

@@ -178,6 +178,17 @@ class TestBudget:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             SearchBudget(max_nodes=0)
+        with pytest.raises(ValueError):
+            SearchBudget(-1)
+
+    def test_budget_is_an_immutable_value(self):
+        budget = SearchBudget(max_nodes=50)
+        assert budget == SearchBudget(50) and hash(budget) == hash(SearchBudget(50))
+        assert budget != SearchBudget(51)
+        assert repr(budget) == "SearchBudget(max_nodes=50)"
+        assert SearchBudget().max_nodes == 200_000_000
+        with pytest.raises(AttributeError):
+            budget.max_nodes = 1
 
     def test_symmetry_cap_keeps_an_infeasible_search_small(self):
         # the octahedron is infeasible at k = 5 (χ'a = 6); the search proves
