@@ -8,18 +8,17 @@ from it: the color of one edge by a scan of the shorter of its two rows,
 and iteration in edge order by one pass over the rows and a sort.
 
 Extension's first tier, first fit, is one loop, `PartialEdgeColoring._extend`,
-which colors a run of re-insertion steps in one frame.  It reads two aids,
-neither of which changes an answer: a skip map per vertex, made on first
-use, that jumps runs of used colors; and a table of jumps along long
-two-colored paths, which only its walk, `_path_end`, reads and writes, so
-that it need not walk them again.  Coloring an edge never touches the
-table; uncoloring one empties it.
+over a run of re-insertion steps; its skip maps and `_path_end`'s jump
+table change no answer.  Validation is one pass, `_scan`, which finds the
+least two-colored cycle and the largest color together.
 
 All of it takes O(n + m) memory whatever the palette size and color values.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -34,9 +33,6 @@ class PartialEdgeColoring:
 
     The palette size k is a nonnegative int: a negative one is refused
     (ValueError), and a bool, float or other non-int one (TypeError).
-
-    Its one store, `_nbr[v]`, maps each color at v to the neighbor across
-    that edge; `color_of` scans the shorter of two rows, O(min degree).
 
     `assign` rejects any color clash, and the first-fit loop `_extend`
     writes unchecked only a color it has just found free at both ends of
@@ -54,12 +50,8 @@ class PartialEdgeColoring:
     by step.  Keys are used colors only, so v's map holds at most d(v)
     entries; `unassign` drops the maps of both ends.
 
-    `_ends` holds jump pointers along two-colored paths (see `_path_end`),
-    so that `_extend`'s cycle test need not walk them again.  Only that
-    walk reads and writes it: a write only lengthens paths, which leaves
-    every jump a stretch the plain walk would walk, and `unassign` empties
-    it.  It holds at most 2n entries, so the whole coloring takes O(n + m)
-    memory.
+    `_ends` holds jump pointers along two-colored paths for `_extend`'s
+    cycle test; `_path_end`, its only reader and writer, says why they hold.
     """
 
     __slots__ = ("graph", "k", "_nbr", "_skip", "_ends", "violations")
@@ -402,17 +394,13 @@ def closes_cycle(nbr: list[dict[Color, int]], u: int, v: int, c: Color) -> bool:
 
     Such a cycle needs d at both ends and a d, c, ..., d walk from u that
     reaches v.  With uv uncolored and c free at both ends, that walk is the
-    whole alternating walk from u and must end at v.  With uv already
-    colored c, the walk ends at v exactly when it closes back through uv.
-
-    The answer is symmetric in u and v.  The candidates d are the colors
-    other than c at both ends, the same set from either side.  For each d
-    the question is whether uv lies on the {c, d}-cycle closed by uv: in
-    the first case whether the {c, d}-path from u ends at v, which holds
-    just when the one from v ends at u; in the second whether uv's
-    {c, d}-component is a cycle.  So the loop runs over the colors of the
-    endpoint with fewer of them and walks from there: a leaf next to a
-    hub costs O(1), not O(d(hub)).
+    whole alternating walk from u and must end at v, which it does just
+    when the one from v ends at u.  With uv already colored c, the walk
+    ends at v exactly when uv's {c, d}-component is a cycle.  So the answer
+    is symmetric in u and v, as is the set of candidates d, the colors
+    other than c at both ends, and the loop runs over the colors of the
+    endpoint with fewer of them: a leaf next to a hub costs O(1), not
+    O(d(hub)).
     """
     if len(nbr[v]) < len(nbr[u]):
         u, v = v, u
@@ -499,70 +487,83 @@ def find_bichromatic_cycle(g: Graph, phi: PartialEdgeColoring) -> Optional[Cycle
     a-neighbor has a b-edge whose far end has an a-edge, and v's b-neighbor
     has an a-edge whose far end has a b-edge.  An {a, b}-cycle through v
     has at least 4 vertices and meets both.  Without the first the walk
-    stops open within 3 vertices, where `covered` would gain no vertex;
-    without the second v's {a, b}-component is a path, so the walk cannot
-    close, however long it runs.
+    stops open within 3 vertices, where `covered` would gain no vertex
+    worth keeping; without the second v's {a, b}-component is a path, so
+    the walk cannot close, however long it runs.  The pass also yields
+    the largest color: each colored edge is forward from exactly one end.
     """
     _check_graph(g, phi)
     if phi.violations:
         raise ImproperColoringError(f"coloring has {len(phi.violations)} properness violations")
-    nbr = phi._nbr
-    deg = [len(d) for d in nbr]
-    removed = [False] * len(nbr)
+    return _scan(phi._nbr)[0]
+
+
+def _scan(nbr: list[dict[Color, int]]) -> tuple[Optional[CycleWitness], int]:
+    # `find_bichromatic_cycle`'s search; it takes the largest color on the way
+    deg = list(map(len, nbr))
+    removed = bytearray(len(nbr))
     rest = [v for v, d in enumerate(deg) if d]
     t = 1
     stack = [v for v in rest if deg[v] == 1]
     best: Optional[tuple[Color, Color]] = None
+    top = 0
     # for each pair (a, b), vertices that an open {a, b}-walk has passed:
     # their two-colored component is a path, so no walk from them closes
-    covered: dict[tuple[Color, Color], set[int]] = {}
+    covered: defaultdict[tuple[Color, Color], set[int]] = defaultdict(set)
     # deg[v] counts v's neighbors not yet removed; v is stacked when it
     # falls to the threshold t, so it leaves with at most t forward edges
     while True:
         while stack:
             v = stack.pop()
-            removed[v] = True
+            removed[v] = 1
+            row = nbr[v]
             if deg[v] < 2:  # at most one forward edge: no pair to walk
-                for w in nbr[v].values():
+                for c, w in row.items():
                     if not removed[w]:
+                        if c > top:
+                            top = c
                         deg[w] -= 1
                         if deg[w] == t:
                             stack.append(w)
                 continue
             fwd = []
-            for c, w in nbr[v].items():
+            for c, w in row.items():
                 if not removed[w]:
                     fwd.append(c)
                     deg[w] -= 1
                     if deg[w] == t:
                         stack.append(w)
             fwd.sort()
-            for i, a in enumerate(fwd):
-                second = nbr[nbr[v][a]]  # the colors at v's a-neighbor
-                for b in fwd[i + 1:]:
-                    if best is not None and (a, b) >= best:
-                        break
-                    x = second.get(b)  # the walk's third vertex, if any
-                    if x is None or a not in nbr[x]:
-                        continue
-                    y = nbr[nbr[v][b]].get(a)  # the same from v's b-edge
-                    if y is None or b not in nbr[y] or v in covered.get((a, b), ()):
-                        continue
-                    seq, closed = alternating_walk(nbr, v, a, b)
-                    if closed:
-                        best = (a, b)
-                        break
-                    # seq[0] is v, gone; seq[1]'s a-edge leads to v; seq[-1]
-                    # misses a or b: none of them can start an {a, b}-walk
-                    # later, so they are not kept
-                    covered.setdefault((a, b), set()).update(seq[2:-1])
+            if fwd[-1] > top:
+                top = fwd[-1]
+            # pairs come in rising order: none after one at best can beat it
+            for a, b in combinations(fwd, 2):
+                x = nbr[row[a]].get(b)  # the walk's third vertex, if any
+                if x is None or a not in nbr[x]:
+                    continue
+                y = nbr[row[b]].get(a)  # the same from v's b-edge
+                if y is None or b not in nbr[y]:
+                    continue
+                if best is not None and (a, b) >= best:
+                    break
+                seen = covered[a, b]
+                if v in seen:
+                    continue
+                seq, closed = alternating_walk(nbr, v, a, b)
+                if closed:
+                    best = (a, b)
+                    break
+                # only a vertex with a and b both forward is looked up here,
+                # so the whole walk can go in: v is gone, seq[1]'s a-edge
+                # leads to v and seq[-1] misses a or b
+                seen.update(seq)
         rest = [v for v in rest if not removed[v]]
         if not rest:
             break
-        t = min(deg[v] for v in rest)
+        t = min(map(deg.__getitem__, rest))
         stack = [v for v in rest if deg[v] == t]
     if best is None:
-        return None
+        return None, top
     # the witness rule: the lowest vertex on an {a, b}-cycle, via its a-edge
     a, b = best
     visited: set[int] = set()
@@ -571,15 +572,14 @@ def find_bichromatic_cycle(g: Graph, phi: PartialEdgeColoring) -> Optional[Cycle
             continue
         seq, closed = alternating_walk(nbr, s, a, b)
         if closed:
-            return CycleWitness(tuple(seq), best)
+            return CycleWitness(tuple(seq), best), top
         visited.update(seq)
     raise AssertionError(f"no {best}-cycle on the second pass")
 
 
 def validate_acyclic(g: Graph, phi: PartialEdgeColoring) -> ValidationReport:
-    """Full acyclicity report: completeness, properness, cycle witness, max color."""
+    """Full acyclicity report: completeness, properness, cycle witness, max
+    color; one scan gives a proper coloring's cycle and largest color."""
     _check_graph(g, phi)
-    all_colored = phi.is_complete()
-    proper = not phi.violations
-    cycle = find_bichromatic_cycle(g, phi) if proper else None
-    return ValidationReport(all_colored, proper, cycle, phi.max_color_used())
+    cycle, top = (None, phi.max_color_used()) if phi.violations else _scan(phi._nbr)
+    return ValidationReport(phi.is_complete(), not phi.violations, cycle, top)

@@ -100,7 +100,7 @@ class Graph:
         return len(self._adj[v])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max(map(len, self._adj), default=0)
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):

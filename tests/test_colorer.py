@@ -357,8 +357,9 @@ class TestReducer:
 
 def acolor_with_work(g, budget, monkeypatch):
     """`acolor(g)` and the work it did, failing the test once that passes
-    budget.  Work is color-table probes (membership tests, `get` lookups
-    and iterated colors) plus the vertices each `alternating_walk` visits.
+    budget.  Work is color-table probes (membership tests, `get` lookups,
+    and the colors, neighbors and entries a loop over a row reads) plus the
+    vertices each `alternating_walk` visits.
     Only `acolor`'s own work counts: checks the caller makes on the
     returned coloring do not."""
     work = 0
@@ -383,6 +384,16 @@ def acolor_with_work(g, budget, monkeypatch):
             for c in dict.__iter__(self):
                 spend(1)
                 yield c
+
+        def items(self):
+            for entry in dict.items(self):
+                spend(1)
+                yield entry
+
+        def values(self):
+            for w in dict.values(self):
+                spend(1)
+                yield w
 
         def get(self, c, default=None):
             spend(1)
@@ -505,7 +516,9 @@ class TestTryFreeColor:
         # the first-fit loop must stay O(n) on a star, where scanning from
         # color 1 and walking from the hub cost Theta(n^2); a star makes no
         # walks, so only probes count.  It reads 8.0 n: 6 n in `acolor`'s
-        # re-insertion and 2 n in `validate_acyclic`'s `max_color_used`
+        # re-insertion and 2 n in `validate_acyclic`'s cycle scan, which
+        # reads every row once and takes the largest color on the way; a
+        # second pass over the rows for that color would add 2 n
         n = 5000
         phi, work = acolor_with_work(star_graph(n), 10 * n, monkeypatch)
         assert phi.max_color_used() == n
@@ -515,7 +528,8 @@ class TestTryFreeColor:
         # the hub lacks color 1, so first-fit passed its colors one at a
         # time, and every even spoke's {1, 2}-walk ran the whole rim built
         # so far: about 2270 n in all before the skip maps and the jump
-        # table; it reads 22.0 n
+        # table; it reads 22.0 n, and a second pass over the rows for the
+        # largest color would add 4 n
         n = 3000
         phi, work = acolor_with_work(wheel_graph(n), 40 * n, monkeypatch)
         assert phi.is_complete()

@@ -654,3 +654,56 @@ class TestValidateAcyclic:
             with pytest.raises(ValueError, match="bound to a different graph"):
                 query(other)
             query(cycle_graph(4))  # an equal graph is the coloring's graph
+
+    @given(
+        st.sampled_from(["apollonian", "grid", "wheel", "complete", "forest", "matching"]),
+        st.sampled_from(["complete", "partial", "improper"]),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_scan_gives_the_cycle_and_the_largest_color(self, family, fill, seed):
+        # the cycle scan takes the largest color from each vertex's forward
+        # colors: it must equal a pass over every colored edge, also where
+        # a vertex leaves with at most one forward edge (forests and
+        # matchings), and its witness must be the all-pairs scan's.  An
+        # improper coloring is not scanned
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        if family == "apollonian":
+            g = generate_apollonian(rng.randint(4, 60), rng.randrange(100))[0]
+        elif family == "grid":
+            g = grid_graph(rng.randint(2, 7), rng.randint(2, 7))
+        elif family == "wheel":
+            g = wheel_graph(rng.randint(3, 30))
+        elif family == "complete":
+            g = complete_graph(rng.randint(3, 8))
+        elif family == "forest":
+            g = Graph(n, [(rng.randrange(x), x) for x in range(1, n) if rng.random() < 0.8])
+        else:
+            ids = rng.sample(range(n), n)
+            g = Graph(n, [(ids[i], ids[i + 1]) for i in range(0, n - 1, 2)])
+        k = g.max_degree() + rng.randint(0, 3)
+        used = [set() for _ in range(g.n)]
+        rows = []
+        for u, v in rng.sample(g.edges(), g.m):
+            free = [c for c in range(1, k + 1) if c not in used[u] and c not in used[v]]
+            if fill == "improper" and rng.random() < 0.2:
+                c = rng.randint(1, k)
+            elif not free or (fill == "partial" and rng.random() < 0.3):
+                continue
+            else:
+                c = rng.choice(free)
+            used[u].add(c)
+            used[v].add(c)
+            rows.append((u, v, c))
+        phi = PartialEdgeColoring.from_pairs(g, k, rows, strict=False)
+        rep = validate_acyclic(g, phi)
+        assert rep.max_color == max((c for _, c in phi.items()), default=0)
+        assert rep.all_edges_colored == (phi.colored_edge_count() == g.m)
+        assert rep.is_proper == (not phi.violations)
+        if phi.violations:
+            assert rep.cycle is None
+            with pytest.raises(ImproperColoringError):
+                find_bichromatic_cycle(g, phi)
+        else:
+            assert rep.cycle == find_bichromatic_cycle(g, phi) == all_pairs_bichromatic_cycle(phi)
