@@ -13,9 +13,9 @@ Exit codes: 0 success, 1 usage or malformed input, 2 improper coloring,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .errors import (
@@ -28,11 +28,14 @@ from .errors import (
 from .graphs import MAX_VERTICES, Graph, format_edge_list, parse_edge_list
 
 if TYPE_CHECKING:
+    from .colorer import ReductionTrace
     from .coloring import PartialEdgeColoring
 
 # A CLI call pays for every module it imports, compiled from source when no
 # bytecode cache is written, so each subcommand imports, inside its own
-# function, the modules that not every subcommand runs.
+# function, the modules that not every subcommand runs.  `json` is one of
+# them: `color` writes its documents itself (`_write_json`), so only
+# `verify` and `_dump_json` import it, and `gen` and `color` never do.
 
 SCHEMA = "aecolor/1"
 
@@ -62,15 +65,52 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: Optional[str], text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
+# the rows `_write` joins and writes at a time
+_CHUNK_ROWS = 4096
+
+
+def _write(
+    path: Optional[str], head: str, rows: Iterable[str] = (), tail: str = "", sep: str = ""
+) -> None:
+    """Write head, the rows joined by sep, and tail to path, - or None for
+    stdout.  The rows are joined and written `_CHUNK_ROWS` at a time, so an
+    output of m rows never lies in memory as one string."""
+    fh = sys.stdout if path is None or path == "-" else open(path, "w", encoding="utf-8")
+    try:
+        write = fh.write
+        write(head)
+        rows = iter(rows)
+        chunk = sep.join(islice(rows, _CHUNK_ROWS))
+        while chunk:
+            write(chunk)
+            chunk = sep.join(islice(rows, _CHUNK_ROWS))
+            if chunk:
+                write(sep)
+        write(tail)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
+
+
+def _write_json(
+    path: Optional[str], head: dict, key: str, rows: Iterable[str], count: int
+) -> None:
+    """Write the bytes of `_dump_json({**head, key: items})`, where head
+    maps to ints and strings with nothing to escape, and items is a list of
+    `count` objects, each already encoded as one of `rows` at indent depth
+    2."""
+    text = "{\n"
+    for name, x in head.items():
+        text += f'  "{name}": {x},\n' if type(x) is int else f'  "{name}": "{x}",\n'
+    if count:
+        _write(path, f'{text}  "{key}": [\n', rows, "\n  ]\n}\n", ",\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(path, f'{text}  "{key}": []\n}}\n')
 
 
 def _dump_json(doc: dict) -> str:
+    import json
+
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -192,18 +232,35 @@ def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
     return g, phi
 
 
-def _dot(phi: PartialEdgeColoring) -> str:
+def _dot_rows(phi: PartialEdgeColoring) -> Iterator[str]:
     # palette index drives the hue so renders are stable across runs
-    lines = ["graph aecolor {"]
     k = max(phi.k, 1)
     for u, v, c in phi._edge_rows():
         if c is None:
-            lines.append(f'  {u} -- {v} [style=dashed label="?"];')
+            yield f'  {u} -- {v} [style=dashed label="?"];\n'
         else:
-            hue = (c - 1) / k
-            lines.append(f'  {u} -- {v} [label="{c}" color="{hue:.3f} 0.85 0.75"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f'  {u} -- {v} [label="{c}" color="{(c - 1) / k:.3f} 0.85 0.75"];\n'
+
+
+def _write_coloring(path: Optional[str], phi: PartialEdgeColoring) -> None:
+    # the bytes of `_dump_json(coloring_to_json(phi))`
+    rows = (
+        f'    {{\n      "u": {u},\n      "v": {v},\n'
+        f'      "color": {"null" if c is None else c}\n    }}'
+        for u, v, c in phi._edge_rows()
+    )
+    _write_json(path, {"schema": SCHEMA, "k": phi.k}, "edges", rows, phi.graph.m)
+
+
+def _write_trace(path: Optional[str], trace: ReductionTrace) -> None:
+    # the bytes of `_dump_json({"schema": SCHEMA, **trace.to_json_dict()})`;
+    # configuration kinds and tiers are names with nothing to escape
+    rows = (
+        f'    {{\n      "edge": [\n        {u},\n        {v}\n      ],\n'
+        f'      "config": "{kind}",\n      "tier": "{tier}"\n    }}'
+        for u, v, kind, tier in zip(trace._us, trace._vertices, trace._kinds, trace._tiers)
+    )
+    _write_json(path, {"schema": SCHEMA}, "steps", rows, len(trace))
 
 
 def cmd_gen(args) -> int:
@@ -232,17 +289,19 @@ def cmd_color(args) -> int:
     g = _load_graph(getattr(args, "in"))
     phi, trace = acolor(g)
     if args.format == "json":
-        _write(args.out, _dump_json(coloring_to_json(phi)))
+        _write_coloring(args.out, phi)
     elif args.format == "dot":
-        _write(args.out, _dot(phi))
+        _write(args.out, "graph aecolor {\n", _dot_rows(phi), "}\n")
     else:
-        _write(args.out, "".join(f"{u} {v} {c}\n" for (u, v), c in phi.items()))
+        _write(args.out, "", (f"{u} {v} {c}\n" for u, v, c in phi._edge_rows()))
     if args.trace:
-        _write(args.trace, _dump_json({"schema": SCHEMA, **trace.to_json_dict()}))
+        _write_trace(args.trace, trace)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    import json
+
     from .coloring import validate_acyclic
 
     try:

@@ -12,16 +12,25 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import aecolor
-from aecolor import families
-from aecolor.cli import _UsageError, coloring_from_json, coloring_to_json, main
+from aecolor import cli, families
+from aecolor.cli import SCHEMA, _UsageError, coloring_from_json, coloring_to_json, main
+from aecolor.colorer import ReductionTrace, TraceStep, acolor
+from aecolor.coloring import PartialEdgeColoring
 from aecolor.embedding import format_rotation, generate_apollonian
-from aecolor.errors import AecolorError, ExtensionFailed
-from aecolor.families import complete_graph, cycle_graph
-from aecolor.graphs import MAX_VERTICES, format_edge_list
-from support import coloring_documents, reference_coloring_from_json, reference_verify
+from aecolor.errors import AecolorError, ExtensionFailed, NotPlanarEvidence
+from aecolor.families import complete_graph, cycle_graph, star_graph
+from aecolor.graphs import MAX_VERTICES, Graph, format_edge_list
+from support import (
+    coloring_documents,
+    free_colors,
+    reference_coloring_from_json,
+    reference_verify,
+    small_graphs,
+)
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -234,6 +243,83 @@ def apollonian_10k():
     g, _ = generate_apollonian(10_000, seed=11)
     phi, _ = acolor(g)
     return g, phi, json.dumps(coloring_to_json(phi))
+
+
+def written(writer, obj, chunk_rows=None):
+    """The text `writer(path, obj)` writes to stdout, `_CHUNK_ROWS` rows at
+    a time unless chunk_rows is given."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows or cli._CHUNK_ROWS), redirect_stdout(out):
+        writer("-", obj)
+    return out.getvalue()
+
+
+def dumped_coloring(phi):
+    return json.dumps(coloring_to_json(phi), indent=2) + "\n"
+
+
+def dumped_trace(trace):
+    return json.dumps({"schema": SCHEMA, **trace.to_json_dict()}, indent=2) + "\n"
+
+
+class TestWriters:
+    """`color` writes its documents row by row; the bytes are those of
+    json.dumps(indent=2), at every chunk size, with and without rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_n=8), st.data(), st.integers(1, 5))
+    def test_coloring_bytes_equal_json_dumps(self, g, data, chunk_rows):
+        k = data.draw(st.integers(0, 12))
+        phi = PartialEdgeColoring(g, k)
+        for u, v in g.edges():
+            free = free_colors(phi, u, v)
+            c = data.draw(st.sampled_from([None, *free]))
+            if c is not None:
+                phi.assign(u, v, c)
+        assert written(cli._write_coloring, phi, chunk_rows) == dumped_coloring(phi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(max_n=8), st.data(), st.integers(1, 5))
+    def test_trace_bytes_equal_json_dumps(self, g, data, chunk_rows):
+        try:
+            phi, trace = acolor(g)
+        except NotPlanarEvidence:
+            assume(False)
+        assert written(cli._write_trace, trace, chunk_rows) == dumped_trace(trace)
+        assert written(cli._write_coloring, phi, chunk_rows) == dumped_coloring(phi)
+        # a trace built from steps, with escalated tiers
+        tiers = st.sampled_from(["T1", "T2", "T3", "T4"])
+        tiers = data.draw(st.lists(tiers, min_size=len(trace), max_size=len(trace)))
+        rebuilt = ReductionTrace(
+            tuple(TraceStep(s.edge, s.config, t) for s, t in zip(trace.steps, tiers))
+        )
+        assert written(cli._write_trace, rebuilt, chunk_rows) == dumped_trace(rebuilt)
+
+    def test_empty_documents(self):
+        phi, trace = acolor(Graph(3, []))
+        assert len(trace) == 0
+        assert written(cli._write_trace, trace) == dumped_trace(trace)
+        assert written(cli._write_coloring, phi) == dumped_coloring(phi)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one-chunk", "past-one-chunk"])
+    def test_documents_at_the_chunk_size(self, extra):
+        # the star's m is exactly one chunk of rows, then one row more
+        phi, trace = acolor(star_graph(cli._CHUNK_ROWS + extra))
+        assert written(cli._write_coloring, phi) == dumped_coloring(phi)
+        assert written(cli._write_trace, trace) == dumped_trace(trace)
+
+    @pytest.mark.parametrize("fmt", ["json", "plain", "dot"])
+    def test_file_and_stdout_bytes_agree(self, capsys, tmp_path, fmt):
+        g = generate_apollonian(30, 2)[0]
+        path = write_graph(tmp_path, g)
+        out, tr = tmp_path / "out", tmp_path / "trace.json"
+        argv = ["color", "--in", path, "--format", fmt]
+        assert run(capsys, [*argv, "--out", str(out), "--trace", str(tr)])[0] == 0
+        code, stdout, _ = run(capsys, argv)
+        assert code == 0 and out.read_text() == stdout
+        if fmt == "plain":
+            phi, _ = acolor(g)
+            assert stdout == "".join(f"{u} {v} {c}\n" for (u, v), c in phi.items())
 
 
 class TestVerify:
@@ -654,6 +740,27 @@ class TestUsage:
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
         )
         assert python(probe, check=True).stdout == "[]\n"
+
+    def test_gen_and_color_load_no_json(self, tmp_path):
+        # `color` writes its documents itself; only reading or dumping other
+        # documents imports `json`
+        (tmp_path / "g.txt").write_text(format_edge_list(generate_apollonian(12, 0)[0]))
+        probe = (
+            "import contextlib, io, sys\n"
+            "from aecolor.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, 'json' in sys.modules)"
+        )
+        for argv in (
+            ["color", "--in", "g.txt", "--out", "doc.json", "--trace", "trace.json"],
+            ["color", "--in", "g.txt", "--format", "plain"],
+            ["gen", "--apollonian", "50", "--out", "g50.txt"],
+        ):
+            res = python(probe, *argv, cwd=tmp_path, check=True)
+            assert res.stdout == "0 False\n", argv
+        res = python(probe, "verify", "--in", "doc.json", cwd=tmp_path, check=True)
+        assert res.stdout == "0 True\n"
 
     def test_bare_import_loads_no_submodule(self):
         res = python(f"import sys, aecolor; print({LOADED})", check=True)
