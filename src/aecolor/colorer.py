@@ -10,11 +10,11 @@ Extension escalates through three tiers:
       every other colored edge keeps its color (a node budget, BALL_NODES)
   T3  exact search over the whole colored subgraph and uv
 
-T2 and T3 are one search, the oracle's, and both edit the one coloring
-they are given, in place.  A T2 failure proves nothing and changes
-nothing; it is skipped when the ball already holds every colored edge.
-T3 proving the palette short refutes planarity only when the palette has
-at least Δ+10 colors for the subgraph it searched.
+T2 and T3 are one search, the oracle's core, run in place on the color
+table of the one coloring they are given.  A T2 failure proves nothing and
+changes nothing; it is skipped when the ball already holds every colored
+edge.  T3 proving the palette short refutes planarity only when the
+palette has at least Δ+10 colors for the subgraph it searched.
 """
 
 from __future__ import annotations
@@ -348,51 +348,46 @@ def _peel(g: Graph, us: list[int], vertices: list[int], kinds: list[str]) -> Non
             kind = "A1"
 
 
-def _write_found(phi: PartialEdgeColoring, found: dict[tuple[int, int], int]) -> None:
-    # write a search result over phi: every edge it colored, uv among them,
-    # is cleared first, so no write meets a color the search has moved
-    for u, v in found:
-        if phi.color_of(u, v) is not None:
-            phi.unassign(u, v)
-    for (u, v), c in found.items():
-        phi.assign(u, v, c)
-
-
 def _escalate(phi: PartialEdgeColoring, u: int, v: int, budget: Optional[SearchBudget]) -> str:
     # T2, then T3, for the uncolored edge uv on which T1 has just failed;
-    # returns the tier.  The only use of the oracle here, so a run that
-    # never escalates never imports it
-    from .oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
+    # returns the tier.  Each search unassigns its edges and colors them and
+    # uv in phi's own table; if it fails it assigns them back.  The only use
+    # of the oracle, so a run that never escalates never imports it
+    from .oracle import EXHAUSTED, SearchBudget, _search
 
-    n, k, nbr = phi.graph.n, phi.k, phi._nbr
+    nbr, k = phi._nbr, phi.k
+
+    def search(edges: list[tuple[int, int]], symmetric: bool, max_nodes: int):
+        colors = [phi.unassign(x, y) for x, y in edges]
+        found = _search(nbr, sorted(edges + [_canon(u, v)]), k, symmetric, max_nodes)
+        if not isinstance(found, dict):
+            for (x, y), c in zip(edges, colors):
+                phi.assign(x, y, c)
+        return found
+
+    # T2 is skipped when the ball holds every colored edge: when none of its
+    # rows leaves it, and only then is the whole table counted
     ball = {u, v, *nbr[u].values(), *nbr[v].values()}
-    inner, fixed = [(u, v)], {}
-    for e, c in phi.items():
-        if e[0] in ball and e[1] in ball:
-            inner.append(e)
-        else:
-            fixed[e] = c
-    if fixed:
-        found = search_acyclic_coloring(Graph(n, inner), k, SearchBudget(BALL_NODES), fixed)
-        if isinstance(found, dict):
-            _write_found(phi, found)
+    edges = [(x, y) for x in ball for y in nbr[x].values() if x < y and y in ball]
+    closed = sum(len(nbr[x]) for x in ball) == 2 * len(edges)
+    if not closed or len(edges) < phi.colored_edge_count():
+        if isinstance(search(edges, False, BALL_NODES), dict):
             return "T2"
-    sub = Graph(n, inner + list(fixed))
-    found = search_acyclic_coloring(sub, k, budget or SearchBudget())
+    edges = [(x, y) for x, row in enumerate(nbr) for y in row.values() if x < y]
+    found = search(edges, True, (budget or SearchBudget()).max_nodes)
     if found is EXHAUSTED:
         raise ExtensionFailed(f"exhaustive recoloring ran out of budget at edge ({u}, {v})")
     if found is None:
         short = (
             f"no acyclic edge coloring with {k} colors exists for the current "
-            f"subgraph (n={sub.n}, m={sub.m})"
+            f"subgraph (n={phi.graph.n}, m={len(edges) + 1})"
         )
-        bound = sub.max_degree() + 10
+        bound = max(*map(len, nbr), len(nbr[u]) + 1, len(nbr[v]) + 1) + 10
         if k >= bound:
             raise NotPlanarEvidence(f"{short}; the palette bound refutes planarity")
         raise ExtensionFailed(
             f"{short}; the palette is below its Δ+10 = {bound}, so this refutes nothing"
         )
-    _write_found(phi, found)
     return "T3"
 
 
@@ -435,12 +430,11 @@ def _reinsert(
     # stop at: in replay the next step not recorded as "T1", so that a
     # mismatch there is refused before any later step runs.  Only there
     # does control come back here.  Escalation gets phi, u and v, not an
-    # ExtensionContext.  What `assign` and the context's guards check
-    # holds: phi is made here on g; (1) each (us[i], vertices[i]) is an
-    # edge of g, from `_peel(g, ...)` or checked by `replay_trace`'s pass
-    # over g's rows; (2) each is re-inserted once, so it is uncolored when
-    # reached; (3) the coloring is built only by proper writes, so it stays
-    # proper.
+    # ExtensionContext; what the context's guards check holds: phi is made
+    # here on g; (1) each (us[i], vertices[i]) is an edge of g, from
+    # `_peel(g, ...)` or checked by `replay_trace`'s pass over g's rows;
+    # (2) each is re-inserted once, so it is uncolored when reached; (3)
+    # the coloring is built only by proper writes, so it stays proper.
     phi = PartialEdgeColoring(g, g.max_degree() + 10)
     # replay stops at each step not recorded as "T1", last first; nearly
     # every trace has none, which `count` finds without a Python loop

@@ -1,12 +1,15 @@
 """Exhaustive ground truth for acyclic edge colorability at desk scale.
 
-Backtracking over edges with properness pruning, incremental bichromatic-
-cycle detection, and color symmetry breaking (the i-th newly introduced
-color is at most i) when no edge is pre-colored.  A palette below `_lower_bound` (Δ, and the forest
-bound of each component) is refused before the search counts a node.
-What the bound does not settle is searched exhaustively, in time that can
-grow exponentially with m; a budget of search nodes turns an unfinished
-search into the explicit EXHAUSTED outcome, never a silent wrong answer.
+One search core, `_search`, colors a list of edges in place in a color ->
+neighbor table, by backtracking with properness pruning, incremental
+bichromatic-cycle detection, and color symmetry breaking (the i-th newly
+introduced color is at most i) when the table starts empty.  The oracle
+runs it on a fresh table, the colorer's T2 and T3 on the coloring's own.
+A palette below `_lower_bound` (Δ, and the forest bound of each component)
+is refused before the search counts a node.  What the bound does not
+settle is searched exhaustively, in time that can grow exponentially with
+m; a budget of search nodes turns an unfinished search into the explicit
+EXHAUSTED outcome, never a silent wrong answer.
 
 The module also houses the independent brute-force cycle enumerator the
 test suite compares the bichromatic-cycle scan against.
@@ -55,79 +58,63 @@ class Exhausted:
 EXHAUSTED = Exhausted()
 
 
-def _lower_bound(g: Graph) -> int:
-    """The least palette that an acyclic edge coloring of g could use.
+def _lower_bound(edges: list[tuple[int, int]]) -> int:
+    """The least palette that an acyclic edge coloring of the edges could use.
 
-    It is max(Δ, ⌈2m(H)/(n(H)−1)⌉ over the components H with at least 2
-    vertices).  Any two color classes of an acyclic coloring form a forest,
-    so on H each pair of classes holds at most n(H)−1 edges; summed over
-    the k(k−1)/2 pairs, (k−1)·m(H) ≤ k(k−1)/2·(n(H)−1).  That needs a
+    It is max(Δ, ⌈2m(H)/(n(H)−1)⌉ over the components H of the graph the
+    edges form).  Any two color classes of an acyclic coloring form a
+    forest, so on H each pair of classes holds at most n(H)−1 edges; summed
+    over the k(k−1)/2 pairs, (k−1)·m(H) ≤ k(k−1)/2·(n(H)−1).  That needs a
     pair, k ≥ 2, which Δ ≥ 2 forces.  A matching (Δ ≤ 1) takes Δ colors.
     """
-    delta = g.max_degree()
-    if delta <= 1:
-        return delta
-    bound = delta
-    for comp in g.connected_components():
-        if len(comp) > 1:
-            degree_sum = sum(g.degree(v) for v in comp)
-            bound = max(bound, -(-degree_sum // (len(comp) - 1)))
+    adj: dict[int, list[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    bound = max(map(len, adj.values()), default=0)
+    if bound <= 1:
+        return bound
+    unseen = set(adj)
+    while unseen:
+        comp = [unseen.pop()]
+        degree_sum = 0
+        for x in comp:
+            degree_sum += len(adj[x])
+            for y in adj[x]:
+                if y in unseen:
+                    unseen.remove(y)
+                    comp.append(y)
+        bound = max(bound, -(-degree_sum // (len(comp) - 1)))
     return bound
 
 
-def search_acyclic_coloring(
-    g: Graph,
-    k: int,
-    budget: Optional[SearchBudget] = None,
-    fixed: Optional[dict[tuple[int, int], int]] = None,
+def _search(
+    nbr: list[dict[int, int]], edges: list[tuple[int, int]], k: int, symmetric: bool, max_nodes: int
 ) -> Union[dict[tuple[int, int], int], None, Exhausted]:
-    """Exact search for an acyclic edge k-coloring.
+    """Color the uncolored `edges` (u < v, distinct, in id order) in place
+    in the color -> neighbor table `nbr`; the edges in it keep their colors.
 
-    Returns an edge -> color dict, None when provably impossible, or
-    EXHAUSTED when the budget ran out first.  A k below `_lower_bound(g)`
-    is None at once, before any node is counted.
-
-    `fixed` maps pre-colored edges outside g, on g's vertices, to their
-    colors; they must form a proper acyclic coloring.  They are in the
-    color table from the start, so every cycle test sees them, and they
-    keep their colors and are not in the result.  Fixed colors are not
-    interchangeable, so the symmetry cap applies only when `fixed` is
-    empty.  An id outside 0..n-1, a self-loop, a bool, float or color outside
-    1..k, an edge of g or a clash at an end in `fixed` is refused (ValueError),
-    and so is a negative k; a bool or other non-int k is refused (TypeError).
+    Returns the edge -> color dict in search order, None when no coloring
+    exists, or EXHAUSTED once more than `max_nodes` colors were tried; on
+    None or EXHAUSTED the table is as it was found.  A k below
+    `_lower_bound(edges)` is None before any node is counted.  `symmetric`
+    says the table starts empty, so the symmetry cap may apply.
     """
-    if type(k) is not int:
-        raise TypeError(f"palette size {k!r} is not an int")
-    if k < 0:
-        raise ValueError(f"palette size must be nonnegative, got {k}")
-    if g.m == 0:
-        return {}
-    if k < _lower_bound(g):
+    if k < _lower_bound(edges):
         return None
-    max_nodes = (budget or SearchBudget()).max_nodes
-    # descending endpoint degree sum, then edge id (the sort is stable):
-    # strongest pruning first
-    deg = g.degree
-    edges = sorted(g.edges(), key=lambda e: -(deg(e[0]) + deg(e[1])))
-    # the color -> neighbor table of PartialEdgeColoring, kept here so the
-    # loop skips its edge and palette checks
-    nbr: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for (a, b), c in (fixed or {}).items():
-        if a == b or not (0 <= a < g.n and 0 <= b < g.n):
-            raise ValueError(f"fixed edge ({a}, {b}) needs two distinct vertices in 0..{g.n - 1}")
-        if type(c) is not int or not 1 <= c <= k:
-            raise ValueError(f"fixed edge ({a}, {b}): color {c} outside palette [1..{k}]")
-        if g.has_edge(a, b) or c in nbr[a] or c in nbr[b]:
-            raise ValueError(f"fixed edge ({a}, {b}) is an edge of g or clashes at an end")
-        nbr[a][c] = b
-        nbr[b][c] = a
+    # strongest pruning first: by degree sum within the edges, then (stably) id
+    deg: dict[int, int] = {}
+    for a, b in edges:
+        deg[a] = deg.get(a, 0) + 1
+        deg[b] = deg.get(b, 0) + 1
+    edges = sorted(edges, key=lambda e: -(deg[e[0]] + deg[e[1]]))
     # depth-first over edges in order, colors ascending, with an explicit
     # stack: `assigned` holds the colors on the path so far and used[i] is
-    # the largest color among the first i edges.  With fixed edges every
-    # used[i] is k, which lifts the cap without a test in the loop.  Every
-    # color tried counts one node, free or not.
+    # the largest color among the first i edges.  Without the cap every
+    # used[i] is k, which lifts it without a test in the loop.  Every color
+    # tried counts one node, free or not.
     assigned: list[int] = []
-    used = [k if fixed else 0]
+    used = [0 if symmetric else k]
     nodes = 0
     c = 1
     while True:
@@ -140,6 +127,8 @@ def search_acyclic_coloring(
         while c <= cap:
             nodes += 1
             if nodes > max_nodes:
+                for (u, v), c in zip(edges, assigned):
+                    del nbr[u][c], nbr[v][c]
                 return EXHAUSTED
             if c not in nu and c not in nv and not closes_cycle(nbr, u, v, c):
                 break
@@ -157,9 +146,26 @@ def search_acyclic_coloring(
         used.pop()
         c = assigned.pop()
         u, v = edges[idx - 1]
-        del nbr[u][c]
-        del nbr[v][c]
+        del nbr[u][c], nbr[v][c]
         c += 1
+
+
+def search_acyclic_coloring(
+    g: Graph, k: int, budget: Optional[SearchBudget] = None
+) -> Union[dict[tuple[int, int], int], None, Exhausted]:
+    """Exact search for an acyclic edge k-coloring: `_search` on a fresh table.
+
+    Returns an edge -> color dict, None when provably impossible (at once,
+    before any node is counted, for a k below `_lower_bound`), or EXHAUSTED
+    when the budget ran out first.  A negative k is refused (ValueError),
+    and a bool or other non-int k (TypeError).
+    """
+    if type(k) is not int:
+        raise TypeError(f"palette size {k!r} is not an int")
+    if k < 0:
+        raise ValueError(f"palette size must be nonnegative, got {k}")
+    max_nodes = (budget or SearchBudget()).max_nodes
+    return _search([{} for _ in range(g.n)], g.edges(), k, True, max_nodes)
 
 
 def is_acyclically_k_colorable(
@@ -179,13 +185,13 @@ def exact_chi_a(
 ) -> Union[int, Exhausted]:
     """Smallest palette admitting an acyclic edge coloring.
 
-    Searched upward from `_lower_bound(g)`, so a graph whose index is that
+    Searched upward from `_lower_bound`, so a graph whose index is that
     bound is settled by one search that finds a coloring; all-distinct
     colors are always acyclic, so the search stops by k = m.
     """
     if g.m == 0:
         return 0
-    for k in range(_lower_bound(g), g.m + 1):
+    for k in range(_lower_bound(g.edges()), g.m + 1):
         res = is_acyclically_k_colorable(g, k, budget)
         if res is EXHAUSTED:
             return EXHAUSTED

@@ -35,7 +35,7 @@ from aecolor.families import (
     wheel_graph,
 )
 from aecolor.graphs import Graph, format_edge_list
-from aecolor.oracle import EXHAUSTED, SearchBudget, search_acyclic_coloring
+from aecolor.oracle import EXHAUSTED, SearchBudget, _search, search_acyclic_coloring
 from aecolor.scanner import _CAPS, _KIND_BY_DEGREE, Configuration
 
 from support import (
@@ -355,22 +355,21 @@ class TestReducer:
         assert "n=12, m=21" in str(have.value)
 
 
-def acolor_with_work(g, budget, monkeypatch):
-    """`acolor(g)` and the work it did, failing the test once that passes
-    budget.  Work is color-table probes (membership tests, `get` lookups,
-    and the colors, neighbors and entries a loop over a row reads) plus the
-    vertices each `alternating_walk` visits.
-    Only `acolor`'s own work counts: checks the caller makes on the
-    returned coloring do not."""
-    work = 0
+class OverBudget(Exception):
+    pass
 
-    class OverBudget(Exception):
-        pass
+
+def counting_coloring(monkeypatch, budget=math.inf):
+    """Make the colorer build colorings whose rows count color-table probes
+    (membership tests, `get` lookups, and the colors, neighbors and entries
+    a loop over a row reads), and count the vertices each `alternating_walk`
+    visits.  Returns the coloring class and a one-item list holding the
+    count; OverBudget is raised once the count passes budget."""
+    work = [0]
 
     def spend(amount):
-        nonlocal work
-        work += amount
-        if work > budget:
+        work[0] += amount
+        if work[0] > budget:
             raise OverBudget
 
     class CountingRow(dict):
@@ -415,12 +414,19 @@ def acolor_with_work(g, budget, monkeypatch):
 
     monkeypatch.setattr(colorer, "PartialEdgeColoring", CountingColoring)
     monkeypatch.setattr(coloring, "alternating_walk", counting_walk)
+    return CountingColoring, work
+
+
+def acolor_with_work(g, budget, monkeypatch):
+    """`acolor(g)` and the work it did, as `counting_coloring` counts it,
+    failing the test once that passes budget.  Only `acolor`'s own work
+    counts: checks the caller makes on the returned coloring do not."""
+    _, work = counting_coloring(monkeypatch, budget)
     try:
         phi, _ = acolor(g)
     except OverBudget:
         pytest.fail(f"more than {budget} probes and walked vertices on {g}")
-    budget = math.inf
-    return phi, work
+    return phi, work[0]
 
 
 class TestTryFreeColor:
@@ -537,19 +543,36 @@ class TestTryFreeColor:
 
 
 def spy_searches(monkeypatch, phi):
-    """Record each oracle search the tiers make as (has fixed edges,
-    phi's items when it starts, its outcome)."""
+    """Record each search the tiers make on phi's own table as (phi's items
+    when it starts, the edges it searches, its outcome).  The symmetry cap
+    must be on exactly when the table starts empty."""
     calls = []
 
-    def spy(g, k, budget=None, fixed=None):
-        before = phi.items()
-        found = search_acyclic_coloring(g, k, budget, fixed)
+    def spy(nbr, edges, k, symmetric, max_nodes):
+        held = phi.items()
+        assert nbr is phi._nbr and symmetric == (not held)
+        found = _search(nbr, edges, k, symmetric, max_nodes)
         outcome = "found" if isinstance(found, dict) else found
-        calls.append((bool(fixed), before, outcome))
+        calls.append((held, sorted(edges), outcome))
         return found
 
-    monkeypatch.setattr(oracle, "search_acyclic_coloring", spy)
+    monkeypatch.setattr(oracle, "_search", spy)
     return calls
+
+
+def escalation_calls(g, e, before, ball_outcome):
+    """The calls `spy_searches` records when the ball search for the edge e
+    ends on ball_outcome and the whole-subgraph search finds a coloring,
+    from the coloring `before` that the ball search was given: the ball
+    search holds every colored edge with an end off the ball and searches
+    the rest with e; the whole-subgraph search starts from an empty table
+    and searches every edge of `before` with e."""
+    u, v = e
+    ball = {u, v, *g.neighbors(u), *g.neighbors(v)}
+    held = [(f, c) for f, c in before if not {*f} <= ball]
+    inner = sorted([f for f, _ in before if {*f} <= ball] + [e])
+    every = sorted([f for f, _ in before] + [e])
+    return [(held, inner, ball_outcome), ([], every, "found")]
 
 
 class TestExtendTiers:
@@ -562,23 +585,22 @@ class TestExtendTiers:
     def test_octahedron_t3_instance(self, monkeypatch):
         # u and v see every other vertex of the octahedron, so the ball
         # holds every colored edge: T2 is skipped and T3 searches once
-        for e in [(0, 4), (0, 2)]:
-            ctx = context_for(octahedron()[0], e, 6)
+        for ctx in [context_for(octahedron()[0], e, 6) for e in [(0, 4), (0, 2)]]:
             calls = spy_searches(monkeypatch, ctx.phi)
             phi, tier = extend_at_edge(ctx)
-            assert tier == "T3" and [(f, o) for f, _, o in calls] == [(False, "found")]
+            assert tier == "T3" and [(h, o) for h, _, o in calls] == [([], "found")]
             assert validate_acyclic(ctx.phi.graph, phi).ok
 
     def test_octahedron_t2_instance(self, monkeypatch):
         # the octahedron has no T2 instance: the ends of any edge see every
-        # vertex, so no colored edge is fixed and T2 makes no search
+        # vertex, so no colored edge is held and T2 makes no search
         g = octahedron()[0]
         for u, v in g.edges():
             assert {u, v, *g.neighbors(u), *g.neighbors(v)} == set(g.vertices())
         ctx = context_for(g, (0, 4), 6)
         calls = spy_searches(monkeypatch, ctx.phi)
         _, tier = extend_at_edge(ctx)
-        assert tier == "T3" and [f for f, _, _ in calls] == [False]
+        assert tier == "T3" and [h for h, _, _ in calls] == [[]]
 
     def test_icosahedron_t2_instance(self):
         _, tier = extend_at_edge(context_for(icosahedron()[0], (1, 2), 7))
@@ -586,13 +608,14 @@ class TestExtendTiers:
 
     def test_infeasible_ball_falls_through_to_t3(self, monkeypatch):
         # at k = Δ the ball of this grid edge has no coloring that fits the
-        # fixed edges around it; the whole subgraph does
-        ctx = context_for(grid_graph(4, 5), (6, 7), 4)
+        # colored edges around it; the whole subgraph does
+        g = grid_graph(4, 5)
+        ctx = context_for(g, (6, 7), 4)
         before = ctx.phi.items()
         calls = spy_searches(monkeypatch, ctx.phi)
         phi, tier = extend_at_edge(ctx)
         assert tier == "T3"
-        assert calls == [(True, before, None), (False, before, "found")]
+        assert calls == escalation_calls(g, (6, 7), before, None)
         assert validate_acyclic(ctx.phi.graph, phi).ok
 
     @pytest.mark.parametrize(
@@ -636,13 +659,14 @@ class TestExtendTiers:
     def test_icosahedron_t3_instance(self, monkeypatch):
         # a T2 instance whose ball search runs out of nodes: T3 starts from
         # the coloring T2 was given
-        ctx = context_for(icosahedron()[0], (1, 2), 7)
+        g = icosahedron()[0]
+        ctx = context_for(g, (1, 2), 7)
         before = ctx.phi.items()
         monkeypatch.setattr(colorer, "BALL_NODES", 1)
         calls = spy_searches(monkeypatch, ctx.phi)
         phi, tier = extend_at_edge(ctx)
         assert tier == "T3"
-        assert calls == [(True, before, EXHAUSTED), (False, before, "found")]
+        assert calls == escalation_calls(g, (1, 2), before, EXHAUSTED)
         rep = validate_acyclic(ctx.phi.graph, phi)
         assert rep.ok and rep.max_color <= 7
 
@@ -650,13 +674,14 @@ class TestExtendTiers:
         # the whole-subgraph search (T4 while a move search came before
         # it, T3 now) colors the edge when the tier before it is starved:
         # here the T2 instance of the icosahedron with a one-node ball
-        ctx = context_for(icosahedron()[0], (1, 7), 7)
+        g = icosahedron()[0]
+        ctx = context_for(g, (1, 7), 7)
         before = ctx.phi.items()
         monkeypatch.setattr(colorer, "BALL_NODES", 1)
         calls = spy_searches(monkeypatch, ctx.phi)
         phi, tier = extend_at_edge(ctx)
         assert tier == "T3"
-        assert calls == [(True, before, EXHAUSTED), (False, before, "found")]
+        assert calls == escalation_calls(g, (1, 7), before, EXHAUSTED)
         rep = validate_acyclic(ctx.phi.graph, phi)
         assert rep.ok and rep.max_color <= 7
 
@@ -665,6 +690,49 @@ class TestExtendTiers:
             ctx = context_for(octahedron()[0], e, 6)
             phi, _ = extend_at_edge(ctx)
             assert validate_acyclic(ctx.phi.graph, phi).ok
+
+    def test_failed_searches_leave_the_table_as_found(self, monkeypatch):
+        # the icosahedron's T2 instance with both searches starved: each
+        # runs out of nodes, the whole-subgraph one with a color already
+        # placed on its path, and the rows end as they began
+        ctx = context_for(icosahedron()[0], (1, 2), 7)
+        rows = [dict(row) for row in ctx.phi._nbr]
+        monkeypatch.setattr(colorer, "BALL_NODES", 1)
+        calls = spy_searches(monkeypatch, ctx.phi)
+        with pytest.raises(ExtensionFailed, match="ran out of budget"):
+            extend_at_edge(ctx, budget=SearchBudget(max_nodes=1))
+        assert [o for *_, o in calls] == [EXHAUSTED, EXHAUSTED]
+        assert ctx.phi._nbr == rows
+
+    def test_t2_work_does_not_grow_with_the_graph(self, monkeypatch):
+        # the icosahedron's T2 instance, alone and beside a disjoint,
+        # completely colored 100x100 grid: T2 reads the rows of its ball,
+        # never the whole table, so both make the same probes
+        ico = icosahedron()[0]
+        rows = [(u, v, c) for (u, v), c in context_for(ico, (1, 2), 7).phi.items()]
+        grid = grid_graph(100, 100)
+        grid_phi = acolor(grid)[0]
+        assert grid_phi.max_color_used() <= 7
+        shift = ico.n
+        both = Graph(
+            ico.n + grid.n, ico.edges() + [(u + shift, v + shift) for u, v in grid.edges()]
+        )
+        grid_rows = [(u + shift, v + shift, c) for (u, v), c in grid_phi.items()]
+        counting, work = counting_coloring(monkeypatch)
+
+        def whole_table(phi):
+            raise AssertionError("the ball's rows leave it, yet T2 counted the whole table")
+
+        monkeypatch.setattr(counting, "colored_edge_count", whole_table)
+        probes = []
+        for g, colored_rows in [(ico, rows), (both, rows + grid_rows)]:
+            phi = counting.from_pairs(g, 7, colored_rows)
+            ctx = ExtensionContext(g, phi, 1, 2)
+            work[0] = 0
+            _, tier = extend_at_edge(ctx)
+            assert tier == "T2"
+            probes.append(work[0])
+        assert probes[0] == probes[1] > 0
 
     def test_t3_budget_exhaustion_fails_honestly(self):
         ctx = context_for(octahedron()[0], (0, 2), 6)
@@ -693,7 +761,7 @@ class TestExtendTiers:
         # planarity; with one color fewer it refutes nothing
         g = path_graph(3)
         monkeypatch.setattr(PartialEdgeColoring, "_extend", lambda phi, us, vs, i, stop: (i, None))
-        monkeypatch.setattr(oracle, "search_acyclic_coloring", lambda *args: None)
+        monkeypatch.setattr(oracle, "_search", lambda *args: None)
         with pytest.raises(NotPlanarEvidence, match="refutes planarity"):
             extend_at_edge(ExtensionContext(g, colored(g, 12, [(1, 2, 1)]), 0, 1))
         with pytest.raises(ExtensionFailed, match="refutes nothing"):
@@ -967,6 +1035,27 @@ def refuse_first_fit(monkeypatch, target):
     return puts
 
 
+def check_aids_after_escalation(monkeypatch):
+    """After each escalation, check first fit's two aids on the coloring:
+    every skip-map entry passes only used colors, and the jump table is
+    empty.  Every walk records its end in the jump table, so it is full
+    when the escalation starts.  Returns the list of tiers reached."""
+    tiers = []
+    escalate = colorer._escalate
+
+    def checked(phi, u, v, budget):
+        assert phi._ends
+        tier = escalate(phi, u, v, budget)
+        assert_skip_maps_exact(phi)
+        assert not phi._ends
+        tiers.append(tier)
+        return tier
+
+    monkeypatch.setattr(coloring, "_CACHE_MIN_WALK", 0)
+    monkeypatch.setattr(colorer, "_escalate", checked)
+    return tiers
+
+
 class TestReinsertEscalation:
     """The escalation branch of the re-insertion loop, which no input
     reaches at Δ+10: first fit refuses one edge of the icosahedron, so the
@@ -991,13 +1080,13 @@ class TestReinsertEscalation:
         if ball == "starved":
             monkeypatch.setattr(colorer, "BALL_NODES", 1)
         elif ball == "infeasible":
-            search = oracle.search_acyclic_coloring
+            def refuse_balls(nbr, edges, k, symmetric, max_nodes):
+                return _search(nbr, edges, k, symmetric, max_nodes) if symmetric else None
 
-            def refuse_balls(g, k, budget=None, fixed=None):
-                return None if fixed else search(g, k, budget, fixed)
-
-            monkeypatch.setattr(oracle, "search_acyclic_coloring", refuse_balls)
+            monkeypatch.setattr(oracle, "_search", refuse_balls)
+        escalated = check_aids_after_escalation(monkeypatch)
         phi, trace = acolor(g)
+        assert escalated == [want]
         assert [s.tier for s in trace] == [want if i == at else "T1" for i in range(len(trace))]
         assert [s.edge for s in trace] == [s.edge for s in plain]
         assert validate_acyclic(g, phi).ok and phi.is_complete()
@@ -1006,7 +1095,7 @@ class TestReinsertEscalation:
         assert all(obj is phi for obj, e in puts if e in later)
         puts.clear()
         again = replay_trace(g, trace)
-        assert again.items() == phi.items()
+        assert again.items() == phi.items() and escalated == [want, want]
         assert all(obj is again for obj, e in puts if e in later)
         monkeypatch.undo()
         with pytest.raises(ValueError, match=f"recorded {want}, got T1"):
@@ -1015,7 +1104,8 @@ class TestReinsertEscalation:
 
 class TestFirstFitWork:
     """Re-insertion builds no ExtensionContext, and calls the checked
-    `assign` only on escalation, which these inputs never need."""
+    `assign` only when an escalation's search fails and puts its edges
+    back; these inputs never escalate."""
 
     @pytest.mark.parametrize(
         "build",

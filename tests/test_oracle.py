@@ -21,6 +21,7 @@ from aecolor.oracle import (
     EXHAUSTED,
     SearchBudget,
     _lower_bound,
+    _search,
     bichromatic_cycle_exists_brute,
     enumerate_cycles,
     exact_chi_a,
@@ -125,33 +126,40 @@ class TestLowerBound:
         "g", [complete_graph(2), Graph(4, [(0, 1), (2, 3)])], ids=["K2", "2K2"]
     )
     def test_matching_needs_one(self, g):
-        assert _lower_bound(g) == 1
+        assert _lower_bound(g.edges()) == 1
         assert is_acyclically_k_colorable(g, 1) is True
 
     def test_largest_component_bound_wins(self):
         # K2 plus a triangle: Δ = 2, the triangle's 2·3/2 = 3
-        assert _lower_bound(Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])) == 3
+        assert _lower_bound(Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]).edges()) == 3
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_cycles_give_three(self, n):
-        assert _lower_bound(cycle_graph(n)) == 3
+        assert _lower_bound(cycle_graph(n).edges()) == 3
 
     def test_trees_give_delta_or_two(self):
         # from 2 edges on; K2 is a matching
         for t in all_trees(8):
             if t.m > 1:
-                assert _lower_bound(t) == max(t.max_degree(), 2)
+                assert _lower_bound(t.edges()) == max(t.max_degree(), 2)
 
     def test_k4_gives_four(self):
-        assert _lower_bound(complete_graph(4)) == 4
+        assert _lower_bound(complete_graph(4).edges()) == 4
 
     def test_icosahedron_gives_six(self):
         # Δ = 5, but ⌈2·30/11⌉ = 6
         g, _ = icosahedron()
-        assert _lower_bound(g) == 6
+        assert _lower_bound(g.edges()) == 6
 
     def test_isolated_vertices_are_ignored(self):
-        assert _lower_bound(Graph(6, [(0, 1), (1, 2), (0, 2)])) == 3
+        assert _lower_bound(Graph(6, [(0, 1), (1, 2), (0, 2)]).edges()) == 3
+
+    def test_reads_only_the_edges(self):
+        # no vertex count: a triangle and a path on large ids cost their edges
+        big = 10**9
+        assert _lower_bound([(big, big + 1), (big + 1, big + 2), (big, big + 2)]) == 3
+        assert _lower_bound([(big, big + 1), (big + 1, big + 2)]) == 2
+        assert _lower_bound([]) == 0
 
     def test_below_the_bound_costs_no_node(self):
         g, _ = icosahedron()
@@ -200,63 +208,64 @@ class TestBudget:
         assert exact_chi_a(complete_graph(4), SearchBudget(max_nodes=10**7)) == 5
 
 
+def table(n, colored):
+    """A color -> neighbor table on n vertices holding the colored edges."""
+    nbr = [{} for _ in range(n)]
+    for (a, b), c in colored.items():
+        nbr[a][c] = b
+        nbr[b][c] = a
+    return nbr
+
+
 class TestFixedEdges:
-    """Pre-colored edges outside the searched graph: in the color table
-    from the start, never recolored, never returned."""
+    """The search core on a table that already holds colored edges: they
+    keep their colors, every cycle test sees them, and they are not in the
+    result."""
 
     def test_fixed_edges_keep_their_colors(self):
-        # C4 with two edges fixed; the search completes the other two
+        # C4 with two edges in the table; the search completes the other two
         fixed = {(0, 1): 1, (1, 2): 2}
-        found = search_acyclic_coloring(Graph(4, [(2, 3), (0, 3)]), 3, fixed=fixed)
+        nbr = table(4, fixed)
+        found = _search(nbr, [(0, 3), (2, 3)], 3, False, 100)
         assert set(found) == {(2, 3), (0, 3)}
-        assert fixed == {(0, 1): 1, (1, 2): 2}
+        assert nbr == table(4, {**fixed, **found})
         g = cycle_graph(4)
         assert validate_acyclic(g, as_coloring(g, 3, {**fixed, **found})).ok
 
     def test_cycle_tests_see_fixed_edges(self):
         # color 2 on (0, 3) is free at both ends but closes a 1-2 cycle
-        # through the three fixed edges
+        # through the three edges in the table
         fixed = {(0, 1): 1, (1, 2): 2, (2, 3): 1}
-        assert search_acyclic_coloring(Graph(4, [(0, 3)]), 3, fixed=fixed) == {(0, 3): 3}
-        assert search_acyclic_coloring(Graph(4, [(0, 3)]), 2, fixed=fixed) is None
+        assert _search(table(4, fixed), [(0, 3)], 3, False, 100) == {(0, 3): 3}
+        nbr = table(4, fixed)
+        assert _search(nbr, [(0, 3)], 2, False, 100) is None
+        assert nbr == table(4, fixed)
 
     def test_no_color_left_is_none(self):
-        # the fixed edges take both colors at the hub
+        # the table's edges take both colors at the hub
         fixed = {(0, 1): 1, (0, 2): 2}
-        assert search_acyclic_coloring(Graph(4, [(0, 3)]), 2, fixed=fixed) is None
+        nbr = table(4, fixed)
+        assert _search(nbr, [(0, 3)], 2, False, 100) is None
+        assert nbr == table(4, fixed)
 
     def test_symmetry_cap_is_off(self):
         # the only completion colors the first free edge 3, above
-        # largest-used + 1 = 1, which the cap would refuse
+        # largest-used + 1 = 1, which the cap, sound only on an empty
+        # table, would refuse
         fixed = {(0, 1): 1, (0, 2): 2}
-        assert search_acyclic_coloring(Graph(4, [(0, 3)]), 3, fixed=fixed) == {(0, 3): 3}
+        assert _search(table(4, fixed), [(0, 3)], 3, False, 100) == {(0, 3): 3}
+        assert _search(table(4, fixed), [(0, 3)], 3, True, 100) is None
 
-    @pytest.mark.parametrize(
-        "fixed",
-        [
-            {(0, 1): 1},
-            {(1, 2): 1, (2, 3): 1},
-            {(1, 2): 99},
-            {(1, 2): 0},
-            {(1, 2): True},
-            {(1, 2): 2.5},
-        ],
-        ids=["edge-of-g", "clash", "color-past-k", "color-zero", "bool-color", "float-color"],
-    )
-    def test_bad_fixed_edges_are_refused(self, fixed):
-        with pytest.raises(ValueError, match="fixed edge"):
-            search_acyclic_coloring(Graph(4, [(0, 1)]), 3, fixed=fixed)
-
-    @pytest.mark.parametrize(
-        "edge", [(-1, 0), (0, 3), (1, 1)], ids=["negative-id", "id-past-n", "self-loop"]
-    )
-    def test_fixed_edge_off_the_vertices_is_refused(self, edge):
-        # on the path 0-1-2, (-1, 0) once wrapped round to vertex 2 and
-        # returned a coloring, (0, 3) raised IndexError, and the self-loop
-        # was written into the table
-        with pytest.raises(ValueError) as exc:
-            search_acyclic_coloring(path_graph(3), 3, fixed={edge: 1})
-        assert str(exc.value) == f"fixed edge {edge} needs two distinct vertices in 0..2"
+    def test_exhausted_search_unwinds_its_path(self):
+        # the budget runs out two edges deep into the path 0-1-2-3 at k = 2,
+        # which has a coloring; the table is left as it was found
+        fixed = {(3, 4): 1}
+        nbr = table(5, fixed)
+        assert _search(nbr, [(0, 1), (1, 2), (2, 3)], 2, False, 3) is EXHAUSTED
+        assert nbr == table(5, fixed)
+        assert _search(nbr, [(0, 1), (1, 2), (2, 3)], 2, False, 100) == {
+            (1, 2): 1, (2, 3): 2, (0, 1): 2
+        }
 
 
 class TestEnumerateCycles:
@@ -330,7 +339,7 @@ class TestAtlasCensus:
             chi = exact_chi_a(g)
             used = validate_acyclic(g, acolor(g)[0]).max_color
             delta = g.max_degree()
-            assert _lower_bound(g) <= chi <= used <= delta + 10
+            assert _lower_bound(g.edges()) <= chi <= used <= delta + 10
             above_delta[chi - delta] += 1
             above_chi[used - chi] += 1
         assert above_delta == {0: 668, 1: 104, 2: 2}
