@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import __version__
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     NonPlanarEmbeddingError,
     NotPlanarEvidence,
 )
-from .graphs import MAX_VERTICES, Graph, format_edge_list, parse_edge_list
+from .graphs import MAX_VERTICES, Graph, _edge_list_lines, parse_edge_list
 
 if TYPE_CHECKING:
     from .colorer import ReductionTrace
@@ -232,16 +232,6 @@ def coloring_from_json(doc: dict) -> tuple[Graph, PartialEdgeColoring]:
     return g, phi
 
 
-def _dot_rows(phi: PartialEdgeColoring) -> Iterator[str]:
-    # palette index drives the hue so renders are stable across runs
-    k = max(phi.k, 1)
-    for u, v, c in phi._edge_rows():
-        if c is None:
-            yield f'  {u} -- {v} [style=dashed label="?"];\n'
-        else:
-            yield f'  {u} -- {v} [label="{c}" color="{(c - 1) / k:.3f} 0.85 0.75"];\n'
-
-
 def _write_coloring(path: Optional[str], phi: PartialEdgeColoring) -> None:
     # the bytes of `_dump_json(coloring_to_json(phi))`
     rows = (
@@ -264,7 +254,7 @@ def _write_trace(path: Optional[str], trace: ReductionTrace) -> None:
 
 
 def cmd_gen(args) -> int:
-    from .embedding import format_rotation, generate_apollonian
+    from .embedding import _rotation_lines, generate_apollonian
 
     if args.apollonian is not None:
         if args.apollonian < 3:
@@ -277,9 +267,10 @@ def cmd_gen(args) -> int:
         from .families import PLATONIC
 
         g, rot = PLATONIC[args.platonic]()
-    _write(args.out, format_edge_list(g))
+    # the bytes of `format_edge_list(g)` and `format_rotation(rot)`
+    _write(args.out, "", _edge_list_lines(g), "\n", "\n")
     if args.rot_out:
-        _write(args.rot_out, format_rotation(rot))
+        _write(args.rot_out, "", _rotation_lines(rot), "\n", "\n")
     return EXIT_OK
 
 
@@ -291,7 +282,14 @@ def cmd_color(args) -> int:
     if args.format == "json":
         _write_coloring(args.out, phi)
     elif args.format == "dot":
-        _write(args.out, "graph aecolor {\n", _dot_rows(phi), "}\n")
+        # `acolor` colours every edge; the palette index drives the hue, so
+        # renders are stable across runs
+        k = phi.k
+        rows = (
+            f'  {u} -- {v} [label="{c}" color="{(c - 1) / k:.3f} 0.85 0.75"];\n'
+            for u, v, c in phi._edge_rows()
+        )
+        _write(args.out, "graph aecolor {\n", rows, "}\n")
     else:
         _write(args.out, "", (f"{u} {v} {c}\n" for u, v, c in phi._edge_rows()))
     if args.trace:

@@ -12,7 +12,8 @@ adjacency sets instead and never changes a `Graph`.
 
 from __future__ import annotations
 
-from typing import Iterable
+from bisect import bisect_right
+from typing import Iterable, Iterator
 
 from .errors import EdgeListParseError
 
@@ -32,9 +33,12 @@ class Graph:
     """Immutable simple graph on vertices 0..n-1, stored as sorted
     neighbor rows alone.
 
-    The constructor is the one check of edge rows: it takes them in the
-    order given and refuses the first that is out of range, a self-loop or
-    a duplicate in either orientation (ValueError).
+    The constructor is the one check of untrusted edge rows: it takes them
+    in the order given and refuses the first that is out of range, a
+    self-loop or a duplicate in either orientation (ValueError).  Rows that
+    are already sorted, simple and symmetric by construction go through
+    `Graph._trusted` unchecked; its two callers are `remove_edge` and the
+    triangulation builder `embedding._stack`.
     """
 
     __slots__ = ("_n", "_m", "_adj")
@@ -65,6 +69,17 @@ class Graph:
         self._m = len(seen)
         del seen
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+    @classmethod
+    def _trusted(cls, n: int, m: int, adj: tuple[tuple[int, ...], ...]) -> "Graph":
+        """The graph with n vertices, m edges and neighbor rows adj, taken
+        as given: each row sorted, free of its own vertex and of repeats,
+        and v in adj[u] exactly when u in adj[v]."""
+        g = object.__new__(cls)
+        g._n = n
+        g._m = m
+        g._adj = adj
+        return g
 
     @property
     def n(self) -> int:
@@ -107,14 +122,10 @@ class Graph:
             raise ValueError(f"edge ({u},{v}) not in graph")
         # the reduce loop strips one edge per step, so skip revalidation
         # and patch the two adjacency rows instead of rebuilding
-        g = object.__new__(Graph)
-        g._n = self._n
-        g._m = self._m - 1
         adj = list(self._adj)
         adj[u] = tuple(x for x in adj[u] if x != v)
         adj[v] = tuple(x for x in adj[v] if x != u)
-        g._adj = tuple(adj)
-        return g
+        return Graph._trusted(self._n, self._m - 1, tuple(adj))
 
     def connected_components(self) -> list[list[int]]:
         seen = [False] * self._n
@@ -218,7 +229,15 @@ def parse_edge_list(text: str) -> Graph:
     return g
 
 
+def _edge_list_lines(g: Graph) -> Iterator[str]:
+    """The lines of `format_edge_list(g)` without their newlines: the
+    header `n m`, then each edge `u v` with u < v, in `edges()` order."""
+    yield f"{g.n} {g.m}"
+    for u, row in enumerate(g._adj):
+        # a row is sorted, so its neighbors above u are a suffix
+        for v in row[bisect_right(row, u):]:
+            yield f"{u} {v}"
+
+
 def format_edge_list(g: Graph) -> str:
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(out) + "\n"
+    return "\n".join(_edge_list_lines(g)) + "\n"

@@ -1,15 +1,18 @@
 """Exhaustive ground truth for acyclic edge colorability at desk scale.
 
-One search core, `_search`, colors a list of edges in place in a color ->
+One search, `_search`, colors a list of edges in place in a color ->
 neighbor table, by backtracking with properness pruning, incremental
 bichromatic-cycle detection, and color symmetry breaking (the i-th newly
 introduced color is at most i) when the table starts empty.  The oracle
 runs it on a fresh table, the colorer's T2 and T3 on the coloring's own.
-A palette below `_lower_bound` (Δ, and the forest bound of each component)
-is refused before the search counts a node.  What the bound does not
-settle is searched exhaustively, in time that can grow exponentially with
-m; a budget of search nodes turns an unfinished search into the explicit
-EXHAUSTED outcome, never a silent wrong answer.
+It is a set-up, `_setup`, and a core, `_dfs`: the set-up reads the lower
+bound (Δ, and the forest bound of each component) and the edge order off
+the edges, and a palette below the bound is refused before the core
+counts a node.  `exact_chi_a` runs the set-up once per graph and the core
+once per palette.  What the bound does not settle is searched
+exhaustively, in time that can grow exponentially with m; a budget of
+search nodes turns an unfinished search into the explicit EXHAUSTED
+outcome, never a silent wrong answer.
 
 The module also houses the independent brute-force cycle enumerator the
 test suite compares the bichromatic-cycle scan against.
@@ -58,22 +61,27 @@ class Exhausted:
 EXHAUSTED = Exhausted()
 
 
-def _lower_bound(edges: list[tuple[int, int]]) -> int:
-    """The least palette that an acyclic edge coloring of the edges could use.
+def _setup(edges: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """The lower bound of the edges and their search order, both read off
+    one adjacency.
 
-    It is max(Δ, ⌈2m(H)/(n(H)−1)⌉ over the components H of the graph the
-    edges form).  Any two color classes of an acyclic coloring form a
-    forest, so on H each pair of classes holds at most n(H)−1 edges; summed
-    over the k(k−1)/2 pairs, (k−1)·m(H) ≤ k(k−1)/2·(n(H)−1).  That needs a
-    pair, k ≥ 2, which Δ ≥ 2 forces.  A matching (Δ ≤ 1) takes Δ colors.
+    The bound is the least palette that an acyclic edge coloring of the
+    edges could use: max(Δ, ⌈2m(H)/(n(H)−1)⌉ over the components H of the
+    graph the edges form).  Any two color classes of an acyclic coloring
+    form a forest, so on H each pair of classes holds at most n(H)−1 edges;
+    summed over the k(k−1)/2 pairs, (k−1)·m(H) ≤ k(k−1)/2·(n(H)−1).  That
+    needs a pair, k ≥ 2, which Δ ≥ 2 forces.  A matching (Δ ≤ 1) takes Δ
+    colors.  The order puts the strongest pruning first: by degree sum
+    within the edges, then (stably) as given.
     """
     adj: dict[int, list[int]] = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
+    order = sorted(edges, key=lambda e: -(len(adj[e[0]]) + len(adj[e[1]])))
     bound = max(map(len, adj.values()), default=0)
     if bound <= 1:
-        return bound
+        return bound, order
     unseen = set(adj)
     while unseen:
         comp = [unseen.pop()]
@@ -85,7 +93,7 @@ def _lower_bound(edges: list[tuple[int, int]]) -> int:
                     unseen.remove(y)
                     comp.append(y)
         bound = max(bound, -(-degree_sum // (len(comp) - 1)))
-    return bound
+    return bound, order
 
 
 def _search(
@@ -96,18 +104,20 @@ def _search(
 
     Returns the edge -> color dict in search order, None when no coloring
     exists, or EXHAUSTED once more than `max_nodes` colors were tried; on
-    None or EXHAUSTED the table is as it was found.  A k below
-    `_lower_bound(edges)` is None before any node is counted.  `symmetric`
+    None or EXHAUSTED the table is as it was found.  A k below the bound
+    of `_setup(edges)` is None before any node is counted.  `symmetric`
     says the table starts empty, so the symmetry cap may apply.
     """
-    if k < _lower_bound(edges):
+    bound, order = _setup(edges)
+    if k < bound:
         return None
-    # strongest pruning first: by degree sum within the edges, then (stably) id
-    deg: dict[int, int] = {}
-    for a, b in edges:
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    edges = sorted(edges, key=lambda e: -(deg[e[0]] + deg[e[1]]))
+    return _dfs(nbr, order, k, symmetric, max_nodes)
+
+
+def _dfs(
+    nbr: list[dict[int, int]], edges: list[tuple[int, int]], k: int, symmetric: bool, max_nodes: int
+) -> Union[dict[tuple[int, int], int], None, Exhausted]:
+    """The search of `_search`, over `edges` in the order given."""
     # depth-first over edges in order, colors ascending, with an explicit
     # stack: `assigned` holds the colors on the path so far and used[i] is
     # the largest color among the first i edges.  Without the cap every
@@ -156,9 +166,9 @@ def search_acyclic_coloring(
     """Exact search for an acyclic edge k-coloring: `_search` on a fresh table.
 
     Returns an edge -> color dict, None when provably impossible (at once,
-    before any node is counted, for a k below `_lower_bound`), or EXHAUSTED
-    when the budget ran out first.  A negative k is refused (ValueError),
-    and a bool or other non-int k (TypeError).
+    before any node is counted, for a k below the bound of `_setup`), or
+    EXHAUSTED when the budget ran out first.  A negative k is refused
+    (ValueError), and a bool or other non-int k (TypeError).
     """
     if type(k) is not int:
         raise TypeError(f"palette size {k!r} is not an int")
@@ -185,17 +195,22 @@ def exact_chi_a(
 ) -> Union[int, Exhausted]:
     """Smallest palette admitting an acyclic edge coloring.
 
-    Searched upward from `_lower_bound`, so a graph whose index is that
-    bound is settled by one search that finds a coloring; all-distinct
-    colors are always acyclic, so the search stops by k = m.
+    Searched upward from the bound of `_setup`, so a graph whose index is
+    that bound is settled by one search that finds a coloring; all-distinct
+    colors are always acyclic, so the search stops by k = m.  The set-up
+    runs once, and every palette is searched on one table, which a failed
+    search leaves empty; each search gets the whole budget.
     """
     if g.m == 0:
         return 0
-    for k in range(_lower_bound(g.edges()), g.m + 1):
-        res = is_acyclically_k_colorable(g, k, budget)
+    max_nodes = (budget or SearchBudget()).max_nodes
+    bound, order = _setup(g.edges())
+    nbr: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for k in range(bound, g.m + 1):
+        res = _dfs(nbr, order, k, True, max_nodes)
         if res is EXHAUSTED:
             return EXHAUSTED
-        if res:
+        if res is not None:
             return k
     raise AssertionError("unreachable: m distinct colors are always acyclic")
 

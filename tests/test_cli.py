@@ -105,6 +105,37 @@ class TestGen:
         assert len(lines) == 4
         assert lines[0].startswith("0:") and set(lines[0].split()[1:]) == {"1", "2", "3"}
 
+    @pytest.mark.parametrize("chunk_rows", [1, 2, None], ids=["rows-1", "rows-2", "default"])
+    @pytest.mark.parametrize(
+        "argv, build",
+        [
+            (["--apollonian", "3"], lambda: generate_apollonian(3, 0)),
+            (["--apollonian", "4", "--seed", "5"], lambda: generate_apollonian(4, 5)),
+            (["--apollonian", "50", "--seed", "2"], lambda: generate_apollonian(50, 2)),
+            (["--platonic", "dodecahedron"], lambda: families.PLATONIC["dodecahedron"]()),
+        ],
+        ids=["n3", "n4", "n50", "dodecahedron"],
+    )
+    def test_streamed_bytes_equal_the_formatters(self, capsys, tmp_path, argv, build, chunk_rows):
+        rot_path = tmp_path / "g.rot"
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows or cli._CHUNK_ROWS):
+            code, out, _ = run(capsys, ["gen", *argv, "--rot-out", str(rot_path)])
+        g, rot = build()
+        assert code == 0
+        assert out == format_edge_list(g)
+        assert rot_path.read_text() == format_rotation(rot)
+
+    @pytest.mark.parametrize("n", [1367, 4096, 4097])
+    def test_streamed_bytes_at_the_chunk_size(self, capsys, tmp_path, n):
+        # at n = 1367 the edge list is exactly one chunk of 3n - 5 lines, and
+        # at 4096 and 4097 the rotation is one chunk of n lines, then one more
+        rot_path = tmp_path / "g.rot"
+        code, out, _ = run(capsys, ["gen", "--apollonian", str(n), "--rot-out", str(rot_path)])
+        g, rot = generate_apollonian(n, 0)
+        assert code == 0
+        assert out == format_edge_list(g)
+        assert rot_path.read_text() == format_rotation(rot)
+
     def test_only_the_named_solid_is_built(self, capsys, monkeypatch):
         calls = []
         for name, build in list(families.PLATONIC.items()):

@@ -144,6 +144,26 @@ class TestGenerateApollonian:
             generate_apollonian(2, seed=0)
 
 
+class TestTrustedBuild:
+    """`_stack` builds its graph and rotation unchecked, straight from the
+    rotation rows; the checked constructors must agree with what it built."""
+
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(n, seed) for n in range(3, 31) for seed in range(3)]
+        # past the first block of live faces, which holds 8195 vertices
+        + [(9000, 1)],
+    )
+    def test_checked_builds_agree(self, n, seed):
+        g, rot = generate_apollonian(n, seed)
+        checked = Graph(g.n, g.edges())
+        assert g == checked and hash(g) == hash(checked)
+        assert g.m == checked.m == 3 * n - 6
+        assert rot == RotationSystem(rot.order(v) for v in range(rot.n))
+        embedding._validate_rotation(g, rot)
+        assert parse_rotation(format_rotation(rot), g) == rot
+
+
 class TestGeneratorReference:
     # the flat face list of `ReferenceStacker` is what the blocked face
     # store must reproduce, pick for pick

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from aecolor import graphs
 from aecolor.embedding import generate_apollonian
 from aecolor.errors import EdgeListParseError
-from aecolor.families import complete_graph, cycle_graph, path_graph, star_graph
+from aecolor.families import complete_graph, cycle_graph, path_graph, star_graph, wheel_graph
 from aecolor.graphs import Graph, format_edge_list, parse_edge_list
 
 from support import edge_list_texts, reference_parse_edge_list, small_graphs
@@ -46,6 +46,21 @@ class TestConstruction:
     def test_neighbor_symmetry(self, g):
         for u, v in g.edges():
             assert v in g.neighbors(u) and u in g.neighbors(v)
+
+
+class TestFamilyRefusals:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: cycle_graph(2), "^cycles need n >= 3, got 2$"),
+            (lambda: wheel_graph(2), "^wheels need rim >= 3, got 2$"),
+        ],
+        ids=["cycle", "wheel"],
+    )
+    def test_too_small_is_refused(self, build, message):
+        # a 2-cycle or a 2-rim would repeat an edge
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestHasEdge:
@@ -223,6 +238,11 @@ class TestEdgeListFormat:
     @given(small_graphs())
     def test_round_trip_random(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
+
+    @given(small_graphs())
+    def test_header_then_the_canonical_edges(self, g):
+        lines = [f"{g.n} {g.m}", *(f"{u} {v}" for u, v in g.edges())]
+        assert format_edge_list(g) == "\n".join(lines) + "\n"
 
 
 def parse_outcome(parse, text):

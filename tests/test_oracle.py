@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from aecolor import oracle
 from aecolor.colorer import acolor
 from aecolor.coloring import PartialEdgeColoring, validate_acyclic
 from aecolor.families import (
@@ -20,7 +21,7 @@ from aecolor.graphs import Graph
 from aecolor.oracle import (
     EXHAUSTED,
     SearchBudget,
-    _lower_bound,
+    _setup,
     _search,
     bichromatic_cycle_exists_brute,
     enumerate_cycles,
@@ -29,6 +30,10 @@ from aecolor.oracle import (
     search_acyclic_coloring,
 )
 from support import all_trees, small_graphs, subset_enumerate_cycles
+
+
+def lower_bound(edges):
+    return _setup(edges)[0]
 
 
 def as_coloring(g, k, witness):
@@ -120,46 +125,82 @@ class TestExactChiA:
         for g in (complete_graph(4), star_graph(6), cycle_graph(7)):
             assert exact_chi_a(g) >= g.max_degree()
 
+    def test_sets_up_once_per_graph(self, monkeypatch):
+        # K4's bound is 4 and its index 5: two palettes, one set-up
+        calls = []
+
+        def spy(edges):
+            calls.append(list(edges))
+            return _setup(edges)
+
+        monkeypatch.setattr(oracle, "_setup", spy)
+        assert exact_chi_a(complete_graph(4)) == 5
+        assert calls == [complete_graph(4).edges()]
+
+    def test_each_palette_gets_the_whole_budget(self):
+        g = complete_graph(4)
+
+        def least_budget(k):
+            nodes = 1
+            while is_acyclically_k_colorable(g, k, SearchBudget(nodes)) is EXHAUSTED:
+                nodes += 1
+            return nodes
+
+        # a budget shared by the palettes would run out in the second search
+        four, five = least_budget(4), least_budget(5)
+        assert exact_chi_a(g, SearchBudget(max(four, five))) == 5
+        assert exact_chi_a(g, SearchBudget(four - 1)) is EXHAUSTED
+
+    @given(small_graphs(max_n=7, max_m=10))
+    @settings(max_examples=60, deadline=None)
+    def test_least_palette_the_decision_accepts(self, g):
+        chi = exact_chi_a(g)
+        if g.m == 0:
+            assert chi == 0
+            return
+        assert is_acyclically_k_colorable(g, chi) is True
+        assert chi == 1 or is_acyclically_k_colorable(g, chi - 1) is False
+
 
 class TestLowerBound:
     @pytest.mark.parametrize(
         "g", [complete_graph(2), Graph(4, [(0, 1), (2, 3)])], ids=["K2", "2K2"]
     )
     def test_matching_needs_one(self, g):
-        assert _lower_bound(g.edges()) == 1
+        assert lower_bound(g.edges()) == 1
         assert is_acyclically_k_colorable(g, 1) is True
 
     def test_largest_component_bound_wins(self):
         # K2 plus a triangle: Δ = 2, the triangle's 2·3/2 = 3
-        assert _lower_bound(Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]).edges()) == 3
+        assert lower_bound(Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]).edges()) == 3
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_cycles_give_three(self, n):
-        assert _lower_bound(cycle_graph(n).edges()) == 3
+        assert lower_bound(cycle_graph(n).edges()) == 3
 
     def test_trees_give_delta_or_two(self):
         # from 2 edges on; K2 is a matching
         for t in all_trees(8):
             if t.m > 1:
-                assert _lower_bound(t.edges()) == max(t.max_degree(), 2)
+                assert lower_bound(t.edges()) == max(t.max_degree(), 2)
 
     def test_k4_gives_four(self):
-        assert _lower_bound(complete_graph(4).edges()) == 4
+        assert lower_bound(complete_graph(4).edges()) == 4
 
     def test_icosahedron_gives_six(self):
         # Δ = 5, but ⌈2·30/11⌉ = 6
         g, _ = icosahedron()
-        assert _lower_bound(g.edges()) == 6
+        assert lower_bound(g.edges()) == 6
 
     def test_isolated_vertices_are_ignored(self):
-        assert _lower_bound(Graph(6, [(0, 1), (1, 2), (0, 2)]).edges()) == 3
+        assert lower_bound(Graph(6, [(0, 1), (1, 2), (0, 2)]).edges()) == 3
 
     def test_reads_only_the_edges(self):
         # no vertex count: a triangle and a path on large ids cost their edges
         big = 10**9
-        assert _lower_bound([(big, big + 1), (big + 1, big + 2), (big, big + 2)]) == 3
-        assert _lower_bound([(big, big + 1), (big + 1, big + 2)]) == 2
-        assert _lower_bound([]) == 0
+        assert lower_bound([(big, big + 1), (big + 1, big + 2), (big, big + 2)]) == 3
+        assert lower_bound([(big, big + 1), (big + 1, big + 2)]) == 2
+        assert lower_bound([]) == 0
 
     def test_below_the_bound_costs_no_node(self):
         g, _ = icosahedron()
@@ -339,7 +380,7 @@ class TestAtlasCensus:
             chi = exact_chi_a(g)
             used = validate_acyclic(g, acolor(g)[0]).max_color
             delta = g.max_degree()
-            assert _lower_bound(g.edges()) <= chi <= used <= delta + 10
+            assert lower_bound(g.edges()) <= chi <= used <= delta + 10
             above_delta[chi - delta] += 1
             above_chi[used - chi] += 1
         assert above_delta == {0: 668, 1: 104, 2: 2}
