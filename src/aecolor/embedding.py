@@ -21,7 +21,8 @@ class RotationSystem:
     """Per-vertex cyclic neighbor order (clockwise by convention).
 
     A repeated neighbor is refused when the system is built, except by
-    `RotationSystem._trusted`, which `_stack` builds its rotations with.
+    `RotationSystem._trusted`, which `_stack` and the solids in `families`
+    build their rotations with.
     The successor index, one neighbor -> next neighbor dict per vertex, is
     built on the first `successor` call, so a rotation that is only
     formatted never pays for it.

@@ -37,8 +37,9 @@ class Graph:
     in the order given and refuses the first that is out of range, a
     self-loop or a duplicate in either orientation (ValueError).  Rows that
     are already sorted, simple and symmetric by construction go through
-    `Graph._trusted` unchecked; its two callers are `remove_edge` and the
-    triangulation builder `embedding._stack`.
+    `Graph._trusted` unchecked; its callers are `remove_edge`, the
+    triangulation builder `embedding._stack` and the generated families
+    in `families`.
     """
 
     __slots__ = ("_n", "_m", "_adj")

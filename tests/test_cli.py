@@ -930,6 +930,22 @@ class TestDefectPrecedence:
                 coloring_doc(3, [(0, 1, 1), (1, 2, 1), (2, 3, 4)]),
                 "color 4 outside palette [1..3]",
             ),
+            (
+                raw_doc("3", ['{"u": 0, "v": 1, "color": 1}', '{"u": 1, "v": "2", "color": 9}',
+                              '{"u": 1, "v": 0, "color": 1}']),
+                "malformed coloring document: v must be an integer, got str",
+            ),
+            # a field of the wrong shape raises TypeError while the rows
+            # are read, and is refused as malformed before any row is built
+            (
+                '{"schema": "aecolor/1", "k": 3, "edges": 5}',
+                "malformed coloring document: 'int' object is not iterable",
+            ),
+            (
+                raw_doc("3", ['{"u": 0, "v": 1, "color": 1}', "[1, 2, 1]",
+                              '{"u": 2, "v": 2, "color": 9}']),
+                "malformed coloring document: list indices must be integers or slices, not str",
+            ),
             # the loader ranks sparse ids and keeps dense ids as they are,
             # and names a row its graph refuses in the document's own ids
             (
@@ -959,6 +975,9 @@ class TestDefectPrecedence:
             "self-loop-then-duplicate",
             "negative-k-and-clash",
             "clash-then-palette",
+            "string-v-then-duplicate",
+            "edges-not-a-list",
+            "list-row-then-self-loop",
             "sparse-reversed-duplicate",
             "negative-then-sparse-self-loop",
             "dense-late-duplicate",

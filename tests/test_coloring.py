@@ -53,6 +53,12 @@ class TestPartialColoring:
         with pytest.raises(ImproperColoringError):
             colored(path_graph(3), 3, [(0, 1, 1), (1, 2, 1)])
 
+    def test_repr(self):
+        phi = PartialEdgeColoring(cycle_graph(4), 3)
+        assert repr(phi) == "PartialEdgeColoring(k=3, colored=0/4)"
+        phi.assign(2, 1, 3)
+        assert repr(phi) == "PartialEdgeColoring(k=3, colored=1/4)"
+
     def test_assign_unassign_round_trip(self):
         g = path_graph(2)
         phi = PartialEdgeColoring(g, 2)

@@ -37,6 +37,10 @@ def as_text(graph_and_rotation) -> tuple[str, str]:
 
 
 class TestTraceFaces:
+    def test_rotation_repr(self):
+        assert repr(cube()[1]) == "RotationSystem(n=8)"
+        assert repr(RotationSystem([])) == "RotationSystem(n=0)"
+
     def test_triangle_two_faces(self):
         g, rot = triangle_embedded()
         faces = trace_faces(g, rot)

@@ -3,10 +3,19 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from aecolor import graphs
-from aecolor.embedding import generate_apollonian
+from aecolor import embedding, graphs
+from aecolor.embedding import RotationSystem, generate_apollonian, trace_faces
 from aecolor.errors import EdgeListParseError
-from aecolor.families import complete_graph, cycle_graph, path_graph, star_graph, wheel_graph
+from aecolor.families import (
+    PLATONIC,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+    triangle_embedded,
+    wheel_graph,
+)
 from aecolor.graphs import Graph, format_edge_list, parse_edge_list
 
 from support import edge_list_texts, reference_parse_edge_list, small_graphs
@@ -35,6 +44,11 @@ class TestConstruction:
             for v in g.neighbors(u):
                 assert u in g.neighbors(v)
 
+    def test_repr(self):
+        g = cycle_graph(5)
+        assert repr(g) == "Graph(n=5, m=5)"
+        assert repr(g.remove_edge(0, 1)) == "Graph(n=5, m=4)"
+
     def test_equality_ignores_edge_order(self):
         assert Graph(3, [(0, 1), (1, 2)]) == Graph(3, [(1, 2), (1, 0)])
 
@@ -54,13 +68,123 @@ class TestFamilyRefusals:
         [
             (lambda: cycle_graph(2), "^cycles need n >= 3, got 2$"),
             (lambda: wheel_graph(2), "^wheels need rim >= 3, got 2$"),
+            (lambda: path_graph(-1), "^paths need n >= 0, got -1$"),
+            (lambda: complete_graph(-1), "^complete graphs need n >= 0, got -1$"),
+            (lambda: star_graph(-1), "^stars need leaves >= 0, got -1$"),
+            (lambda: star_graph(-2), "^stars need leaves >= 0, got -2$"),
+            (lambda: grid_graph(-1, -1), "^grids need rows >= 0, got -1$"),
+            (lambda: grid_graph(-1, 3), "^grids need rows >= 0, got -1$"),
+            (lambda: grid_graph(3, -1), "^grids need cols >= 0, got -1$"),
         ],
-        ids=["cycle", "wheel"],
+        ids=["cycle", "wheel", "path", "complete", "star", "star-2", "grid", "grid-rows",
+             "grid-cols"],
     )
     def test_too_small_is_refused(self, build, message):
-        # a 2-cycle or a 2-rim would repeat an edge
+        # a 2-cycle or a 2-rim would repeat an edge, and a negative size
+        # would reach the unchecked constructor
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: path_graph(2.0),
+            lambda: cycle_graph(None),
+            lambda: complete_graph(3.0),
+            lambda: star_graph(1.5),
+            lambda: wheel_graph("5"),
+            lambda: grid_graph(2, 2.0),
+        ],
+        ids=["path", "cycle", "complete", "star", "wheel", "grid"],
+    )
+    def test_non_int_size_is_refused(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+
+def old_family_edges(family, *size):
+    """The edge list each family handed to the checked `Graph` before it
+    built its rows itself."""
+    if family == "path":
+        (n,) = size
+        return n, [(i, i + 1) for i in range(n - 1)]
+    if family == "cycle":
+        (n,) = size
+        return n, [(i, (i + 1) % n) for i in range(n)]
+    if family == "complete":
+        (n,) = size
+        return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if family == "star":
+        (leaves,) = size
+        return leaves + 1, [(0, i) for i in range(1, leaves + 1)]
+    if family == "wheel":
+        (rim,) = size
+        spokes = [(0, i) for i in range(1, rim + 1)]
+        return rim + 1, spokes + [(i, i % rim + 1) for i in range(1, rim + 1)]
+    rows, cols = size
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((r * cols + c, r * cols + c + 1))
+            if r + 1 < rows:
+                edges.append((r * cols + c, (r + 1) * cols + c))
+    return rows * cols, edges
+
+
+FAMILIES = {
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "complete": complete_graph,
+    "star": star_graph,
+    "wheel": wheel_graph,
+    "grid": grid_graph,
+}
+
+FAMILY_SIZES = (
+    [("path", n) for n in range(6)]
+    + [("cycle", n) for n in range(3, 9)]
+    + [("complete", n) for n in range(8)]
+    + [("star", n) for n in (*range(6), 1000)]
+    + [("wheel", n) for n in (*range(3, 9), 800)]
+    + [("grid", r, c) for r, c in ((0, 0), (0, 4), (4, 0), (1, 1), (1, 6), (6, 1), (2, 2),
+                                   (9, 9), (100, 100))]
+)
+
+
+def assert_rows_sorted_tuples(g):
+    for v in g.vertices():
+        row = g.neighbors(v)
+        assert type(row) is tuple and list(row) == sorted(row)
+
+
+class TestTrustedFamilies:
+    """Each family builds its rows itself, unchecked; the checked
+    constructor must agree with what it built, and with the graph of the
+    edge list the family used to hand it."""
+
+    @pytest.mark.parametrize("family, size", [(f[0], f[1:]) for f in FAMILY_SIZES],
+                             ids=["-".join(map(str, f)) for f in FAMILY_SIZES])
+    def test_checked_builds_agree(self, family, size):
+        g = FAMILIES[family](*size)
+        checked = Graph(g.n, g.edges())
+        assert g == checked and hash(g) == hash(checked)
+        assert g.m == checked.m
+        old = Graph(*old_family_edges(family, *size))
+        assert g == old and hash(g) == hash(old) and g.m == old.m
+        assert_rows_sorted_tuples(g)
+
+    @pytest.mark.parametrize("name", [*PLATONIC, "triangle"])
+    def test_solids(self, name):
+        g, rot = PLATONIC[name]() if name in PLATONIC else triangle_embedded()
+        checked = Graph(g.n, g.edges())
+        assert g == checked and hash(g) == hash(checked)
+        assert g.m == checked.m
+        assert_rows_sorted_tuples(g)
+        assert rot == RotationSystem(rot.order(v) for v in range(rot.n))
+        embedding._validate_rotation(g, rot)
+        faces = trace_faces(g, rot)
+        assert len(faces) == 2 - g.n + g.m
 
 
 class TestHasEdge:

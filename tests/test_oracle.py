@@ -220,6 +220,10 @@ class TestBudget:
         with pytest.raises(TypeError):
             bool(out)
 
+    def test_exhaustion_repr(self):
+        assert repr(EXHAUSTED) == "EXHAUSTED"
+        assert repr(oracle.Exhausted()) == "EXHAUSTED"
+
     def test_exhaustion_propagates_from_chi_a(self):
         out = exact_chi_a(complete_graph(6), SearchBudget(max_nodes=50))
         assert out is EXHAUSTED
